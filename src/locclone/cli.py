@@ -27,8 +27,6 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .ghz_cloning import (
     CloningInconsistency,
     NoCircuitFound,
@@ -156,17 +154,19 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> int:
 
 
 def _cmd_w_classify(args: argparse.Namespace) -> int:
+    config = RunConfig(rank_tol=args.tol)
     if args.all:
-        items = all_pair_classifications(args.tol)
+        items = all_pair_classifications(config.rank_tol)
     else:
         m, n = _parse_pair(args.pair)
-        items = (classify_pair(m, n, args.tol),)
+        items = (classify_pair(m, n, config.rank_tol),)
     rows = [classification_row(item) for item in items]
     _emit_rows(args, rows, SECTION_COLUMNS["w_classifications"])
     return 0
 
 
 def _cmd_w_audit(args: argparse.Namespace) -> int:
+    config = RunConfig(match_tol=args.match_tol)
     blank = parse_w_index(args.blank)
     if args.pair:
         m, n = _parse_pair(args.pair)
@@ -175,17 +175,15 @@ def _cmd_w_audit(args: argparse.Namespace) -> int:
         records = list(all_audit_records(blank))
     rows = [audit_row(record) for record in records]
     _emit_rows(args, rows, SECTION_COLUMNS["pairs"])
-    notes = reference_mismatches(records, args.match_tol)
+    notes = reference_mismatches(records, config.match_tol)
     for note in notes:
         print(note, file=sys.stderr)
     return 1 if notes else 0
 
 
 def _cmd_w_lemma(args: argparse.Namespace) -> int:
-    config = RunConfig(step=args.step, exclusion_radius=args.radius, seed=args.seed)
-    scan = lemma_scan(
-        config.step, config.exclusion_radius, rng=np.random.default_rng(config.seed)
-    )
+    config = RunConfig(step=args.step, exclusion_radius=args.radius)
+    scan = lemma_scan(config.step, config.exclusion_radius)
     summary, violations = scan_rows(scan)
     if args.format == "json":
         _write(json_text(dict(summary, violations=violations)), args.out)
@@ -243,7 +241,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         match_tol=args.match_tol,
         step=args.step,
         exclusion_radius=args.radius,
-        seed=args.seed,
         output_format=args.format,
         out_path=args.out,
     )
@@ -254,13 +251,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 1 if bundle.notes else 0
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit an unsigned 64-bit integer")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -268,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default table)",
     )
     common.add_argument("--out", metavar="PATH", help="write the report to PATH")
-    common.add_argument(
-        "--seed", type=_u64, default=0,
-        help="seed for the random cross-checks (default 0)",
-    )
     common.add_argument(
         "--tol", type=float, default=DEFAULT_RANK_TOL, metavar="FLOAT",
         help="rank tolerance for support-span classification (default 1e-10)",
@@ -282,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--step", type=float, default=0.02, metavar="FLOAT",
-        help="simplex grid step (default 0.02)",
+        help="simplex grid step, 0.002 to 0.1 (default 0.02)",
     )
     common.add_argument(
         "--radius", type=float, default=0.05, metavar="FLOAT",

@@ -85,3 +85,23 @@ def wclass_min_cut_entropy(params: WClassParams) -> tuple[int, float]:
         if value < best:
             best_cut, best = cut_index, value
     return best_cut, best
+
+
+def wclass_cut_spectra(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Array form of wclass_cut_spectrum for many states and all three cuts.
+
+    a, b, c are equal-length arrays of parameters, with d derived as in
+    WClassParams. Row [i, k - 1] is (lambda-, lambda+) of state i at cut k.
+    """
+    d = np.maximum(0.0, 1.0 - (a + b + c))
+    x = np.stack([c, b, a], axis=1)  # the parameter opposite cuts 1, 2, 3
+    root = np.sqrt((1.0 - 2.0 * x) ** 2 + 4.0 * x * d[:, None])
+    return np.stack([(1.0 - root) / 2.0, (1.0 + root) / 2.0], axis=-1)
+
+
+def wclass_min_cut_entropies(spectra: np.ndarray) -> np.ndarray:
+    """Minimum cut entropy in bits of each state from its wclass_cut_spectra rows."""
+    p = np.maximum(spectra, 0.0)
+    # the floor only keeps log2 finite where p = 0, whose term is 0 either way
+    entropies = -(p * np.log2(np.maximum(p, 1e-300))).sum(axis=-1)
+    return entropies.min(axis=-1)

@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .ghz_cloning import (
     FIDELITY_TOL,
     CloningCircuit,
@@ -33,11 +31,13 @@ from .registers import DEFAULT_RANK_TOL, Bipartition, SingleQubitGate, Transvers
 from .states import GhzLabel
 from .w_audit import (
     CATEGORY_B,
+    SCAN_MIN_STEP,
     AuditRecord,
     PairClassification,
     ScanReport,
     all_audit_records,
     all_pair_classifications,
+    check_scan_inputs,
     lemma_scan,
 )
 
@@ -64,20 +64,17 @@ class RunConfig:
     match_tol: float = 1e-3
     step: float = 0.02
     exclusion_radius: float = 0.05
-    seed: int = 0
     output_format: str = "table"
     out_path: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("rank_tol", "fidelity_tol", "match_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.step <= 0.1:
-            raise ValueError(f"grid step {self.step!r} must lie in (0, 0.1]")
-        if self.exclusion_radius < 0.0:
-            raise ValueError("exclusion radius must be nonnegative")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
+            value = getattr(self, name)
+            if not 0.0 < value < float("inf"):  # false for nan too
+                raise ValueError(f"{name} {value!r} must be finite and positive")
+        if not SCAN_MIN_STEP <= self.step <= 0.1:
+            raise ValueError(f"grid step {self.step!r} must lie in [{SCAN_MIN_STEP}, 0.1]")
+        check_scan_inputs(self.step, self.exclusion_radius)
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -232,11 +229,7 @@ def build_report(config: RunConfig) -> ReportBundle:
     records = all_audit_records()
     notes.extend(reference_mismatches(records, config.match_tol))
 
-    scan = lemma_scan(
-        config.step,
-        config.exclusion_radius,
-        rng=np.random.default_rng(config.seed),
-    )
+    scan = lemma_scan(config.step, config.exclusion_radius)
     if scan.violations:
         notes.append(f"simplex scan recorded {len(scan.violations)} violation(s)")
 
@@ -259,7 +252,6 @@ def config_row(config: RunConfig) -> dict:
         "match_tol": config.match_tol,
         "step": config.step,
         "exclusion_radius": config.exclusion_radius,
-        "seed": config.seed,
         "output_format": config.output_format,
         "out_path": config.out_path,
     }

@@ -12,7 +12,10 @@ The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
 parameter opposite the cut, so the minimum cut entropy of every state except
 the equal-weight three-term point stays below that point's entropy and a
-product blank plus LOCC cannot reach it.
+product blank plus LOCC cannot reach it. The scan evaluates that closed form
+over the whole parameter grid in numpy, one grid row at a time, and
+checks it at every grid point against the eigenvalues of the three one-qubit
+marginals taken by partial trace of the state's amplitudes.
 """
 from __future__ import annotations
 
@@ -24,7 +27,8 @@ import numpy as np
 from .measures import (
     W_CUT_ENTROPY_BITS,
     negativity,
-    wclass_cut_spectrum,
+    wclass_cut_spectra,
+    wclass_min_cut_entropies,
     wclass_min_cut_entropy,
 )
 from .registers import (
@@ -35,14 +39,16 @@ from .registers import (
     density,
     mix,
     partial_trace,
-    schmidt_coefficients,
     support_span_dim,
     tensor,
 )
-from .states import WClassParams, w_basis, w_class
+from .states import WClassParams, w_basis
 
 COMMUTATOR_TOL = 1e-10
 STRUCTURE_TOL = 1e-10
+SPECTRUM_TOL = 1e-10
+SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
+_SCAN_CHUNK = 1 << 10  # grid points per scan step; larger chunks only add memory
 _WEIGHT_TOL = 1e-8
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -374,61 +380,117 @@ def blank_insufficiency(params: WClassParams) -> InsufficiencyCertificate:
     return InsufficiencyCertificate(params, cut_index, entropy, W_CUT_ENTROPY_BITS)
 
 
-def _grid_points(step: float) -> Iterator[WClassParams]:
-    top = int(np.floor(1.0 / step + 1e-9))
+def _grid_top(step: float) -> int:
+    """Grid points are step * (ia, ib, ic) with positive integers summing to at most this."""
+    return int(np.floor(1.0 / step + 1e-9))
+
+
+def _grid_rows(top: int, ia: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ib, ic) of the grid row at fixed ia, in lexicographic order."""
+    rest = top - ia
+    counts = np.arange(rest - 1, 0, -1)  # ic runs over 1..rest-ib for ib = 1..rest-1
+    ib = np.repeat(np.arange(1, rest), counts)
+    ic = np.arange(ib.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    return ib, ic
+
+
+def _grid_chunks(step: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Grid parameters (a, b, c) = step * (ia, ib, ic) as arrays.
+
+    Points come in lexicographic (ia, ib, ic) order, one ia row per chunk;
+    rows longer than _SCAN_CHUNK are split so memory stays bounded.
+    """
+    top = _grid_top(step)
     for ia in range(1, top - 1):
-        for ib in range(1, top - ia):
-            for ic in range(1, top - ia - ib + 1):
-                yield WClassParams(ia * step, ib * step, ic * step)
+        ib, ic = _grid_rows(top, ia)
+        for lo in range(0, ib.size, _SCAN_CHUNK):
+            ib_part, ic_part = ib[lo:lo + _SCAN_CHUNK], ic[lo:lo + _SCAN_CHUNK]
+            yield np.full(ib_part.size, ia * step), ib_part * step, ic_part * step
 
 
-def lemma_scan(
-    step: float,
-    exclusion_radius: float,
-    rng: np.random.Generator | None = None,
-    crosscheck_rate: float = 0.01,
-) -> ScanReport:
+def _distance_from_w_point(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    third = 1.0 / 3.0
+    return np.abs(a - third) + np.abs(b - third) + np.abs(c - third) + d
+
+
+def check_scan_inputs(step: float, exclusion_radius: float) -> None:
+    """Reject a scan that cannot run or cannot fail.
+
+    The step must lie in [SCAN_MIN_STEP, 1/3] and the radius must be finite
+    and nonnegative. Some grid point must lie outside the exclusion ball; the
+    L1 distance is convex, so its grid maximum sits at one of the four corners
+    of the grid's simplex.
+    """
+    if not SCAN_MIN_STEP <= step <= 1.0 / 3.0:
+        raise ValueError(f"grid step {step!r} must lie in [{SCAN_MIN_STEP}, 1/3]")
+    if not (np.isfinite(exclusion_radius) and exclusion_radius >= 0.0):
+        raise ValueError(
+            f"exclusion radius {exclusion_radius!r} must be finite and nonnegative"
+        )
+    top = _grid_top(step)
+    corners = np.array([[1, 1, 1], [top - 2, 1, 1], [1, top - 2, 1], [1, 1, top - 2]])
+    a, b, c = (corners * step).T
+    farthest = float(_distance_from_w_point(a, b, c, np.maximum(0.0, 1.0 - (a + b + c))).max())
+    if not farthest > exclusion_radius:
+        raise ValueError(
+            f"exclusion radius {exclusion_radius!r} leaves no grid point outside the "
+            f"ball (farthest at L1 distance {farthest!r})"
+        )
+
+
+def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     """Scan the open parameter simplex for minimum cut entropies at the threshold.
 
     Any grid point outside the L1 exclusion ball around the equal-weight point
     whose minimum cut entropy reaches the threshold (within 1e-12) is recorded
-    as a violation; the expected result is none. About crosscheck_rate of the
-    points are re-derived through the full partial-trace spectrum as a guard
-    on the closed form.
+    as a violation, in grid order and with its entropy recomputed by the
+    scalar wclass_min_cut_entropy; the expected result is none. At every grid
+    point the closed-form spectra of all three cuts must match the partial
+    trace spectra to SPECTRUM_TOL, or StructureMismatchError is raised.
     """
-    if not 0.0 < step <= 1.0 / 3.0:
-        raise ValueError(f"grid step {step!r} must lie in (0, 1/3]")
-    if exclusion_radius < 0.0:
-        raise ValueError("exclusion radius must be nonnegative")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    check_scan_inputs(step, exclusion_radius)
     violations: list[tuple[WClassParams, float]] = []
     tested = 0
-    for params in _grid_points(step):
-        tested += 1
-        _, entropy = wclass_min_cut_entropy(params)
-        distance = (
-            abs(params.a - 1.0 / 3.0)
-            + abs(params.b - 1.0 / 3.0)
-            + abs(params.c - 1.0 / 3.0)
-            + params.d
+    for a, b, c in _grid_chunks(step):
+        d = np.maximum(0.0, 1.0 - (a + b + c))
+        spectra = wclass_cut_spectra(a, b, c)
+        _crosscheck_spectra(a, b, c, d, spectra)
+        entropy = wclass_min_cut_entropies(spectra)
+        hits = (_distance_from_w_point(a, b, c, d) > exclusion_radius) & (
+            entropy >= W_CUT_ENTROPY_BITS - 1e-12
         )
-        if distance > exclusion_radius and entropy >= W_CUT_ENTROPY_BITS - 1e-12:
-            violations.append((params, entropy))
-        if rng.random() < crosscheck_rate:
-            _crosscheck_spectra(params)
+        for i in np.flatnonzero(hits):
+            params = WClassParams(float(a[i]), float(b[i]), float(c[i]))
+            violations.append((params, wclass_min_cut_entropy(params)[1]))
+        tested += a.size
     return ScanReport(step, exclusion_radius, tested, tuple(violations))
 
 
-def _crosscheck_spectra(params: WClassParams) -> None:
-    state = w_class(params)
-    for cut_index in (1, 2, 3):
-        lam_minus, lam_plus = wclass_cut_spectrum(params, cut_index)
-        direct = schmidt_coefficients(state, Bipartition(3, frozenset({cut_index - 1})))
-        if abs(direct[0] - lam_plus) > 1e-10 or abs(direct[-1] - max(lam_minus, 0.0)) > 1e-10:
-            raise StructureMismatchError(
-                f"closed-form spectrum disagrees with partial trace at {params}, cut {cut_index}"
-            )
+def _crosscheck_spectra(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spectra: np.ndarray
+) -> None:
+    """Compare the closed-form spectra with the partial-trace spectra of every state."""
+    psi = np.zeros((a.size, 2, 2, 2))
+    psi[:, 0, 0, 0] = np.sqrt(d)
+    psi[:, 0, 0, 1] = np.sqrt(a)
+    psi[:, 0, 1, 0] = np.sqrt(b)
+    psi[:, 1, 0, 0] = np.sqrt(c)
+    marginals = np.empty((a.size, 3, 2, 2))
+    for k in (1, 2, 3):
+        # qubit k against the two traced ones: M M^T = Tr_others |psi><psi|
+        kept = np.moveaxis(psi, k, 1).reshape(-1, 2, 4)
+        np.matmul(kept, kept.swapaxes(1, 2), out=marginals[:, k - 1])
+    gap = np.linalg.eigvalsh(marginals)  # ascending, like spectra
+    gap -= spectra
+    bad = np.argwhere((np.abs(gap) > SPECTRUM_TOL).any(axis=-1))
+    if bad.size:
+        i, cut = bad[0]
+        raise StructureMismatchError(
+            f"closed-form spectrum disagrees with partial trace at "
+            f"{float(a[i])!r},{float(b[i])!r},{float(c[i])!r}, cut {cut + 1}"
+        )
 
 
 def all_pair_classifications(tol: float = DEFAULT_RANK_TOL) -> tuple[PairClassification, ...]:

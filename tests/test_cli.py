@@ -229,3 +229,49 @@ def test_report_runs_are_byte_identical(capsys, tmp_path):
     payload = json.loads(first)
     assert len(payload["pairs"]) == 28
     assert payload["notes"] == []
+
+
+def _one_line_error(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lemma_rejects_nan_radius(capsys):
+    assert _one_line_error(*run(capsys, "w", "lemma", "--radius", "nan"))
+
+
+def test_lemma_rejects_inf_radius_csv(capsys):
+    assert _one_line_error(*run(capsys, "w", "lemma", "--radius", "inf", "--format", "csv"))
+
+
+def test_report_rejects_nan_radius(capsys):
+    assert _one_line_error(*run(capsys, "report", "--radius", "nan", "--format", "csv"))
+
+
+def test_lemma_rejects_radius_covering_the_grid(capsys):
+    code, out, err = run(capsys, "w", "lemma", "--radius", "2")
+    assert _one_line_error(code, out, err)
+    assert "outside the ball" in err
+
+
+def test_lemma_rejects_step_below_floor(capsys):
+    code, out, err = run(capsys, "w", "lemma", "--step", "1e-9")
+    assert _one_line_error(code, out, err)
+    assert "step" in err
+
+
+def test_classify_rejects_infinite_tol(capsys):
+    code, out, err = run(capsys, "w", "classify", "--pair", "1,6", "--tol", "inf")
+    assert _one_line_error(code, out, err)
+    assert "rank_tol" in err
+
+
+def test_audit_rejects_nan_match_tol(capsys):
+    code, out, err = run(capsys, "w", "audit", "--pair", "1,6", "--match-tol", "nan")
+    assert _one_line_error(code, out, err)
+    assert "match_tol" in err
+
+
+def test_seed_flag_is_gone(capsys):
+    code, _, err = run(capsys, "report", "--seed", "1")
+    assert code == 2
+    assert "--seed" in err

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locclone.measures import (
     W_CUT_ENTROPY_BITS,
@@ -12,7 +14,9 @@ from locclone.measures import (
     entropy_bits,
     negativity,
     wclass_cut_entropy,
+    wclass_cut_spectra,
     wclass_cut_spectrum,
+    wclass_min_cut_entropies,
     wclass_min_cut_entropy,
 )
 from locclone.registers import (
@@ -156,6 +160,30 @@ def test_wclass_spectrum_matches_partial_trace():
             direct = schmidt_coefficients(state, Bipartition(3, frozenset({cut_index - 1})))
             worst = max(worst, abs(direct[0] - lam_plus), abs(direct[-1] - max(lam_minus, 0.0)))
     assert worst <= 1e-10
+
+
+_weights = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_weights, _weights, _weights, _weights), min_size=1, max_size=8))
+def test_array_closed_form_matches_scalar_and_partial_trace(weights):
+    # four positive weights normalised give a point (a, b, c) with d >= 0
+    points = [WClassParams(*(w / sum(ws) for w in ws[:3])) for ws in weights]
+    a, b, c = (np.array([getattr(p, name) for p in points]) for name in "abc")
+    spectra = wclass_cut_spectra(a, b, c)
+    entropies = wclass_min_cut_entropies(spectra)
+    assert spectra.shape == (len(points), 3, 2) and entropies.shape == (len(points),)
+    for params, rows, entropy in zip(points, spectra, entropies):
+        for cut_index in (1, 2, 3):
+            scalar = wclass_cut_spectrum(params, cut_index)
+            assert np.abs(rows[cut_index - 1] - scalar).max() <= 1e-15
+        assert abs(entropy - wclass_min_cut_entropy(params)[1]) <= 1e-12
+        state = w_class(params)
+        direct = min(
+            cut_entropy(state, Bipartition(3, frozenset({k}))).entropy_bits for k in range(3)
+        )
+        assert abs(entropy - direct) <= 1e-10
 
 
 def test_balanced_cut_spectrum_needs_balanced_c():

@@ -33,7 +33,6 @@ def test_runconfig_defaults():
     assert config.match_tol == 1e-3
     assert config.step == 0.02
     assert config.exclusion_radius == 0.05
-    assert config.seed == 0
     assert config.output_format == "table"
     assert config.out_path is None
 
@@ -47,9 +46,16 @@ def test_runconfig_defaults():
         {"fidelity_tol": 0.0},
         {"match_tol": -1.0},
         {"exclusion_radius": -0.01},
-        {"seed": -1},
-        {"seed": 2**64},
+        {"exclusion_radius": float("nan")},
+        {"exclusion_radius": float("inf")},
         {"output_format": "yaml"},
+        {"exclusion_radius": 2.0},  # no grid point lies outside the ball
+        {"step": 0.001},
+        {"step": float("nan")},
+        {"rank_tol": float("inf")},
+        {"fidelity_tol": float("nan")},
+        {"match_tol": float("nan")},
+        {"match_tol": float("inf")},
     ],
 )
 def test_runconfig_rejections(kwargs):

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from locclone.measures import W_CUT_ENTROPY_BITS
+from locclone import w_audit
+from locclone.measures import W_CUT_ENTROPY_BITS, wclass_min_cut_entropy
 from locclone.states import WClassParams
 from locclone.w_audit import (
+    StructureMismatchError,
     WStatePointError,
     all_audit_records,
     all_pair_classifications,
@@ -225,9 +228,65 @@ def test_lemma_scan_coarse_grid():
     assert report.exclusion_radius == 0.05
 
 
-def test_lemma_scan_crosscheck_every_point():
-    report = lemma_scan(0.2, 0.05, rng=np.random.default_rng(3), crosscheck_rate=1.0)
+def _scalar_grid(step):
+    """The scan grid in lexicographic order, built one point at a time."""
+    top = round(1.0 / step)
+    return [
+        WClassParams(ia * step, ib * step, ic * step)
+        for ia in range(1, top - 1)
+        for ib in range(1, top - ia)
+        for ic in range(1, top - ia - ib + 1)
+    ]
+
+
+@pytest.mark.parametrize("step", [0.3, 0.2, 0.1, 0.05, 0.025, 0.02, 0.01])
+def test_lemma_scan_counts_every_grid_point(step):
+    report = lemma_scan(step, 0.05)
+    assert report.points_tested == math.comb(round(1.0 / step), 3)
     assert report.violations == ()
+
+
+def test_lemma_scan_crosscheck_every_point(monkeypatch):
+    # the closed form pushed 1e-9 off at any single point and cut must be caught
+    step = 0.2
+    grid = _scalar_grid(step)
+    assert lemma_scan(step, 0.05).violations == ()
+    real = w_audit.wclass_cut_spectra
+    for target, params in enumerate(grid):
+        seen = 0
+
+        def shifted(a, b, c):
+            nonlocal seen
+            spectra = real(a, b, c)
+            if seen <= target < seen + a.size:
+                spectra[target - seen, target % 3] += 1e-9
+            seen += a.size
+            return spectra
+
+        monkeypatch.setattr(w_audit, "wclass_cut_spectra", shifted)
+        with pytest.raises(StructureMismatchError) as caught:
+            lemma_scan(step, 0.05)
+        assert f"at {params}, cut {target % 3 + 1}" in str(caught.value)
+
+
+def test_lemma_scan_reports_threshold_hits_in_grid_order(monkeypatch):
+    step, radius = 0.1, 0.5
+    monkeypatch.setattr(
+        w_audit,
+        "wclass_min_cut_entropies",
+        lambda spectra: np.full(len(spectra), W_CUT_ENTROPY_BITS),
+    )
+    report = lemma_scan(step, radius)
+    third = 1.0 / 3.0
+    outside = [
+        p for p in _scalar_grid(step)
+        if abs(p.a - third) + abs(p.b - third) + abs(p.c - third) + p.d > radius
+    ]
+    assert 0 < len(outside) < report.points_tested == 120
+    assert [params for params, _ in report.violations] == outside
+    assert [entropy for _, entropy in report.violations] == [
+        wclass_min_cut_entropy(p)[1] for p in outside
+    ]
 
 
 def test_lemma_scan_validation():
@@ -236,4 +295,17 @@ def test_lemma_scan_validation():
     with pytest.raises(ValueError):
         lemma_scan(-0.1, 0.05)
     with pytest.raises(ValueError):
+        lemma_scan(0.001, 0.05)
+    with pytest.raises(ValueError):
+        lemma_scan(float("nan"), 0.05)
+    with pytest.raises(ValueError):
         lemma_scan(0.2, -1.0)
+    with pytest.raises(ValueError):
+        lemma_scan(0.2, float("nan"))
+    with pytest.raises(ValueError):
+        lemma_scan(0.2, float("inf"))
+    with pytest.raises(ValueError, match="outside the ball"):
+        lemma_scan(0.02, 2.0)
+    # at step 1/3 the only grid point is the equal-weight point itself
+    with pytest.raises(ValueError, match="outside the ball"):
+        lemma_scan(1.0 / 3.0, 0.0)
