@@ -1,16 +1,21 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands and the flags each one reads:
 
     ghz clone --states 0,0,0 0,1,1 [--blank p,i,j]   circuit listing + fidelities
     ghz triples --all | --states A B C               clonability verdicts
-    w classify --all | --pair m,n                    pair taxonomy
-    w audit [--pair m,n] [--blank W1]                negativity audits
+    w classify --all | --pair m,n [--tol T]          pair taxonomy
+    w audit [--pair m,n] [--blank W1] [--tol T] [--match-tol M]
+                                                     negativity audits
     w lemma [--step S] [--radius R]                  parameter-simplex scan
     w blank-check --params a,b,c                     insufficient-cut certificate
     measure entropy --state LABEL --cut LIST         cut entropy in bits
     measure negativity --state LABEL --cut LIST      negativity across the cut
-    report                                           full bundle in one document
+    report [--tol T] [--match-tol M] [--step S] [--radius R]
+                                                     full bundle in one document
+
+Every subcommand also takes --format table|json|csv and --out PATH; any
+other flag is an error on a subcommand that does not read it.
 
 State labels: GHZ as "p,i,j" bits, W basis as "W1".."W8", W-class as "a,b,c"
 decimals, or "@path.json" for an amplitude file. Cut lists are 1-based
@@ -166,13 +171,13 @@ def _cmd_w_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_w_audit(args: argparse.Namespace) -> int:
-    config = RunConfig(match_tol=args.match_tol)
+    config = RunConfig(rank_tol=args.tol, match_tol=args.match_tol)
     blank = parse_w_index(args.blank)
     if args.pair:
         m, n = _parse_pair(args.pair)
-        records = [negativity_audit(m, n, blank)]
+        records = [negativity_audit(m, n, blank, config.rank_tol)]
     else:
-        records = list(all_audit_records(blank))
+        records = list(all_audit_records(blank, config.rank_tol))
     rows = [audit_row(record) for record in records]
     _emit_rows(args, rows, SECTION_COLUMNS["pairs"])
     notes = reference_mismatches(records, config.match_tol)
@@ -258,19 +263,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default table)",
     )
     common.add_argument("--out", metavar="PATH", help="write the report to PATH")
-    common.add_argument(
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument(
         "--tol", type=float, default=DEFAULT_RANK_TOL, metavar="FLOAT",
         help="rank tolerance for support-span classification (default 1e-10)",
     )
-    common.add_argument(
+    match = argparse.ArgumentParser(add_help=False)
+    match.add_argument(
         "--match-tol", type=float, default=1e-3, dest="match_tol", metavar="FLOAT",
         help="allowed drift from the benchmark negativities (default 1e-3)",
     )
-    common.add_argument(
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument(
         "--step", type=float, default=0.02, metavar="FLOAT",
         help="simplex grid step, 0.002 to 0.1 (default 0.02)",
     )
-    common.add_argument(
+    scan.add_argument(
         "--radius", type=float, default=0.05, metavar="FLOAT",
         help="L1 exclusion radius around the equal-weight point (default 0.05)",
     )
@@ -305,20 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("w", help="W-basis taxonomy, audits, and the simplex scan")
     w_sub = w.add_subparsers(dest="w_command", required=True)
     classify = w_sub.add_parser(
-        "classify", parents=[common], help="pair categories with witness cuts"
+        "classify", parents=[common, rank], help="pair categories with witness cuts"
     )
     pick = classify.add_mutually_exclusive_group(required=True)
     pick.add_argument("--all", action="store_true", help="all 28 pairs")
     pick.add_argument("--pair", metavar="m,n", help="one pair, e.g. 1,6")
     classify.set_defaults(handler=_cmd_w_classify)
     audit = w_sub.add_parser(
-        "audit", parents=[common], help="negativity before and after cloning"
+        "audit", parents=[common, rank, match], help="negativity before and after cloning"
     )
     audit.add_argument("--pair", metavar="m,n", help="audit one pair (default: all)")
     audit.add_argument("--blank", default="W1", metavar="Wn", help="blank copy (default W1)")
     audit.set_defaults(handler=_cmd_w_audit)
     lemma = w_sub.add_parser(
-        "lemma", parents=[common], help="scan the parameter simplex for threshold hits"
+        "lemma", parents=[common, scan], help="scan the parameter simplex for threshold hits"
     )
     lemma.set_defaults(handler=_cmd_w_lemma)
     blank_check = w_sub.add_parser(
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         leaf.set_defaults(handler=_cmd_measure, quantity=quantity)
 
     report = sub.add_parser(
-        "report", parents=[common], help="run every analysis and emit one document"
+        "report", parents=[common, rank, match, scan],
+        help="run every analysis and emit one document",
     )
     report.set_defaults(handler=_cmd_report)
     return parser

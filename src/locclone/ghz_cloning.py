@@ -1,17 +1,16 @@
-"""LOCC cloning of GHZ basis states and the three-state no-go criterion.
+"""LOCC cloning of GHZ basis states, decided in closed form.
 
-The circuit family: an optional pre-rotation bringing a nonstandard blank to
-Psi(0,0,0), one transversal CNOT layer between the registers, then per-qubit
-corrections on the clone register. Party s holds original qubit s and clone
-qubit s+3, so every layer is local to the three parties.
-
-A forward transversal CNOT copies the bit labels (i, j) but not the phase p;
-diagonal corrections diag(1, i^t) on the clone qubits fix the phase whenever
-the congruences t1 + (1-2i)t2 + (1-2j)t3 = 2p (mod 4) admit a common solution
-over the member states. A reverse transversal CNOT copies p but resets the
-clone bits to (0, 0), which bit-flip corrections then restore; that route
-covers pairs sharing (i, j). Every synthesized circuit is verified by direct
-simulation before it is returned.
+Party s holds original qubit s and clone qubit s+3, so every layer below is
+local; a nonstandard blank is first rotated to Psi(0,0,0). Two or three GHZ
+basis states Psi(p,i,j) clone with a known GHZ blank exactly when one of two
+routes applies. If the members' (i, j) are distinct, a forward transversal
+CNOT copies (i, j) but not p, and corrections diag(1, i^t) on the clone
+qubits fix the phase when t1 + (1-2i)t2 + (1-2j)t3 = 2p (mod 4) has a common
+solution over the members. If a pair shares (i, j), a reverse transversal
+CNOT copies p but resets the clone bits to (0, 0), and bit flips restore them.
+Every other set is refused without simulation; for a triple that is the no-go
+case of three Bell states across one cut, which triple_clonability checks.
+Every circuit returned is verified by direct simulation first.
 """
 from __future__ import annotations
 
@@ -48,11 +47,11 @@ BLANK_DEFAULT = GhzLabel(0, 0, 0)
 
 
 class NoCircuitFound(Exception):
-    """The verified search found no local circuit for the requested set."""
+    """No local circuit clones the set, or the closed-form one failed verification."""
 
 
 class CloningInconsistency(Exception):
-    """The no-go criterion and the circuit search disagree; one of them is wrong."""
+    """The closed-form verdict and the Bell-triple witness disagree; one of them is wrong."""
 
 
 @dataclass(frozen=True)
@@ -139,17 +138,18 @@ def verify_cloner(
     return fidelities
 
 
-def _passes(circuit: CloningCircuit, members: Sequence[GhzLabel]) -> bool:
-    return all(f >= 1.0 - FIDELITY_TOL for f in verify_cloner(circuit, members).values())
-
-
-_CATALOG: tuple[tuple[str, np.ndarray] | None, ...] = (
-    None,
-    ("X", GATE_X),
-    ("Z", GATE_Z),
-    ("S", GATE_S),
-    ("Sdg", GATE_SDG),
-)
+def _cloning_layers(members: Sequence[GhzLabel]) -> tuple[LocalGate, ...] | None:
+    """Layers after the blank pre-rotation that clone the members, or None."""
+    bit_pairs = [(s.i, s.j) for s in members]
+    if len(set(bit_pairs)) == len(members):
+        exponents = _phase_corrections(members)
+        if exponents is None:
+            return None
+        return (TransversalCnot("forward"),) + _phase_gate_layer(exponents)
+    if len(members) != 2:
+        return None
+    # a pair sharing (i, j): the reverse layer copies p, then X gates restore the bits
+    return (TransversalCnot("reverse"),) + _blank_pre_rotation(GhzLabel(0, *bit_pairs[0]))
 
 
 def synthesize_cloner(
@@ -157,49 +157,22 @@ def synthesize_cloner(
 ) -> CloningCircuit:
     """Verified local cloning circuit for 2 or 3 GHZ basis states.
 
-    Raises NoCircuitFound when the verified search fails, which is the
-    expected outcome exactly for the no-go triples.
+    Raises NoCircuitFound without simulating anything when neither route of
+    the closed form applies, which is the expected outcome exactly for the
+    no-go triples, and also when the closed-form circuit fails verification.
     """
     members = _normalize_members(states)
-    pre = _blank_pre_rotation(blank)
-    attempts: list[tuple[LocalGate, ...]] = []
-
-    bit_pairs = [(s.i, s.j) for s in members]
-    if len(set(bit_pairs)) == len(members):
-        exponents = _phase_corrections(members)
-        if exponents is not None:
-            attempts.append(pre + (TransversalCnot("forward"),) + _phase_gate_layer(exponents))
-    elif len(members) == 2:
-        # a pair sharing (i, j): the reverse layer copies p, then restore bits
-        shared_i, shared_j = bit_pairs[0]
-        restore: list[LocalGate] = []
-        if shared_i:
-            restore.append(SingleQubitGate(4, GATE_X, "X"))
-        if shared_j:
-            restore.append(SingleQubitGate(5, GATE_X, "X"))
-        attempts.append(pre + (TransversalCnot("reverse"),) + tuple(restore))
-
-    for layers in attempts:
-        candidate = CloningCircuit(layers, blank)
-        if _passes(candidate, members):
-            return candidate
-
-    # exhaustive fallback over the finite per-qubit correction catalog
-    for direction in ("forward", "reverse"):
-        for combo in itertools.product(range(len(_CATALOG)), repeat=3):
-            gates: list[LocalGate] = []
-            for offset, pick in enumerate(combo):
-                entry = _CATALOG[pick]
-                if entry is not None:
-                    name, matrix = entry
-                    gates.append(SingleQubitGate(3 + offset, matrix, name))
-            candidate = CloningCircuit(
-                pre + (TransversalCnot(direction),) + tuple(gates), blank
-            )
-            if _passes(candidate, members):
-                return candidate
-
-    raise NoCircuitFound(f"no local circuit clones {_format_members(members)}")
+    layers = _cloning_layers(members)
+    if layers is None:
+        raise NoCircuitFound(f"no local circuit clones {_format_members(members)}")
+    circuit = CloningCircuit(_blank_pre_rotation(blank) + layers, blank)
+    worst = min(verify_cloner(circuit, members).values())
+    if not worst >= 1.0 - FIDELITY_TOL:
+        raise NoCircuitFound(
+            f"closed-form circuit for {_format_members(members)} fails verification: "
+            f"worst fidelity {worst!r} below 1 - {FIDELITY_TOL:g}"
+        )
+    return circuit
 
 
 def _bell_like_across(states: Sequence[StateVector], cut: Bipartition) -> bool:
@@ -237,18 +210,22 @@ def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:
 
 
 def triple_clonability(triple: Iterable[GhzLabel]) -> TripleVerdict:
-    """No-go witness or a verified circuit for a triple of GHZ states."""
+    """No-go witness or a verified circuit for a triple of GHZ states.
+
+    The verdict comes from the closed form; the Bell-triple witness is computed
+    for every triple and must agree with it in both directions.
+    """
     members = _normalize_members(triple)
     witness = bell_triple_cut(members)
+    clonable = _cloning_layers(members) is not None
+    if clonable == (witness is not None):
+        raise CloningInconsistency(
+            f"{_format_members(members)}: clonable={clonable} in closed form, "
+            f"yet the Bell-triple witness cut is {witness}"
+        )
     if witness is not None:
         return TripleVerdict(False, witness, None)
-    try:
-        circuit = synthesize_cloner(members)
-    except NoCircuitFound as exc:
-        raise CloningInconsistency(
-            f"no witness cut for {_format_members(members)} yet synthesis failed"
-        ) from exc
-    return TripleVerdict(True, None, circuit)
+    return TripleVerdict(True, None, synthesize_cloner(members))
 
 
 def all_pairs() -> tuple[tuple[GhzLabel, GhzLabel], ...]:

@@ -114,6 +114,8 @@ def make_pure(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
     size = amps.size
     if size < 2 or size & (size - 1):
         raise ValueError(f"amplitude count {size} is not a power of two >= 2")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ValueError("zero amplitude vector")
@@ -292,9 +294,17 @@ def state_to_json(state: StateVector) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in state.amplitudes]
 
 
-def state_from_json(obj: Sequence[Sequence[float]]) -> StateVector:
-    amps = [complex(pair[0], pair[1]) for pair in obj]
-    return make_pure(amps)
+def state_from_json(obj: object) -> StateVector:
+    """Inverse of state_to_json; accepts only a list of [re, im] pairs of finite numbers."""
+    if not isinstance(obj, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
+        for pair in obj
+    ):
+        raise ValueError("a state file must hold a list of [re, im] number pairs")
+    try:
+        return make_pure([complex(re, im) for re, im in obj])
+    except OverflowError:  # an integer too large for a float
+        raise ValueError("amplitudes must be finite") from None
 
 
 def save_state(state: StateVector, path: str) -> None:

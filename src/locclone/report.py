@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import __version__
 from .ghz_cloning import (
     FIDELITY_TOL,
     CloningCircuit,
@@ -41,8 +42,6 @@ from .w_audit import (
     lemma_scan,
 )
 
-TOOL_VERSION = "0.1.0"
-
 OUTPUT_FORMATS = ("table", "json", "csv")
 
 # Benchmark (N_in, N_out) per audited pair family (B form I, B form II, C),
@@ -60,7 +59,6 @@ class RunConfig:
     """Knobs shared by the batch analyses; defaults give the reference run."""
 
     rank_tol: float = DEFAULT_RANK_TOL
-    fidelity_tol: float = FIDELITY_TOL
     match_tol: float = 1e-3
     step: float = 0.02
     exclusion_radius: float = 0.05
@@ -68,7 +66,7 @@ class RunConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("rank_tol", "fidelity_tol", "match_tol"):
+        for name in ("rank_tol", "match_tol"):
             value = getattr(self, name)
             if not 0.0 < value < float("inf"):  # false for nan too
                 raise ValueError(f"{name} {value!r} must be finite and positive")
@@ -218,15 +216,10 @@ def build_report(config: RunConfig) -> ReportBundle:
             continue
         worst = float(min(verify_cloner(circuit, pair).values()))
         pair_results.append(GhzPairResult(pair, worst))
-        if worst < 1.0 - config.fidelity_tol:
-            notes.append(
-                f"ghz pair {pair[0]} {pair[1]}: fidelity {worst!r} below "
-                f"1 - {config.fidelity_tol:g}"
-            )
 
     triples = tuple((triple, triple_clonability(triple)) for triple in all_triples())
     classifications = all_pair_classifications(config.rank_tol)
-    records = all_audit_records()
+    records = all_audit_records(rank_tol=config.rank_tol)
     notes.extend(reference_mismatches(records, config.match_tol))
 
     scan = lemma_scan(config.step, config.exclusion_radius)
@@ -234,7 +227,7 @@ def build_report(config: RunConfig) -> ReportBundle:
         notes.append(f"simplex scan recorded {len(scan.violations)} violation(s)")
 
     return ReportBundle(
-        version=TOOL_VERSION,
+        version=__version__,
         config=config,
         ghz_pairs=tuple(pair_results),
         ghz_triples=triples,
@@ -248,7 +241,7 @@ def build_report(config: RunConfig) -> ReportBundle:
 def config_row(config: RunConfig) -> dict:
     return {
         "rank_tol": config.rank_tol,
-        "fidelity_tol": config.fidelity_tol,
+        "fidelity_tol": FIDELITY_TOL,
         "match_tol": config.match_tol,
         "step": config.step,
         "exclusion_radius": config.exclusion_radius,

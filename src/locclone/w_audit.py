@@ -166,6 +166,8 @@ def classify_pair(m: int, n: int, tol: float = DEFAULT_RANK_TOL) -> PairClassifi
         for k in (1, 2, 3)
     }
     span = min(dims.values())
+    if span < 2:  # exact spans are at least 2, so only an oversized tol gets here
+        raise ValueError(f"pair ({m},{n}) spans {span} at rank tolerance {tol!r}; no category")
     if span <= 3:
         category = CATEGORY_A if span == 2 else CATEGORY_B
         witness = max(k for k, dim in dims.items() if dim == span)
@@ -189,17 +191,18 @@ def _cut_matrix(m: int, k: int) -> np.ndarray:
     return amps.transpose(a_axes + [k - 1]).reshape(4, 2)
 
 
-def btype_form(m: int, n: int, k: int) -> BTypeForm:
+def btype_form(m: int, n: int, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> BTypeForm:
     """Form I or II of a B-type pair from the shared support direction.
 
     The two A-side supports meet in one direction; its marginal weight is 2/3
-    in both states for form I and 1/3 in both for form II.
+    in both states for form I and 1/3 in both for form II. rank_tol is the
+    eigenvalue threshold for the supports, as in classify_pair.
     """
     rho_m, rho_n = reduced_pair_state(m, k), reduced_pair_state(n, k)
-    if support_span_dim(rho_m, rho_n) != 3:
+    if support_span_dim(rho_m, rho_n, rank_tol) != 3:
         raise ValueError(f"pair ({m},{n}) does not span 3 at k={k}; not a B-type witness")
-    basis_m = _support_basis(rho_m)
-    basis_n = _support_basis(rho_n)
+    basis_m = _support_basis(rho_m, rank_tol)
+    basis_n = _support_basis(rho_n, rank_tol)
     overlap = basis_m.conj().T @ basis_n
     u, singular, _ = np.linalg.svd(overlap)
     meeting = int(np.count_nonzero(singular > 1.0 - _WEIGHT_TOL))
@@ -224,7 +227,7 @@ def btype_form(m: int, n: int, k: int) -> BTypeForm:
     )
 
 
-def _support_basis(rho: DensityMatrix, tol: float = 1e-10) -> np.ndarray:
+def _support_basis(rho: DensityMatrix, tol: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho.entries)
     return vecs[:, vals > tol]
 
@@ -345,16 +348,19 @@ def cloner_io(
     return rho_in, rho_out, cut
 
 
-def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
+def negativity_audit(
+    m: int, n: int, blank: int = 1, rank_tol: float = DEFAULT_RANK_TOL
+) -> AuditRecord:
     """Negativities of the cloner mixtures across the witness lab cut.
 
     Runs for any distinct pair; A-type records carry no form and are reported
-    without a reference comparison.
+    without a reference comparison. rank_tol reaches the classification and
+    the B-type form.
     """
-    cls = classify_pair(m, n)
+    cls = classify_pair(m, n, rank_tol)
     k = cls.witness_k
     assert k is not None
-    form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None
+    form = btype_form(m, n, k, rank_tol).form if cls.category == CATEGORY_B else None
     rho_in, rho_out, cut = cloner_io(m, n, k, blank)
     return AuditRecord(
         m, n, cls.category, k, form,
@@ -499,7 +505,9 @@ def all_pair_classifications(tol: float = DEFAULT_RANK_TOL) -> tuple[PairClassif
     )
 
 
-def all_audit_records(blank: int = 1) -> tuple[AuditRecord, ...]:
+def all_audit_records(
+    blank: int = 1, rank_tol: float = DEFAULT_RANK_TOL
+) -> tuple[AuditRecord, ...]:
     return tuple(
-        negativity_audit(m, n, blank) for m in range(1, 9) for n in range(m + 1, 9)
+        negativity_audit(m, n, blank, rank_tol) for m in range(1, 9) for n in range(m + 1, 9)
     )

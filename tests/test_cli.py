@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from locclone.cli import run_command
 from locclone.registers import make_pure, save_state
@@ -275,3 +276,76 @@ def test_seed_flag_is_gone(capsys):
     code, _, err = run(capsys, "report", "--seed", "1")
     assert code == 2
     assert "--seed" in err
+
+
+_LEAF_ARGV = {
+    "ghz clone": ["ghz", "clone", "--states", "0,0,0", "0,1,1"],
+    "ghz triples": ["ghz", "triples", "--all"],
+    "w classify": ["w", "classify", "--pair", "1,6"],
+    "w audit": ["w", "audit", "--pair", "1,6"],
+    "w lemma": ["w", "lemma", "--step", "0.1"],
+    "w blank-check": ["w", "blank-check", "--params", "0.5,0.2,0.2"],
+    "measure entropy": ["measure", "entropy", "--state", "W1", "--cut", "3"],
+    "measure negativity": ["measure", "negativity", "--state", "W1", "--cut", "3"],
+    "report": ["report", "--step", "0.1"],
+}
+_FLAG_READERS = {
+    "--tol": {"w classify", "w audit", "report"},
+    "--match-tol": {"w audit", "report"},
+    "--step": {"w lemma", "report"},
+    "--radius": {"w lemma", "report"},
+}
+
+
+@pytest.mark.parametrize(
+    "leaf, flag",
+    [
+        (leaf, flag)
+        for flag, readers in _FLAG_READERS.items()
+        for leaf in _LEAF_ARGV
+        if leaf not in readers
+    ],
+)
+def test_flag_on_a_subcommand_that_ignores_it(capsys, leaf, flag):
+    code, out, err = run(capsys, *_LEAF_ARGV[leaf], flag, "0.05")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[1,0]",
+        '{"a":1}',
+        "[[1,0,5],[0,0],[0,0],[0,0]]",
+        "[[NaN,0],[1,0],[0,0],[0,0]]",
+        "[[true,0],[0,0],[0,0],[0,0]]",
+        '[["1",0],[0,0],[0,0],[0,0]]',
+        "[[1" + "0" * 400 + ",0],[0,0],[0,0],[0,0]]",
+    ],
+    ids=["flat", "object", "triple", "nan", "bool", "string", "huge-int"],
+)
+@pytest.mark.filterwarnings("error")  # a NaN must not get as far as a numpy warning
+def test_measure_rejects_malformed_state_file(capsys, tmp_path, content):
+    path = tmp_path / "state.json"
+    path.write_text(content)
+    argv = ["measure", "entropy", "--state", f"@{path}", "--cut", "1"]
+    assert _one_line_error(*run(capsys, *argv))
+
+
+def test_audit_tol_reaches_the_classification(capsys):
+    # (1,8) is B at k=3 by default and A at k=2 at rank tolerance 0.2
+    argv = ["--pair", "1,8", "--tol", "0.2", "--format", "json"]
+    code, out, _ = run(capsys, "w", "audit", *argv)
+    assert code == 0
+    audited = json.loads(out)[0]
+    classified = json.loads(run(capsys, "w", "classify", *argv)[1])[0]
+    assert (audited["category"], audited["witness_k"], audited["form"]) == ("A", 2, None)
+    assert (classified["category"], classified["witness_k"]) == ("A", 2)
+
+
+def test_tol_too_large_for_any_category(capsys):
+    code, out, err = run(capsys, "w", "classify", "--pair", "1,6", "--tol", "0.4")
+    assert _one_line_error(code, out, err)
+    assert "no category" in err

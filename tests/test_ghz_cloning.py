@@ -6,9 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
+from locclone import ghz_cloning
 from locclone.ghz_cloning import (
     FIDELITY_TOL,
     CloningCircuit,
+    CloningInconsistency,
     NoCircuitFound,
     all_pairs,
     all_triples,
@@ -17,7 +19,7 @@ from locclone.ghz_cloning import (
     triple_clonability,
     verify_cloner,
 )
-from locclone.registers import SingleQubitGate, TransversalCnot
+from locclone.registers import GATE_Z, Bipartition, SingleQubitGate, TransversalCnot
 from locclone.states import GHZ_LABELS, GhzLabel
 
 L = GhzLabel
@@ -162,3 +164,50 @@ def test_witness_matches_shared_label_pattern():
         same_x = len({s.i ^ s.j for s in triple}) == 1
         verdict = triple_clonability(triple)
         assert verdict.clonable != (same_i or same_j or same_x)
+
+
+def test_closed_form_decides_every_set_for_every_blank(monkeypatch):
+    # refusals come from the rule alone: not one circuit is simulated for them
+    calls = []
+    simulate = ghz_cloning.apply_circuit
+
+    def counting(state, layers):
+        calls.append(layers)
+        return simulate(state, layers)
+
+    monkeypatch.setattr(ghz_cloning, "apply_circuit", counting)
+    verified = refused = 0
+    for blank in GHZ_LABELS:
+        for members in all_label_pairs() + all_label_triples():
+            before = len(calls)
+            try:
+                circuit = synthesize_cloner(members, blank)
+            except NoCircuitFound:
+                assert len(calls) == before
+                refused += 1
+                continue
+            assert len(calls) - before == len(members)
+            assert min(verify_cloner(circuit, members).values()) >= 1.0 - FIDELITY_TOL
+            verified += 1
+    assert (verified, refused) == (480, 192)
+
+
+def test_wrong_phase_gate_fails_verification(monkeypatch):
+    # a quarter turn that is really a half turn: the simulation must object
+    monkeypatch.setitem(ghz_cloning._PHASE_GATES, 1, ("S", GATE_Z))
+    members = r"\{\(0,0,0\), \(0,1,0\), \(1,0,1\)\}"
+    with pytest.raises(NoCircuitFound, match=members + r".*worst fidelity 0\.\d"):
+        synthesize_cloner([L(0, 0, 0), L(1, 0, 1), L(0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "triple, forced_cut",
+    [
+        ([L(0, 0, 0), L(0, 0, 1), L(1, 0, 0)], None),  # no-go triple, witness hidden
+        ([L(0, 0, 0), L(1, 0, 1), L(0, 1, 0)], Bipartition(3, frozenset({2}))),
+    ],
+)
+def test_witness_disagreeing_with_closed_form_raises(monkeypatch, triple, forced_cut):
+    monkeypatch.setattr(ghz_cloning, "bell_triple_cut", lambda members: forced_cut)
+    with pytest.raises(CloningInconsistency):
+        triple_clonability(triple)

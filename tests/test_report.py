@@ -23,13 +23,12 @@ from locclone.report import (
     table_text,
 )
 from locclone.states import GhzLabel
-from locclone.w_audit import AuditRecord
+from locclone.w_audit import AuditRecord, all_pair_classifications
 
 
 def test_runconfig_defaults():
     config = RunConfig()
     assert config.rank_tol == 1e-10
-    assert config.fidelity_tol == 1e-9
     assert config.match_tol == 1e-3
     assert config.step == 0.02
     assert config.exclusion_radius == 0.05
@@ -43,7 +42,6 @@ def test_runconfig_defaults():
         {"step": 0.0},
         {"step": 0.11},
         {"rank_tol": -1e-10},
-        {"fidelity_tol": 0.0},
         {"match_tol": -1.0},
         {"exclusion_radius": -0.01},
         {"exclusion_radius": float("nan")},
@@ -53,7 +51,6 @@ def test_runconfig_defaults():
         {"step": 0.001},
         {"step": float("nan")},
         {"rank_tol": float("inf")},
-        {"fidelity_tol": float("nan")},
         {"match_tol": float("nan")},
         {"match_tol": float("inf")},
     ],
@@ -147,6 +144,18 @@ def test_build_report_sections():
     assert bundle.scan is not None
     assert bundle.scan.points_tested == 1140
     assert bundle.notes == ()
+
+
+def test_rank_tol_reaches_the_audits():
+    # 0.2 moves most pairs off their default taxonomy; the audits must follow
+    bundle = build_report(RunConfig(rank_tol=0.2, step=0.1))
+    taxonomy = {(c.m, c.n): (c.category, c.witness_k) for c in bundle.w_classifications}
+    assert taxonomy != {
+        (c.m, c.n): (c.category, c.witness_k) for c in all_pair_classifications()
+    }
+    assert len(bundle.pairs) == 28
+    for record in bundle.pairs:
+        assert (record.category, record.witness_k) == taxonomy[(record.m, record.n)]
 
 
 def test_build_report_json_round_trip():
