@@ -15,7 +15,14 @@ Subcommands and the flags each one reads:
                                                      full bundle in one document
 
 Every subcommand also takes --format table|json|csv and --out PATH; any
-other flag is an error on a subcommand that does not read it.
+other flag is an error on a subcommand that does not read it. Every format
+goes through report.render, and each command prints the report's rows: a
+one-section command prints its section bare, while w lemma prints the
+report's scan and scan_violations sections under their names. report adds
+its version and config head, and ends with a notes section in table and
+csv alike. The table forms of ghz clone (a circuit listing) and measure (the
+bare value to 7 digits) are their own; their csv has a header row and full
+precision.
 
 State labels: GHZ as "p,i,j" bits, W basis as "W1".."W8", W-class as "a,b,c"
 decimals, or "@path.json" for an amplitude file. Cut lists are 1-based
@@ -38,23 +45,21 @@ from .ghz_cloning import (
     all_triples,
     synthesize_cloner,
     triple_clonability,
-    verify_cloner,
 )
 from .measures import cut_entropy, negativity
 from .registers import DEFAULT_RANK_TOL, Bipartition, StateVector, density, load_state
 from .report import (
-    SECTION_COLUMNS,
+    OUTPUT_FORMATS,
     RunConfig,
     audit_row,
     build_report,
     circuit_lines,
     classification_row,
-    csv_text,
     emit_report,
-    json_text,
     reference_mismatches,
-    scan_rows,
-    table_text,
+    render,
+    scan_document,
+    scan_sections,
     triple_row,
 )
 from .states import (
@@ -74,9 +79,6 @@ from .w_audit import (
     negativity_audit,
 )
 
-_CERT_COLUMNS = ("a", "b", "c", "d", "cut_index", "blank_entropy_bits", "required_bits")
-_CLONE_COLUMNS = ("state", "fidelity", "blank", "circuit")
-
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
@@ -86,14 +88,10 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args: argparse.Namespace, rows: list[dict], columns: Sequence[str]) -> None:
-    if args.format == "json":
-        text = json_text(rows)
-    elif args.format == "csv":
-        text = csv_text(rows, columns)
-    else:
-        text = table_text(rows, columns)
-    _write(text, args.out)
+def _emit(
+    args: argparse.Namespace, document: object, sections: Sequence[tuple[str, list[dict]]]
+) -> None:
+    _write(render(document, sections, args.format), args.out)
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -117,33 +115,20 @@ def _cmd_ghz_clone(args: argparse.Namespace) -> int:
     members = sorted({parse_ghz_label(text) for text in args.states})
     blank = parse_ghz_label(args.blank)
     circuit = synthesize_cloner(members, blank)
-    fidelities = verify_cloner(circuit, members)
     lines = circuit_lines(circuit)
-    rows = [
-        {
-            "state": str(label),
-            "fidelity": float(fidelities[label]),
-            "blank": str(blank),
-            "circuit": lines,
-        }
-        for label in members
+    fidelities = [
+        {"state": str(label), "fidelity": float(fidelity)}
+        for label, fidelity in circuit.fidelities
     ]
-    if args.format == "table":
+    if args.format == "table":  # a circuit listing, not rows
         text_lines = [f"blank {blank}"] + lines
-        for row in rows:
+        for row in fidelities:
             text_lines.append(f"fidelity {row['state']} {row['fidelity']:.6g}")
         _write("\n".join(text_lines) + "\n", args.out)
-    elif args.format == "json":
-        payload = {
-            "blank": str(blank),
-            "circuit": lines,
-            "fidelities": [
-                {"state": row["state"], "fidelity": row["fidelity"]} for row in rows
-            ],
-        }
-        _write(json_text(payload), args.out)
-    else:
-        _write(csv_text(rows, _CLONE_COLUMNS), args.out)
+        return 0
+    rows = [dict(row, blank=str(blank), circuit=lines) for row in fidelities]
+    document = {"blank": str(blank), "circuit": lines, "fidelities": fidelities}
+    _emit(args, document, [("ghz_clone", rows)])
     return 0
 
 
@@ -154,7 +139,7 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> int:
         members = tuple(sorted({parse_ghz_label(text) for text in args.states}))
         items = [(members, triple_clonability(members))]
     rows = [triple_row(members, verdict) for members, verdict in items]
-    _emit_rows(args, rows, SECTION_COLUMNS["ghz_triples"])
+    _emit(args, rows, [("ghz_triples", rows)])
     return 0
 
 
@@ -166,7 +151,7 @@ def _cmd_w_classify(args: argparse.Namespace) -> int:
         m, n = _parse_pair(args.pair)
         items = (classify_pair(m, n, config.rank_tol),)
     rows = [classification_row(item) for item in items]
-    _emit_rows(args, rows, SECTION_COLUMNS["w_classifications"])
+    _emit(args, rows, [("w_classifications", rows)])
     return 0
 
 
@@ -179,7 +164,7 @@ def _cmd_w_audit(args: argparse.Namespace) -> int:
     else:
         records = list(all_audit_records(blank, config.rank_tol))
     rows = [audit_row(record) for record in records]
-    _emit_rows(args, rows, SECTION_COLUMNS["pairs"])
+    _emit(args, rows, [("pairs", rows)])
     notes = reference_mismatches(records, config.match_tol)
     for note in notes:
         print(note, file=sys.stderr)
@@ -189,21 +174,8 @@ def _cmd_w_audit(args: argparse.Namespace) -> int:
 def _cmd_w_lemma(args: argparse.Namespace) -> int:
     config = RunConfig(step=args.step, exclusion_radius=args.radius)
     scan = lemma_scan(config.step, config.exclusion_radius)
-    summary, violations = scan_rows(scan)
-    if args.format == "json":
-        _write(json_text(dict(summary, violations=violations)), args.out)
-    elif args.format == "csv":
-        text = csv_text([summary], SECTION_COLUMNS["scan"])
-        if violations:
-            text += "\n[scan_violations]\n" + csv_text(
-                violations, SECTION_COLUMNS["scan_violations"]
-            )
-        _write(text, args.out)
-    else:
-        text = table_text([summary], SECTION_COLUMNS["scan"])
-        if violations:
-            text += "\n" + table_text(violations, SECTION_COLUMNS["scan_violations"])
-        _write(text, args.out)
+    sections = scan_sections(scan)
+    _emit(args, scan_document(sections), sections)
     for params, entropy in scan.violations:
         print(f"violation at ({params}): min cut entropy {entropy!r}", file=sys.stderr)
     return 1 if scan.violations else 0
@@ -221,7 +193,7 @@ def _cmd_w_blank_check(args: argparse.Namespace) -> int:
         "blank_entropy_bits": float(cert.blank_entropy_bits),
         "required_bits": float(cert.required_bits),
     }
-    _emit_rows(args, [row], _CERT_COLUMNS)
+    _emit(args, [row], [("blank_check", [row])])
     return 0
 
 
@@ -233,10 +205,11 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         key, value = "entropy_bits", cut_entropy(state, cut).entropy_bits
     else:
         key, value = "negativity", negativity(density(state), cut)
-    if args.format == "json":
-        _write(json_text({key: float(value)}), args.out)
-    else:
+    if args.format == "table":  # one value: the bare number, 7 significant digits
         _write(format(value, ".7g") + "\n", args.out)
+    else:
+        row = {key: float(value)}
+        _emit(args, row, [(args.quantity, [row])])
     return 0
 
 
@@ -246,11 +219,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         match_tol=args.match_tol,
         step=args.step,
         exclusion_radius=args.radius,
-        output_format=args.format,
-        out_path=args.out,
     )
     bundle = build_report(config)
-    _write(emit_report(bundle, config.output_format), args.out)
+    _write(emit_report(bundle, args.format), args.out)
     for note in bundle.notes:
         print(note, file=sys.stderr)
     return 1 if bundle.notes else 0
@@ -259,7 +230,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table",
+        "--format", choices=OUTPUT_FORMATS, default="table",
         help="output format (default table)",
     )
     common.add_argument("--out", metavar="PATH", help="write the report to PATH")

@@ -56,10 +56,15 @@ class CloningInconsistency(Exception):
 
 @dataclass(frozen=True)
 class CloningCircuit:
-    """Gate layers (applied in order) over the original+clone register."""
+    """Gate layers (applied in order) over the original+clone register.
+
+    fidelities holds each member's clone fidelity from the verification that
+    synthesize_cloner ran; it is empty for a circuit built by hand.
+    """
 
     layers: tuple[LocalGate, ...]
     blank: GhzLabel
+    fidelities: tuple[tuple[GhzLabel, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -160,19 +165,21 @@ def synthesize_cloner(
     Raises NoCircuitFound without simulating anything when neither route of
     the closed form applies, which is the expected outcome exactly for the
     no-go triples, and also when the closed-form circuit fails verification.
+    The returned circuit carries the member fidelities of that verification.
     """
     members = _normalize_members(states)
     layers = _cloning_layers(members)
     if layers is None:
         raise NoCircuitFound(f"no local circuit clones {_format_members(members)}")
-    circuit = CloningCircuit(_blank_pre_rotation(blank) + layers, blank)
-    worst = min(verify_cloner(circuit, members).values())
+    layers = _blank_pre_rotation(blank) + layers
+    fidelities = verify_cloner(CloningCircuit(layers, blank), members)
+    worst = min(fidelities.values())
     if not worst >= 1.0 - FIDELITY_TOL:
         raise NoCircuitFound(
             f"closed-form circuit for {_format_members(members)} fails verification: "
             f"worst fidelity {worst!r} below 1 - {FIDELITY_TOL:g}"
         )
-    return circuit
+    return CloningCircuit(layers, blank, tuple(fidelities.items()))
 
 
 def _bell_like_across(states: Sequence[StateVector], cut: Bipartition) -> bool:

@@ -101,7 +101,6 @@ class TransversalCnot:
 
 LocalGate = SingleQubitGate | TransversalCnot
 
-GATE_I = np.eye(2, dtype=complex)
 GATE_X = np.array([[0, 1], [1, 0]], dtype=complex)
 GATE_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 GATE_S = np.array([[1, 0], [0, 1j]], dtype=complex)

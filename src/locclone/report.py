@@ -2,10 +2,10 @@
 
 build_report runs the GHZ pair/triple survey, the W pair taxonomy with
 negativity audits, and the parameter-simplex scan under a single RunConfig.
-emit_report renders the bundle as an aligned text table, a JSON document, or
-sectioned CSV. Rendering the same bundle twice gives identical bytes; json
-and csv keep full float precision while tables round to 6 significant
-digits.
+render is the one output path of every command: a json document, or named
+sections of rows as aligned text tables or csv. emit_report feeds it the
+bundle. Rendering the same bundle twice gives identical bytes; json and csv
+keep full float precision while tables round to 6 significant digits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .ghz_cloning import (
     all_triples,
     synthesize_cloner,
     triple_clonability,
-    verify_cloner,
 )
 from .registers import DEFAULT_RANK_TOL, Bipartition, SingleQubitGate, TransversalCnot
 from .states import GhzLabel
@@ -53,6 +52,10 @@ REFERENCE_NEGATIVITIES: dict[str, tuple[float, float]] = {
     "C": (2.23802, 2.55185),
 }
 
+# The paper's split of the 28 W pairs by category. A full report flags any
+# other split, which a rank tolerance far from the default can produce.
+REFERENCE_TAXONOMY: dict[str, int] = {"A": 6, "B": 10, "C": 12}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -62,8 +65,6 @@ class RunConfig:
     match_tol: float = 1e-3
     step: float = 0.02
     exclusion_radius: float = 0.05
-    output_format: str = "table"
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("rank_tol", "match_tol"):
@@ -73,8 +74,6 @@ class RunConfig:
         if not SCAN_MIN_STEP <= self.step <= 0.1:
             raise ValueError(f"grid step {self.step!r} must lie in [{SCAN_MIN_STEP}, 0.1]")
         check_scan_inputs(self.step, self.exclusion_radius)
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -157,14 +156,17 @@ def audit_row(record: AuditRecord) -> dict:
     }
 
 
-def scan_rows(scan: ScanReport) -> tuple[dict, list[dict]]:
+def scan_sections(scan: ScanReport | None) -> list[tuple[str, list[dict]]]:
+    """The scan's summary row and violation rows, as the report lays them out."""
+    if scan is None:
+        return [("scan", []), ("scan_violations", [])]
     summary = {
         "step": float(scan.step),
         "exclusion_radius": float(scan.exclusion_radius),
         "points_tested": scan.points_tested,
         "violation_count": len(scan.violations),
     }
-    details = [
+    violations = [
         {
             "a": float(params.a),
             "b": float(params.b),
@@ -174,7 +176,13 @@ def scan_rows(scan: ScanReport) -> tuple[dict, list[dict]]:
         }
         for params, entropy in scan.violations
     ]
-    return summary, details
+    return [("scan", [summary]), ("scan_violations", violations)]
+
+
+def scan_document(sections: Sequence[tuple[str, list[dict]]]) -> dict | None:
+    """The scan's json value: its summary row with the violation rows inside."""
+    (_, summary), (_, violations) = sections
+    return dict(summary[0], violations=violations) if summary else None
 
 
 def reference_mismatches(records: Sequence[AuditRecord], match_tol: float) -> list[str]:
@@ -204,6 +212,10 @@ def reference_mismatches(records: Sequence[AuditRecord], match_tol: float) -> li
     return notes
 
 
+def _split_text(split: Mapping[str, int]) -> str:
+    return " / ".join(f"{count} {category}" for category, count in split.items())
+
+
 def build_report(config: RunConfig) -> ReportBundle:
     notes: list[str] = []
 
@@ -214,11 +226,17 @@ def build_report(config: RunConfig) -> ReportBundle:
         except NoCircuitFound as exc:
             notes.append(f"ghz pair {pair[0]} {pair[1]}: {exc}")
             continue
-        worst = float(min(verify_cloner(circuit, pair).values()))
+        worst = float(min(fidelity for _, fidelity in circuit.fidelities))
         pair_results.append(GhzPairResult(pair, worst))
 
     triples = tuple((triple, triple_clonability(triple)) for triple in all_triples())
     classifications = all_pair_classifications(config.rank_tol)
+    split = {key: sum(c.category == key for c in classifications) for key in REFERENCE_TAXONOMY}
+    if split != REFERENCE_TAXONOMY:
+        notes.append(
+            f"w pair taxonomy {_split_text(split)} differs from the paper's "
+            f"{_split_text(REFERENCE_TAXONOMY)} at rank_tol {config.rank_tol:g}"
+        )
     records = all_audit_records(rank_tol=config.rank_tol)
     notes.extend(reference_mismatches(records, config.match_tol))
 
@@ -245,27 +263,6 @@ def config_row(config: RunConfig) -> dict:
         "match_tol": config.match_tol,
         "step": config.step,
         "exclusion_radius": config.exclusion_radius,
-        "output_format": config.output_format,
-        "out_path": config.out_path,
-    }
-
-
-def bundle_document(bundle: ReportBundle) -> dict:
-    """JSON-ready view of a bundle with stable key order."""
-    scan_summary, scan_violations = (
-        scan_rows(bundle.scan) if bundle.scan is not None else (None, [])
-    )
-    if scan_summary is not None:
-        scan_summary = dict(scan_summary, violations=scan_violations)
-    return {
-        "version": bundle.version,
-        "config": config_row(bundle.config),
-        "ghz_pairs": [ghz_pair_row(r) for r in bundle.ghz_pairs],
-        "ghz_triples": [triple_row(members, v) for members, v in bundle.ghz_triples],
-        "w_classifications": [classification_row(c) for c in bundle.w_classifications],
-        "pairs": [audit_row(r) for r in bundle.pairs],
-        "scan": scan_summary,
-        "notes": list(bundle.notes),
     }
 
 
@@ -319,62 +316,80 @@ def table_text(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> 
     return "\n".join(lines) + "\n"
 
 
+# Table and csv column order of every section any command prints.
 SECTION_COLUMNS = {
+    "ghz_clone": ("state", "fidelity", "blank", "circuit"),
     "ghz_pairs": ("member_1", "member_2", "fidelity"),
     "ghz_triples": ("member_1", "member_2", "member_3", "clonable", "witness_cut", "circuit"),
     "w_classifications": ("m", "n", "category", "witness_k", "span_dim"),
     "pairs": ("m", "n", "category", "witness_k", "form", "negativity_in", "negativity_out", "blank"),
     "scan": ("step", "exclusion_radius", "points_tested", "violation_count"),
     "scan_violations": ("a", "b", "c", "d", "entropy_bits"),
+    "blank_check": ("a", "b", "c", "d", "cut_index", "blank_entropy_bits", "required_bits"),
+    "entropy": ("entropy_bits",),
+    "negativity": ("negativity",),
+    "notes": ("note",),
 }
 
 
-def _bundle_sections(bundle: ReportBundle) -> list[tuple[str, list[dict]]]:
-    scan_summary, scan_violations = (
-        scan_rows(bundle.scan) if bundle.scan is not None else (None, [])
-    )
-    return [
-        ("ghz_pairs", [ghz_pair_row(r) for r in bundle.ghz_pairs]),
-        ("ghz_triples", [triple_row(members, v) for members, v in bundle.ghz_triples]),
-        ("w_classifications", [classification_row(c) for c in bundle.w_classifications]),
-        ("pairs", [audit_row(r) for r in bundle.pairs]),
-        ("scan", [scan_summary] if scan_summary is not None else []),
-        ("scan_violations", scan_violations),
-    ]
+def render(
+    document: object,
+    sections: Sequence[tuple[str, Sequence[Mapping[str, object]]]],
+    output_format: str,
+    head: Sequence[str] = (),
+) -> str:
+    """One command's output: its json document, or its sections as table or csv.
 
-
-def emit_report(bundle: ReportBundle, output_format: str) -> str:
+    Table and csv put each section under its name, except a lone section,
+    which prints bare. head holds finished text blocks that go before the
+    sections; blocks are separated by one blank line.
+    """
     if output_format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
     if output_format == "json":
-        return json_text(bundle_document(bundle))
-
-    sections = _bundle_sections(bundle)
-    if output_format == "csv":
-        blocks = [f"version,{bundle.version}\n"]
-        config = config_row(bundle.config)
-        blocks.append(csv_text([config], list(config)))
-        for name, rows in sections:
-            blocks.append(f"[{name}]\n" + csv_text(rows, SECTION_COLUMNS[name]))
-        return "\n".join(blocks)
-
-    parts = [f"tool version {bundle.version}"]
-    config = config_row(bundle.config)
-    parts.append(
-        "config "
-        + " ".join(f"{key}={_table_cell(value)}" for key, value in config.items())
-    )
+        return json_text(document)
+    blocks = list(head)
     for name, rows in sections:
-        parts.append("")
-        parts.append(f"== {name} ==")
-        if rows:
-            parts.append(table_text(rows, SECTION_COLUMNS[name]).rstrip("\n"))
+        columns = SECTION_COLUMNS[name]
+        if output_format == "csv":
+            title, body = f"[{name}]\n", csv_text(rows, columns)
         else:
-            parts.append("(none)")
-    parts.append("")
-    parts.append("== notes ==")
-    if bundle.notes:
-        parts.extend(bundle.notes)
+            title, body = f"== {name} ==\n", table_text(rows, columns) if rows else "(none)\n"
+        blocks.append(body if len(sections) == 1 else title + body)
+    return "\n".join(blocks)
+
+
+def _bundle_view(bundle: ReportBundle) -> tuple[dict, list[tuple[str, list[dict]]]]:
+    """The bundle's json document and its sections, sharing one build of the rows."""
+    rows = {
+        "ghz_pairs": [ghz_pair_row(r) for r in bundle.ghz_pairs],
+        "ghz_triples": [triple_row(members, v) for members, v in bundle.ghz_triples],
+        "w_classifications": [classification_row(c) for c in bundle.w_classifications],
+        "pairs": [audit_row(r) for r in bundle.pairs],
+    }
+    scan = scan_sections(bundle.scan)
+    document = {
+        "version": bundle.version,
+        "config": config_row(bundle.config),
+        **rows,
+        "scan": scan_document(scan),
+        "notes": list(bundle.notes),
+    }
+    notes = ("notes", [{"note": note} for note in bundle.notes])
+    return document, [*rows.items(), *scan, notes]
+
+
+def bundle_document(bundle: ReportBundle) -> dict:
+    """JSON-ready view of a bundle with stable key order."""
+    return _bundle_view(bundle)[0]
+
+
+def emit_report(bundle: ReportBundle, output_format: str) -> str:
+    document, sections = _bundle_view(bundle)
+    config = document["config"]
+    if output_format == "csv":
+        head = [f"version,{bundle.version}\n", csv_text([config], list(config))]
     else:
-        parts.append("(none)")
-    return "\n".join(parts) + "\n"
+        settings = " ".join(f"{key}={_table_cell(value)}" for key, value in config.items())
+        head = [f"tool version {bundle.version}\nconfig {settings}\n"]
+    return render(document, sections, output_format, head)

@@ -67,8 +67,6 @@ _W_TERMS: dict[int, tuple[tuple[str, int], ...]] = {
     8: (("101", 1), ("110", -1), ("000", 1)),
 }
 
-W_INDICES: tuple[int, ...] = tuple(range(1, 9))
-
 
 def w_basis(n: int) -> StateVector:
     """W-type basis state W1..W8."""

@@ -253,7 +253,7 @@ def test_measure_spot_checks():
 
 
 def test_full_report_is_deterministic():
-    config = RunConfig(output_format="json")
+    config = RunConfig()
     first = emit_report(build_report(config), "json")
     second = emit_report(build_report(config), "json")
     _criterion(

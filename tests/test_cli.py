@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from locclone import ghz_cloning
 from locclone.cli import run_command
 from locclone.registers import make_pure, save_state
+from locclone.report import RunConfig, build_report
 
 
 def run(capsys, *argv):
@@ -349,3 +351,80 @@ def test_tol_too_large_for_any_category(capsys):
     code, out, err = run(capsys, "w", "classify", "--pair", "1,6", "--tol", "0.4")
     assert _one_line_error(code, out, err)
     assert "no category" in err
+
+
+def _csv_block(text, name):
+    """The lines of one [name] block of a sectioned csv document, title included."""
+    start = text.index(f"[{name}]\n")
+    end = text.find("\n\n[", start)
+    return text[start:] if end < 0 else text[start:end + 1]
+
+
+def test_commands_share_the_report_sections(capsys):
+    scan_argv = ["--step", "0.1", "--radius", "0.1"]
+    report_csv = run(capsys, "report", *scan_argv, "--format", "csv")[1]
+    lemma_csv = run(capsys, "w", "lemma", *scan_argv, "--format", "csv")[1]
+    assert lemma_csv == _csv_block(report_csv, "scan") + "\n" + _csv_block(
+        report_csv, "scan_violations"
+    )
+    report_json = json.loads(run(capsys, "report", *scan_argv, "--format", "json")[1])
+    lemma_json = json.loads(run(capsys, "w", "lemma", *scan_argv, "--format", "json")[1])
+    assert lemma_json == report_json["scan"]
+    classify_csv = run(capsys, "w", "classify", "--all", "--format", "csv")[1]
+    block = _csv_block(report_csv, "w_classifications")
+    assert classify_csv == block.split("\n", 1)[1]
+
+
+def test_lemma_table_has_the_report_scan_sections(capsys):
+    code, out, _ = run(capsys, "w", "lemma", "--step", "0.1")
+    assert code == 0
+    assert out.startswith("== scan ==\nstep")
+    assert out.endswith("\n\n== scan_violations ==\n(none)\n")
+
+
+def test_measure_csv_has_a_header_and_full_precision(capsys):
+    code, out, _ = run(
+        capsys, "measure", "entropy", "--state", "W1", "--cut", "3", "--format", "csv"
+    )
+    assert code == 0
+    assert out == "entropy_bits\n0.9182958340544893\n"
+
+
+def test_report_flags_a_taxonomy_unlike_the_paper(capsys):
+    argv = ["report", "--tol", "0.2", "--step", "0.1"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    notes = json.loads(out)["notes"]
+    assert notes == ["w pair taxonomy 24 A / 4 B / 0 C differs from the paper's "
+                     "6 A / 10 B / 12 C at rank_tol 0.2"]
+    assert err == notes[0] + "\n"
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out.endswith(f"\n[notes]\nnote\n{notes[0]}\n")
+    code, out, _ = run(capsys, "report", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["notes"] == []
+
+
+def test_report_out_writes_what_stdout_gets(capsys, tmp_path):
+    path = tmp_path / "report.csv"
+    argv = ["report", "--step", "0.1", "--format", "csv"]
+    assert run_command([*argv, "--out", str(path)]) == 0
+    assert path.read_text() == run(capsys, *argv)[1]
+
+
+def test_each_clone_is_simulated_once(capsys, monkeypatch):
+    calls = []
+    original = ghz_cloning.apply_circuit
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ghz_cloning, "apply_circuit", counting)
+    code, _, _ = run(capsys, "ghz", "clone", "--states", "0,0,0", "1,0,1", "0,1,0")
+    assert code == 0
+    assert len(calls) == 3
+    calls.clear()
+    build_report(RunConfig(step=0.1))
+    assert len(calls) == 2 * 28 + 3 * 32  # 28 pairs and 32 clonable triples

@@ -211,3 +211,11 @@ def test_witness_disagreeing_with_closed_form_raises(monkeypatch, triple, forced
     monkeypatch.setattr(ghz_cloning, "bell_triple_cut", lambda members: forced_cut)
     with pytest.raises(CloningInconsistency):
         triple_clonability(triple)
+
+
+def test_synthesized_circuit_carries_its_fidelities():
+    clonable = all_pairs() + tuple(t for t in all_triples() if bell_triple_cut(t) is None)
+    for members in clonable:
+        circuit = synthesize_cloner(members)
+        assert [label for label, _ in circuit.fidelities] == sorted(members)
+        assert dict(circuit.fidelities) == verify_cloner(circuit, members)

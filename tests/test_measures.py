@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locclone.measures import (
     W_CUT_ENTROPY_BITS,
@@ -25,6 +26,7 @@ from locclone.registers import (
     density,
     embed_operator,
     make_pure,
+    mix,
     schmidt_coefficients,
     tensor,
 )
@@ -233,3 +235,43 @@ def test_wclass_min_cut_entropy_minimizes():
         values = [wclass_cut_entropy(params, k) for k in (1, 2, 3)]
         assert entropy == pytest.approx(min(values), abs=1e-14)
         assert values[cut_index - 1] == pytest.approx(entropy, abs=1e-14)
+
+
+_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+def _complex(raw):
+    return raw[0] + 1j * raw[1]
+
+
+@st.composite
+def states_cut_and_local_unitary(draw):
+    """Two pure states on 3 or 4 qubits, a cut, and a unitary local to that cut."""
+    n = draw(st.integers(3, 4))
+    cut = Bipartition(n, draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    states = []
+    for _ in range(2):
+        amps = _complex(draw(arrays(float, (2, 1 << n), elements=_entries)))
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        states.append(make_pure(amps / norm))
+    local = np.eye(1 << n, dtype=complex)
+    for side in (cut.side_a, sorted(cut.side_b)):
+        dim = 1 << len(side)
+        # Q of a QR factorisation is unitary whatever the rank of its input
+        q, _ = np.linalg.qr(_complex(draw(arrays(float, (2, dim, dim), elements=_entries))))
+        local = local @ embed_operator(q, n, side)
+    return states, cut, local
+
+
+@settings(max_examples=150, deadline=None)
+@given(states_cut_and_local_unitary())
+def test_cut_entropy_and_negativity_invariant_under_local_unitaries(case):
+    (u, v), cut, local = case
+    rotated_u, rotated_v = (make_pure(local @ s.amplitudes) for s in (u, v))
+    assert abs(
+        cut_entropy(rotated_u, cut).entropy_bits - cut_entropy(u, cut).entropy_bits
+    ) <= 1e-9
+    before = mix([0.5, 0.5], [density(u), density(v)])
+    after = mix([0.5, 0.5], [density(rotated_u), density(rotated_v)])
+    assert abs(negativity(after, cut) - negativity(before, cut)) <= 1e-9

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locclone.registers import (
     GATE_S,
@@ -315,3 +318,28 @@ def test_bipartition_validation():
         Bipartition(3, frozenset({0, 1, 2}))
     with pytest.raises(ValueError):
         Bipartition(3, frozenset({3}))
+
+
+_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixed_state_cut_and_side_a_qubit(draw):
+    """A density matrix on 3 or 4 qubits, a cut, and a qubit on side A that can go."""
+    n = draw(st.integers(3, 4))
+    side_b = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 2))
+    traced = draw(st.sampled_from([q for q in range(n) if q not in side_b]))
+    raw = draw(arrays(float, (2, 1 << n, 2), elements=_entries))
+    gram = (raw[0] + 1j * raw[1]) @ (raw[0] + 1j * raw[1]).conj().T + np.eye(1 << n)
+    return DensityMatrix(n, gram / np.trace(gram).real), Bipartition(n, side_b), traced
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_state_cut_and_side_a_qubit())
+def test_tracing_side_a_commutes_with_transposing_side_b(case):
+    dm, cut, traced = case
+    transposed = partial_transpose(dm, cut)
+    then_traced = partial_trace(DensityMatrix(dm.n_qubits, transposed.entries), [traced])
+    reduced_cut = Bipartition(dm.n_qubits - 1, {q - (q > traced) for q in cut.side_b})
+    traced_first = partial_transpose(partial_trace(dm, [traced]), reduced_cut)
+    assert np.abs(then_traced.entries - traced_first.entries).max() <= 1e-14

@@ -32,8 +32,6 @@ def test_runconfig_defaults():
     assert config.match_tol == 1e-3
     assert config.step == 0.02
     assert config.exclusion_radius == 0.05
-    assert config.output_format == "table"
-    assert config.out_path is None
 
 
 @pytest.mark.parametrize(
@@ -46,7 +44,7 @@ def test_runconfig_defaults():
         {"exclusion_radius": -0.01},
         {"exclusion_radius": float("nan")},
         {"exclusion_radius": float("inf")},
-        {"output_format": "yaml"},
+        {"rank_tol": float("nan")},
         {"exclusion_radius": 2.0},  # no grid point lies outside the ball
         {"step": 0.001},
         {"step": float("nan")},
@@ -135,7 +133,7 @@ def test_reference_mismatch_skips_nonstandard_records():
 
 
 def test_build_report_sections():
-    config = RunConfig(step=0.05, output_format="json")
+    config = RunConfig(step=0.05)
     bundle = build_report(config)
     assert len(bundle.ghz_pairs) == 28
     assert len(bundle.ghz_triples) == 56
@@ -159,7 +157,7 @@ def test_rank_tol_reaches_the_audits():
 
 
 def test_build_report_json_round_trip():
-    config = RunConfig(step=0.05, output_format="json")
+    config = RunConfig(step=0.05)
     bundle = build_report(config)
     payload = json.loads(emit_report(bundle, "json"))
     assert payload["version"] == "0.1.0"
