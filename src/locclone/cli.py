@@ -4,15 +4,13 @@ Subcommands and the flags each one reads:
 
     ghz clone --states 0,0,0 0,1,1 [--blank p,i,j]   circuit listing + fidelities
     ghz triples --all | --states A B C               clonability verdicts
-    w classify --all | --pair m,n [--tol T]          pair taxonomy
-    w audit [--pair m,n] [--blank W1] [--tol T] [--match-tol M]
-                                                     negativity audits
+    w classify --all | --pair m,n                    pair taxonomy
+    w audit [--pair m,n] [--blank W1]                negativity audits
     w lemma [--step S] [--radius R]                  parameter-simplex scan
     w blank-check --params a,b,c                     insufficient-cut certificate
     measure entropy --state LABEL --cut LIST         cut entropy in bits
     measure negativity --state LABEL --cut LIST      negativity across the cut
-    report [--tol T] [--match-tol M] [--step S] [--radius R]
-                                                     full bundle in one document
+    report [--step S] [--radius R]                   full bundle in one document
 
 Every subcommand also takes --format table|json|csv and --out PATH; any
 other flag is an error on a subcommand that does not read it. Every format
@@ -25,8 +23,8 @@ bare value to 7 digits) are their own; their csv has a header row and full
 precision.
 
 State labels: GHZ as "p,i,j" bits, W basis as "W1".."W8", W-class as "a,b,c"
-decimals, or "@path.json" for an amplitude file. Cut lists are 1-based
-B-side qubit indices, e.g. "3" or "1,2".
+decimals, or "@path.json" for an amplitude file of at most 10 qubits. Cut
+lists are 1-based B-side qubit indices, e.g. "3" or "1,2".
 
 Exit status: 0 on success, 1 when a verification check fails (no circuit,
 benchmark mismatch, scan violations), 2 on invalid input. Reports go to
@@ -47,7 +45,7 @@ from .ghz_cloning import (
     triple_clonability,
 )
 from .measures import cut_entropy, negativity
-from .registers import DEFAULT_RANK_TOL, Bipartition, StateVector, density, load_state
+from .registers import Bipartition, StateVector, density, load_state
 from .report import (
     OUTPUT_FORMATS,
     RunConfig,
@@ -144,28 +142,24 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> int:
 
 
 def _cmd_w_classify(args: argparse.Namespace) -> int:
-    config = RunConfig(rank_tol=args.tol)
     if args.all:
-        items = all_pair_classifications(config.rank_tol)
+        items = all_pair_classifications()
     else:
-        m, n = _parse_pair(args.pair)
-        items = (classify_pair(m, n, config.rank_tol),)
+        items = (classify_pair(*_parse_pair(args.pair)),)
     rows = [classification_row(item) for item in items]
     _emit(args, rows, [("w_classifications", rows)])
     return 0
 
 
 def _cmd_w_audit(args: argparse.Namespace) -> int:
-    config = RunConfig(rank_tol=args.tol, match_tol=args.match_tol)
     blank = parse_w_index(args.blank)
     if args.pair:
-        m, n = _parse_pair(args.pair)
-        records = [negativity_audit(m, n, blank, config.rank_tol)]
+        records = [negativity_audit(*_parse_pair(args.pair), blank)]
     else:
-        records = list(all_audit_records(blank, config.rank_tol))
+        records = list(all_audit_records(blank))
     rows = [audit_row(record) for record in records]
     _emit(args, rows, [("pairs", rows)])
-    notes = reference_mismatches(records, config.match_tol)
+    notes = reference_mismatches(records)
     for note in notes:
         print(note, file=sys.stderr)
     return 1 if notes else 0
@@ -214,13 +208,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        rank_tol=args.tol,
-        match_tol=args.match_tol,
-        step=args.step,
-        exclusion_radius=args.radius,
-    )
-    bundle = build_report(config)
+    bundle = build_report(RunConfig(step=args.step, exclusion_radius=args.radius))
     _write(emit_report(bundle, args.format), args.out)
     for note in bundle.notes:
         print(note, file=sys.stderr)
@@ -234,16 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default table)",
     )
     common.add_argument("--out", metavar="PATH", help="write the report to PATH")
-    rank = argparse.ArgumentParser(add_help=False)
-    rank.add_argument(
-        "--tol", type=float, default=DEFAULT_RANK_TOL, metavar="FLOAT",
-        help="rank tolerance for support-span classification (default 1e-10)",
-    )
-    match = argparse.ArgumentParser(add_help=False)
-    match.add_argument(
-        "--match-tol", type=float, default=1e-3, dest="match_tol", metavar="FLOAT",
-        help="allowed drift from the benchmark negativities (default 1e-3)",
-    )
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument(
         "--step", type=float, default=0.02, metavar="FLOAT",
@@ -284,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("w", help="W-basis taxonomy, audits, and the simplex scan")
     w_sub = w.add_subparsers(dest="w_command", required=True)
     classify = w_sub.add_parser(
-        "classify", parents=[common, rank], help="pair categories with witness cuts"
+        "classify", parents=[common], help="pair categories with witness cuts"
     )
     pick = classify.add_mutually_exclusive_group(required=True)
     pick.add_argument("--all", action="store_true", help="all 28 pairs")
     pick.add_argument("--pair", metavar="m,n", help="one pair, e.g. 1,6")
     classify.set_defaults(handler=_cmd_w_classify)
     audit = w_sub.add_parser(
-        "audit", parents=[common, rank, match], help="negativity before and after cloning"
+        "audit", parents=[common], help="negativity before and after cloning"
     )
     audit.add_argument("--pair", metavar="m,n", help="audit one pair (default: all)")
     audit.add_argument("--blank", default="W1", metavar="Wn", help="blank copy (default W1)")
@@ -323,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         leaf.set_defaults(handler=_cmd_measure, quantity=quantity)
 
     report = sub.add_parser(
-        "report", parents=[common, rank, match, scan],
+        "report", parents=[common, scan],
         help="run every analysis and emit one document",
     )
     report.set_defaults(handler=_cmd_report)
@@ -342,10 +320,7 @@ def run_command(argv: Sequence[str]) -> int:
     except (NoCircuitFound, CloningInconsistency, StructureMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except WStatePointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (WStatePointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

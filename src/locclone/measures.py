@@ -9,13 +9,16 @@ import numpy as np
 from .registers import (
     Bipartition,
     DensityMatrix,
-    NEGATIVITY_CLAMP,
     StateVector,
     partial_transpose,
     schmidt_coefficients,
     trace_norm,
 )
 from .states import WClassParams
+
+# Entropies and negativities closer to 0 than this are rounding noise and read
+# as exactly 0, so a product state measures 0 across every cut.
+ZERO_CLAMP = 1e-12
 
 # Minimum cut entropy (bits) of the equal-weight three-term W state; every
 # bipartite blank that can drive a W-class cloning step must carry at least
@@ -32,14 +35,14 @@ class CutEntropyResult:
 
 
 def entropy_bits(probabilities: np.ndarray | list[float]) -> float:
-    """Shannon entropy in bits; tiny negative rounding is treated as 0."""
+    """Shannon entropy in bits; rounding noise within ZERO_CLAMP of 0 reads as 0."""
     total = 0.0
     for p in np.asarray(probabilities, dtype=float):
-        if p < -1e-12:
+        if p < -ZERO_CLAMP:
             raise ValueError(f"negative probability {p!r}")
         if p > 1e-300:
             total -= float(p) * math.log2(p)
-    return total
+    return 0.0 if abs(total) < ZERO_CLAMP else total
 
 
 def cut_entropy(state: StateVector, cut: Bipartition) -> CutEntropyResult:
@@ -48,11 +51,12 @@ def cut_entropy(state: StateVector, cut: Bipartition) -> CutEntropyResult:
 
 
 def negativity(dm: DensityMatrix, cut: Bipartition) -> float:
-    """Trace norm of the partial transpose minus 1, clamped at 0 near zero."""
+    """Trace norm of the partial transpose minus 1, within ZERO_CLAMP of 0 read as 0.
+
+    This is twice the negativity of Vidal & Werner, PRA 65, 032314 (2002).
+    """
     value = trace_norm(partial_transpose(dm, cut)) - 1.0
-    if -NEGATIVITY_CLAMP < value < 0.0:
-        return 0.0
-    return value
+    return 0.0 if abs(value) < ZERO_CLAMP else value
 
 
 _CUT_PARAM = {1: "c", 2: "b", 3: "a"}

@@ -19,8 +19,11 @@ import numpy as np
 
 NORM_ATOL = 1e-9
 HERMITICITY_ATOL = 1e-12
-DEFAULT_RANK_TOL = 1e-10
-NEGATIVITY_CLAMP = 1e-12
+# Eigenvalues at or below this count as zero in a rank. Every matrix the package
+# ranks (W-basis reductions, their pair sums, GHZ Bell-triple marginals) has
+# eigenvalues at most 2.8e-17 or at least 0.127, so no value between changes a rank.
+RANK_TOL = 1e-10
+MAX_STATE_QUBITS = 10  # keeps a state file's density matrix within 16 MB
 
 
 @dataclass(frozen=True)
@@ -252,17 +255,17 @@ def schmidt_coefficients(state: StateVector, cut: Bipartition) -> np.ndarray:
     return sv**2
 
 
-def psd_rank(entries: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of a positive semidefinite matrix, counting eigenvalues above tol."""
+def psd_rank(entries: np.ndarray) -> int:
+    """Rank of a positive semidefinite matrix, counting eigenvalues above RANK_TOL."""
     vals = np.linalg.eigvalsh(entries)
-    return int(np.count_nonzero(vals > tol))
+    return int(np.count_nonzero(vals > RANK_TOL))
 
 
-def support_span_dim(a: DensityMatrix, b: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
+def support_span_dim(a: DensityMatrix, b: DensityMatrix) -> int:
     """Dimension of the span of the supports of two density matrices."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("register sizes differ")
-    return psd_rank(a.entries + b.entries, tol)
+    return psd_rank(a.entries + b.entries)
 
 
 def commutator_norm(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -294,12 +297,20 @@ def state_to_json(state: StateVector) -> list[list[float]]:
 
 
 def state_from_json(obj: object) -> StateVector:
-    """Inverse of state_to_json; accepts only a list of [re, im] pairs of finite numbers."""
+    """Inverse of state_to_json; accepts only a list of [re, im] pairs of finite numbers.
+
+    Registers above MAX_STATE_QUBITS are refused before any matrix is built.
+    """
     if not isinstance(obj, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
         for pair in obj
     ):
         raise ValueError("a state file must hold a list of [re, im] number pairs")
+    if len(obj) > 1 << MAX_STATE_QUBITS:
+        raise ValueError(
+            f"a state file holds at most {1 << MAX_STATE_QUBITS} amplitudes "
+            f"({MAX_STATE_QUBITS} qubits), got {len(obj)}"
+        )
     try:
         return make_pure([complex(re, im) for re, im in obj])
     except OverflowError:  # an integer too large for a float
@@ -313,4 +324,8 @@ def save_state(state: StateVector, path: str) -> None:
 
 def load_state(path: str) -> StateVector:
     with open(path, encoding="utf-8") as fh:
-        return state_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:  # nesting too deep for the parser
+            raise ValueError("a state file must hold a list of [re, im] number pairs") from None
+    return state_from_json(obj)

@@ -27,7 +27,7 @@ from .ghz_cloning import (
     synthesize_cloner,
     triple_clonability,
 )
-from .registers import DEFAULT_RANK_TOL, Bipartition, SingleQubitGate, TransversalCnot
+from .registers import RANK_TOL, Bipartition, SingleQubitGate, TransversalCnot
 from .states import GhzLabel
 from .w_audit import (
     CATEGORY_B,
@@ -44,33 +44,29 @@ from .w_audit import (
 OUTPUT_FORMATS = ("table", "json", "csv")
 
 # Benchmark (N_in, N_out) per audited pair family (B form I, B form II, C),
-# with the first basis state as blank. A full report flags any record that
-# strays beyond match_tol from its family's benchmark.
+# with the first basis state as blank. w audit and the full report flag any
+# record further than MATCH_TOL from its family's benchmark; the benchmarks
+# are rounded to 5 decimals, well inside MATCH_TOL.
 REFERENCE_NEGATIVITIES: dict[str, tuple[float, float]] = {
     "I": (1.89097, 2.14597),
     "II": (2.23802, 2.49298),
     "C": (2.23802, 2.55185),
 }
+MATCH_TOL = 1e-3
 
 # The paper's split of the 28 W pairs by category. A full report flags any
-# other split, which a rank tolerance far from the default can produce.
+# other split as a regression guard on the taxonomy.
 REFERENCE_TAXONOMY: dict[str, int] = {"A": 6, "B": 10, "C": 12}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the batch analyses; defaults give the reference run."""
+    """The simplex-scan knobs of a report; defaults give the reference run."""
 
-    rank_tol: float = DEFAULT_RANK_TOL
-    match_tol: float = 1e-3
     step: float = 0.02
     exclusion_radius: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("rank_tol", "match_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < float("inf"):  # false for nan too
-                raise ValueError(f"{name} {value!r} must be finite and positive")
         if not SCAN_MIN_STEP <= self.step <= 0.1:
             raise ValueError(f"grid step {self.step!r} must lie in [{SCAN_MIN_STEP}, 0.1]")
         check_scan_inputs(self.step, self.exclusion_radius)
@@ -185,7 +181,7 @@ def scan_document(sections: Sequence[tuple[str, list[dict]]]) -> dict | None:
     return dict(summary[0], violations=violations) if summary else None
 
 
-def reference_mismatches(records: Sequence[AuditRecord], match_tol: float) -> list[str]:
+def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
     """Notes for audited records straying from their family benchmark.
 
     Only records with the first basis state as blank are compared; the
@@ -203,11 +199,11 @@ def reference_mismatches(records: Sequence[AuditRecord], match_tol: float) -> li
             abs(record.negativity_in - reference[0]),
             abs(record.negativity_out - reference[1]),
         )
-        if drift > match_tol:
+        if drift > MATCH_TOL:
             notes.append(
                 f"audit ({record.m},{record.n}) {key}: negativities "
                 f"({record.negativity_in!r}, {record.negativity_out!r}) stray "
-                f"{drift:.3e} from benchmark {reference}, beyond {match_tol:g}"
+                f"{drift:.3e} from benchmark {reference}, beyond {MATCH_TOL:g}"
             )
     return notes
 
@@ -230,15 +226,15 @@ def build_report(config: RunConfig) -> ReportBundle:
         pair_results.append(GhzPairResult(pair, worst))
 
     triples = tuple((triple, triple_clonability(triple)) for triple in all_triples())
-    classifications = all_pair_classifications(config.rank_tol)
+    classifications = all_pair_classifications()
     split = {key: sum(c.category == key for c in classifications) for key in REFERENCE_TAXONOMY}
     if split != REFERENCE_TAXONOMY:
         notes.append(
             f"w pair taxonomy {_split_text(split)} differs from the paper's "
-            f"{_split_text(REFERENCE_TAXONOMY)} at rank_tol {config.rank_tol:g}"
+            f"{_split_text(REFERENCE_TAXONOMY)}"
         )
-    records = all_audit_records(rank_tol=config.rank_tol)
-    notes.extend(reference_mismatches(records, config.match_tol))
+    records = all_audit_records()
+    notes.extend(reference_mismatches(records))
 
     scan = lemma_scan(config.step, config.exclusion_radius)
     if scan.violations:
@@ -258,9 +254,9 @@ def build_report(config: RunConfig) -> ReportBundle:
 
 def config_row(config: RunConfig) -> dict:
     return {
-        "rank_tol": config.rank_tol,
+        "rank_tol": RANK_TOL,
         "fidelity_tol": FIDELITY_TOL,
-        "match_tol": config.match_tol,
+        "match_tol": MATCH_TOL,
         "step": config.step,
         "exclusion_radius": config.exclusion_radius,
     }

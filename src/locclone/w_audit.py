@@ -32,7 +32,7 @@ from .measures import (
     wclass_min_cut_entropy,
 )
 from .registers import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     Bipartition,
     DensityMatrix,
     commutator_norm,
@@ -152,22 +152,19 @@ def reduced_pair_state(m: int, k: int) -> DensityMatrix:
     return partial_trace(density(w_basis(m)), {k - 1})
 
 
-def classify_pair(m: int, n: int, tol: float = DEFAULT_RANK_TOL) -> PairClassification:
+def classify_pair(m: int, n: int) -> PairClassification:
     """Category A/B/C of a W-basis pair with its witness cut.
 
     The witness for A and B is the largest k attaining the minimal span (one
     pair attains its minimum at every k and is cataloged under k=3); for C it
-    is the smallest k whose reductions do not commute. tol is the eigenvalue
-    threshold for the span-dimension ranks.
+    is the smallest k whose reductions do not commute.
     """
     _validate_indices(m, n)
     dims = {
-        k: support_span_dim(reduced_pair_state(m, k), reduced_pair_state(n, k), tol)
+        k: support_span_dim(reduced_pair_state(m, k), reduced_pair_state(n, k))
         for k in (1, 2, 3)
     }
     span = min(dims.values())
-    if span < 2:  # exact spans are at least 2, so only an oversized tol gets here
-        raise ValueError(f"pair ({m},{n}) spans {span} at rank tolerance {tol!r}; no category")
     if span <= 3:
         category = CATEGORY_A if span == 2 else CATEGORY_B
         witness = max(k for k, dim in dims.items() if dim == span)
@@ -191,18 +188,17 @@ def _cut_matrix(m: int, k: int) -> np.ndarray:
     return amps.transpose(a_axes + [k - 1]).reshape(4, 2)
 
 
-def btype_form(m: int, n: int, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> BTypeForm:
+def btype_form(m: int, n: int, k: int) -> BTypeForm:
     """Form I or II of a B-type pair from the shared support direction.
 
     The two A-side supports meet in one direction; its marginal weight is 2/3
-    in both states for form I and 1/3 in both for form II. rank_tol is the
-    eigenvalue threshold for the supports, as in classify_pair.
+    in both states for form I and 1/3 in both for form II.
     """
     rho_m, rho_n = reduced_pair_state(m, k), reduced_pair_state(n, k)
-    if support_span_dim(rho_m, rho_n, rank_tol) != 3:
+    if support_span_dim(rho_m, rho_n) != 3:
         raise ValueError(f"pair ({m},{n}) does not span 3 at k={k}; not a B-type witness")
-    basis_m = _support_basis(rho_m, rank_tol)
-    basis_n = _support_basis(rho_n, rank_tol)
+    basis_m = _support_basis(rho_m)
+    basis_n = _support_basis(rho_n)
     overlap = basis_m.conj().T @ basis_n
     u, singular, _ = np.linalg.svd(overlap)
     meeting = int(np.count_nonzero(singular > 1.0 - _WEIGHT_TOL))
@@ -227,9 +223,9 @@ def btype_form(m: int, n: int, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> BT
     )
 
 
-def _support_basis(rho: DensityMatrix, tol: float) -> np.ndarray:
+def _support_basis(rho: DensityMatrix) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho.entries)
-    return vecs[:, vals > tol]
+    return vecs[:, vals > RANK_TOL]
 
 
 def atype_structure(m: int, n: int, k: int) -> AtypeReport:
@@ -348,19 +344,16 @@ def cloner_io(
     return rho_in, rho_out, cut
 
 
-def negativity_audit(
-    m: int, n: int, blank: int = 1, rank_tol: float = DEFAULT_RANK_TOL
-) -> AuditRecord:
+def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
     """Negativities of the cloner mixtures across the witness lab cut.
 
     Runs for any distinct pair; A-type records carry no form and are reported
-    without a reference comparison. rank_tol reaches the classification and
-    the B-type form.
+    without a reference comparison.
     """
-    cls = classify_pair(m, n, rank_tol)
+    cls = classify_pair(m, n)
     k = cls.witness_k
     assert k is not None
-    form = btype_form(m, n, k, rank_tol).form if cls.category == CATEGORY_B else None
+    form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None
     rho_in, rho_out, cut = cloner_io(m, n, k, blank)
     return AuditRecord(
         m, n, cls.category, k, form,
@@ -499,15 +492,9 @@ def _crosscheck_spectra(
         )
 
 
-def all_pair_classifications(tol: float = DEFAULT_RANK_TOL) -> tuple[PairClassification, ...]:
-    return tuple(
-        classify_pair(m, n, tol) for m in range(1, 9) for n in range(m + 1, 9)
-    )
+def all_pair_classifications() -> tuple[PairClassification, ...]:
+    return tuple(classify_pair(m, n) for m in range(1, 9) for n in range(m + 1, 9))
 
 
-def all_audit_records(
-    blank: int = 1, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[AuditRecord, ...]:
-    return tuple(
-        negativity_audit(m, n, blank, rank_tol) for m in range(1, 9) for n in range(m + 1, 9)
-    )
+def all_audit_records(blank: int = 1) -> tuple[AuditRecord, ...]:
+    return tuple(negativity_audit(m, n, blank) for m in range(1, 9) for n in range(m + 1, 9))

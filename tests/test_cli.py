@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from locclone import ghz_cloning
+from locclone import cli, ghz_cloning, report
 from locclone.cli import run_command
 from locclone.registers import make_pure, save_state
 from locclone.report import RunConfig, build_report
@@ -100,8 +100,10 @@ def test_audit_repeated_member(capsys):
     assert "must differ" in err
 
 
-def test_audit_tiny_match_tol_reports_drift(capsys):
-    code, _, err = run(capsys, "w", "audit", "--pair", "1,6", "--match-tol", "1e-9")
+def test_audit_tiny_match_tol_reports_drift(capsys, monkeypatch):
+    ref_in, ref_out = report.REFERENCE_NEGATIVITIES["I"]
+    monkeypatch.setitem(report.REFERENCE_NEGATIVITIES, "I", (ref_in + 1e-2, ref_out))
+    code, _, err = run(capsys, "w", "audit", "--pair", "1,6")
     assert code == 1
     assert "stray" in err
 
@@ -262,18 +264,6 @@ def test_lemma_rejects_step_below_floor(capsys):
     assert "step" in err
 
 
-def test_classify_rejects_infinite_tol(capsys):
-    code, out, err = run(capsys, "w", "classify", "--pair", "1,6", "--tol", "inf")
-    assert _one_line_error(code, out, err)
-    assert "rank_tol" in err
-
-
-def test_audit_rejects_nan_match_tol(capsys):
-    code, out, err = run(capsys, "w", "audit", "--pair", "1,6", "--match-tol", "nan")
-    assert _one_line_error(code, out, err)
-    assert "match_tol" in err
-
-
 def test_seed_flag_is_gone(capsys):
     code, _, err = run(capsys, "report", "--seed", "1")
     assert code == 2
@@ -292,8 +282,8 @@ _LEAF_ARGV = {
     "report": ["report", "--step", "0.1"],
 }
 _FLAG_READERS = {
-    "--tol": {"w classify", "w audit", "report"},
-    "--match-tol": {"w audit", "report"},
+    "--tol": set(),  # the rank and match tolerances are fixed constants
+    "--match-tol": set(),
     "--step": {"w lemma", "report"},
     "--radius": {"w lemma", "report"},
 }
@@ -325,32 +315,61 @@ def test_flag_on_a_subcommand_that_ignores_it(capsys, leaf, flag):
         "[[true,0],[0,0],[0,0],[0,0]]",
         '[["1",0],[0,0],[0,0],[0,0]]',
         "[[1" + "0" * 400 + ",0],[0,0],[0,0],[0,0]]",
+        json.dumps([[2048 ** -0.5, 0.0]] * 2048),  # a normalized 11-qubit state
+        "[" * 100000 + "]" * 100000,
     ],
-    ids=["flat", "object", "triple", "nan", "bool", "string", "huge-int"],
+    ids=["flat", "object", "triple", "nan", "bool", "string", "huge-int", "11-qubit", "deep"],
 )
 @pytest.mark.filterwarnings("error")  # a NaN must not get as far as a numpy warning
-def test_measure_rejects_malformed_state_file(capsys, tmp_path, content):
+def test_measure_rejects_malformed_state_file(capsys, monkeypatch, tmp_path, content):
+    def no_density(state):
+        raise AssertionError(f"density of a {state.n_qubits}-qubit state was built")
+
+    monkeypatch.setattr(cli, "density", no_density)
     path = tmp_path / "state.json"
     path.write_text(content)
-    argv = ["measure", "entropy", "--state", f"@{path}", "--cut", "1"]
+    argv = ["measure", "negativity", "--state", f"@{path}", "--cut", "1"]
     assert _one_line_error(*run(capsys, *argv))
 
 
-def test_audit_tol_reaches_the_classification(capsys):
-    # (1,8) is B at k=3 by default and A at k=2 at rank tolerance 0.2
-    argv = ["--pair", "1,8", "--tol", "0.2", "--format", "json"]
-    code, out, _ = run(capsys, "w", "audit", *argv)
-    assert code == 0
-    audited = json.loads(out)[0]
-    classified = json.loads(run(capsys, "w", "classify", *argv)[1])[0]
-    assert (audited["category"], audited["witness_k"], audited["form"]) == ("A", 2, None)
-    assert (classified["category"], classified["witness_k"]) == ("A", 2)
+def _state_file(data):
+    """An argv entry that writes data to a state file and names it."""
+    def make(tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        return f"@{path}"
+    return make
 
 
-def test_tol_too_large_for_any_category(capsys):
-    code, out, err = run(capsys, "w", "classify", "--pair", "1,6", "--tol", "0.4")
-    assert _one_line_error(code, out, err)
-    assert "no category" in err
+_STATE_ARGV = ["measure", "entropy", "--cut", "1", "--state"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ghz", "clone", "--states", "0,0,0"], 2),
+        (["ghz", "clone", "--states", "0,0,0", "0,0,1", "0,1,0", "1,0,0"], 2),
+        (["ghz", "clone", "--states", "0,0,0", "0,1,1", "--blank", "2,0,0"], 2),
+        (["ghz", "triples", "--states", "0,0,0", "0,0,0", "0,1,1"], 2),
+        (["w", "classify", "--pair", "1,2,3"], 2),
+        (["w", "audit", "--pair", "a,b"], 2),
+        (["w", "audit", "--blank", "W9"], 2),
+        (["w", "blank-check", "--params", "0.5,0.5,0.5"], 2),
+        (["measure", "entropy", "--state", "W1", "--cut", "0"], 2),
+        (["measure", "negativity", "--state", "W1", "--cut", "1,2,3"], 2),
+        (["measure", "entropy", "--state", "W1", "--cut", "x"], 2),
+        ([*_STATE_ARGV, lambda tmp: f"@{tmp}"], 2),  # a directory
+        ([*_STATE_ARGV, _state_file(b"\xff\xfe[")], 2),  # not UTF-8
+        ([*_STATE_ARGV, _state_file(b"")], 2),
+        (["w", "classify", "--all", "--out", lambda tmp: f"{tmp}/absent/out.txt"], 2),
+        (["ghz", "clone", "--states", "0,0,0", "0,0,1", "1,0,0"], 1),  # a real no-go
+    ],
+)
+def test_failure_exits_with_one_error_line(capsys, tmp_path, argv, code):
+    argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _csv_block(text, name):
@@ -390,17 +409,19 @@ def test_measure_csv_has_a_header_and_full_precision(capsys):
     assert out == "entropy_bits\n0.9182958340544893\n"
 
 
-def test_report_flags_a_taxonomy_unlike_the_paper(capsys):
-    argv = ["report", "--tol", "0.2", "--step", "0.1"]
-    code, out, err = run(capsys, *argv, "--format", "json")
-    assert code == 1
-    notes = json.loads(out)["notes"]
-    assert notes == ["w pair taxonomy 24 A / 4 B / 0 C differs from the paper's "
-                     "6 A / 10 B / 12 C at rank_tol 0.2"]
-    assert err == notes[0] + "\n"
-    code, out, _ = run(capsys, *argv, "--format", "csv")
-    assert code == 1
-    assert out.endswith(f"\n[notes]\nnote\n{notes[0]}\n")
+def test_report_flags_a_taxonomy_unlike_the_paper(capsys, monkeypatch):
+    argv = ["report", "--step", "0.1"]
+    with monkeypatch.context() as patch:
+        patch.setattr(report, "REFERENCE_TAXONOMY", {"A": 7, "B": 9, "C": 12})
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        notes = json.loads(out)["notes"]
+        assert notes == ["w pair taxonomy 6 A / 10 B / 12 C differs from the paper's "
+                         "7 A / 9 B / 12 C"]
+        assert err == notes[0] + "\n"
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 1
+        assert out.endswith(f"\n[notes]\nnote\n{notes[0]}\n")
     code, out, _ = run(capsys, "report", "--format", "json")
     assert code == 0
     assert json.loads(out)["notes"] == []

@@ -275,3 +275,26 @@ def test_cut_entropy_and_negativity_invariant_under_local_unitaries(case):
     before = mix([0.5, 0.5], [density(u), density(v)])
     after = mix([0.5, 0.5], [density(rotated_u), density(rotated_v)])
     assert abs(negativity(after, cut) - negativity(before, cut)) <= 1e-9
+
+
+@st.composite
+def product_states(draw):
+    """A product of 3 or 4 random one-qubit pure states."""
+    state = None
+    for _ in range(draw(st.integers(3, 4))):
+        amps = _complex(draw(arrays(float, (2, 2), elements=_entries)))
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        qubit = make_pure(amps / norm)
+        state = qubit if state is None else tensor(state, qubit)
+    return state
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_states())
+def test_product_state_measures_exactly_zero_on_every_cut(state):
+    n = state.n_qubits
+    for mask in range(1, (1 << n) - 1):
+        cut = Bipartition(n, frozenset(q for q in range(n) if mask >> q & 1))
+        assert cut_entropy(state, cut).entropy_bits == 0.0
+        assert negativity(density(state), cut) == 0.0

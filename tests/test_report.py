@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -23,13 +24,12 @@ from locclone.report import (
     table_text,
 )
 from locclone.states import GhzLabel
-from locclone.w_audit import AuditRecord, all_pair_classifications
+from locclone.w_audit import AuditRecord
 
 
 def test_runconfig_defaults():
     config = RunConfig()
-    assert config.rank_tol == 1e-10
-    assert config.match_tol == 1e-3
+    assert [field.name for field in fields(RunConfig)] == ["step", "exclusion_radius"]
     assert config.step == 0.02
     assert config.exclusion_radius == 0.05
 
@@ -39,18 +39,12 @@ def test_runconfig_defaults():
     [
         {"step": 0.0},
         {"step": 0.11},
-        {"rank_tol": -1e-10},
-        {"match_tol": -1.0},
         {"exclusion_radius": -0.01},
         {"exclusion_radius": float("nan")},
         {"exclusion_radius": float("inf")},
-        {"rank_tol": float("nan")},
         {"exclusion_radius": 2.0},  # no grid point lies outside the ball
         {"step": 0.001},
         {"step": float("nan")},
-        {"rank_tol": float("inf")},
-        {"match_tol": float("nan")},
-        {"match_tol": float("inf")},
     ],
 )
 def test_runconfig_rejections(kwargs):
@@ -119,17 +113,17 @@ def test_reference_mismatch_flags_drift():
     ref_in, ref_out = REFERENCE_NEGATIVITIES["I"]
     good = AuditRecord(1, 6, "B", 3, "I", ref_in, ref_out, 1)
     drifted = AuditRecord(2, 3, "B", 1, "I", ref_in + 0.01, ref_out, 1)
-    notes = reference_mismatches([good, drifted], match_tol=1e-3)
+    notes = reference_mismatches([good, drifted])
     assert len(notes) == 1
     assert "(2,3)" in notes[0] or "2" in notes[0]
-    assert reference_mismatches([good], match_tol=1e-3) == []
+    assert reference_mismatches([good]) == []
 
 
 def test_reference_mismatch_skips_nonstandard_records():
     ref_in, ref_out = REFERENCE_NEGATIVITIES["C"]
     off_blank = AuditRecord(1, 3, "C", 1, None, ref_in + 1.0, ref_out, 2)
     atype = AuditRecord(1, 2, "A", 2, None, 0.1, 0.2, 1)
-    assert reference_mismatches([off_blank, atype], match_tol=1e-3) == []
+    assert reference_mismatches([off_blank, atype]) == []
 
 
 def test_build_report_sections():
@@ -142,18 +136,6 @@ def test_build_report_sections():
     assert bundle.scan is not None
     assert bundle.scan.points_tested == 1140
     assert bundle.notes == ()
-
-
-def test_rank_tol_reaches_the_audits():
-    # 0.2 moves most pairs off their default taxonomy; the audits must follow
-    bundle = build_report(RunConfig(rank_tol=0.2, step=0.1))
-    taxonomy = {(c.m, c.n): (c.category, c.witness_k) for c in bundle.w_classifications}
-    assert taxonomy != {
-        (c.m, c.n): (c.category, c.witness_k) for c in all_pair_classifications()
-    }
-    assert len(bundle.pairs) == 28
-    for record in bundle.pairs:
-        assert (record.category, record.witness_k) == taxonomy[(record.m, record.n)]
 
 
 def test_build_report_json_round_trip():
