@@ -103,6 +103,20 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return m, n
 
 
+def _parse_cut(text: str, n_qubits: int) -> Bipartition:
+    """A 1-based, comma-separated list of B-side qubits as a cut of n_qubits."""
+    try:
+        qubits = [int(token) for token in text.split(",")]
+    except ValueError:
+        raise ValueError(f"cut must be comma-separated qubit numbers, got {text!r}") from None
+    for qubit in qubits:
+        if not 1 <= qubit <= n_qubits:
+            raise ValueError(f"cut qubit {qubit} out of range 1..{n_qubits}")
+    if len(set(qubits)) == n_qubits:
+        raise ValueError(f"cut {text!r} must leave at least one qubit on each side")
+    return Bipartition(n_qubits, frozenset(qubit - 1 for qubit in qubits))
+
+
 def _load_state(label: str) -> StateVector:
     if label.startswith("@"):
         return load_state(label[1:])
@@ -134,7 +148,11 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> int:
     if args.all:
         items = [(triple, triple_clonability(triple)) for triple in all_triples()]
     else:
-        members = tuple(sorted({parse_ghz_label(text) for text in args.states}))
+        labels = [parse_ghz_label(text) for text in args.states]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"triple member {label} is repeated; give three distinct states")
+        members = tuple(sorted(labels))
         items = [(members, triple_clonability(members))]
     rows = [triple_row(members, verdict) for members, verdict in items]
     _emit(args, rows, [("ghz_triples", rows)])
@@ -193,8 +211,7 @@ def _cmd_w_blank_check(args: argparse.Namespace) -> int:
 
 def _cmd_measure(args: argparse.Namespace) -> int:
     state = _load_state(args.state)
-    side_b = frozenset(int(token) - 1 for token in args.cut.split(","))
-    cut = Bipartition(state.n_qubits, side_b)
+    cut = _parse_cut(args.cut, state.n_qubits)
     if args.quantity == "entropy":
         key, value = "entropy_bits", cut_entropy(state, cut).entropy_bits
     else:

@@ -161,6 +161,7 @@ def scan_sections(scan: ScanReport | None) -> list[tuple[str, list[dict]]]:
         "exclusion_radius": float(scan.exclusion_radius),
         "points_tested": scan.points_tested,
         "violation_count": len(scan.violations),
+        "grid_max_entropy_bits": float(scan.grid_max_entropy_bits),
     }
     violations = [
         {
@@ -319,7 +320,9 @@ SECTION_COLUMNS = {
     "ghz_triples": ("member_1", "member_2", "member_3", "clonable", "witness_cut", "circuit"),
     "w_classifications": ("m", "n", "category", "witness_k", "span_dim"),
     "pairs": ("m", "n", "category", "witness_k", "form", "negativity_in", "negativity_out", "blank"),
-    "scan": ("step", "exclusion_radius", "points_tested", "violation_count"),
+    "scan": (
+        "step", "exclusion_radius", "points_tested", "violation_count", "grid_max_entropy_bits",
+    ),
     "scan_violations": ("a", "b", "c", "d", "entropy_bits"),
     "blank_check": ("a", "b", "c", "d", "cut_index", "blank_entropy_bits", "required_bits"),
     "entropy": ("entropy_bits",),

@@ -15,7 +15,10 @@ the equal-weight three-term point stays below that point's entropy and a
 product blank plus LOCC cannot reach it. The scan evaluates that closed form
 over the whole parameter grid in numpy, one grid row at a time, and
 checks it at every grid point against the eigenvalues of the three one-qubit
-marginals taken by partial trace of the state's amplitudes.
+marginals. Each marginal is contracted from the state's amplitude tensor over
+the two traced qubits; being real symmetric 2x2, its eigenvalues follow
+exactly from its entries p, q (diagonal) and r (off-diagonal) as
+(p + q -/+ sqrt((p - q)^2 + 4r^2))/2, so no eigensolver runs per point.
 """
 from __future__ import annotations
 
@@ -134,6 +137,9 @@ class ScanReport:
     step: float
     exclusion_radius: float
     points_tested: int
+    # largest minimum cut entropy outside the exclusion ball, at its first grid point
+    grid_max_entropy_bits: float
+    grid_max_point: WClassParams
     violations: tuple[tuple[WClassParams, float], ...] = field(default_factory=tuple)
 
 
@@ -445,47 +451,91 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     Any grid point outside the L1 exclusion ball around the equal-weight point
     whose minimum cut entropy reaches the threshold (within 1e-12) is recorded
     as a violation, in grid order and with its entropy recomputed by the
-    scalar wclass_min_cut_entropy; the expected result is none. At every grid
-    point the closed-form spectra of all three cuts must match the partial
-    trace spectra to SPECTRUM_TOL, or StructureMismatchError is raised.
+    scalar wclass_min_cut_entropy; the expected result is none. The report
+    also carries the largest minimum cut entropy outside the ball, scalar
+    recomputed, at its first grid point: the scan's margin below the
+    threshold. At every grid point the closed-form spectra of all three cuts
+    must match the exact 2x2 eigenvalues of the marginals contracted from the
+    amplitudes to SPECTRUM_TOL, or StructureMismatchError is raised.
     """
     check_scan_inputs(step, exclusion_radius)
     violations: list[tuple[WClassParams, float]] = []
     tested = 0
+    best_entropy, best_point = -np.inf, None
     for a, b, c in _grid_chunks(step):
         d = np.maximum(0.0, 1.0 - (a + b + c))
         spectra = wclass_cut_spectra(a, b, c)
         _crosscheck_spectra(a, b, c, d, spectra)
-        entropy = wclass_min_cut_entropies(spectra)
-        hits = (_distance_from_w_point(a, b, c, d) > exclusion_radius) & (
-            entropy >= W_CUT_ENTROPY_BITS - 1e-12
+        entropy = np.where(
+            _distance_from_w_point(a, b, c, d) > exclusion_radius,
+            wclass_min_cut_entropies(spectra),
+            -np.inf,
         )
-        for i in np.flatnonzero(hits):
+        for i in np.flatnonzero(entropy >= W_CUT_ENTROPY_BITS - 1e-12):
             params = WClassParams(float(a[i]), float(b[i]), float(c[i]))
             violations.append((params, wclass_min_cut_entropy(params)[1]))
+        top = int(np.argmax(entropy))  # first maximum, so ties keep grid order
+        if entropy[top] > best_entropy:
+            best_entropy = entropy[top]
+            best_point = WClassParams(float(a[top]), float(b[top]), float(c[top]))
         tested += a.size
-    return ScanReport(step, exclusion_radius, tested, tuple(violations))
+    assert best_point is not None  # check_scan_inputs leaves a point outside the ball
+    return ScanReport(
+        step, exclusion_radius, tested,
+        grid_max_entropy_bits=wclass_min_cut_entropy(best_point)[1],
+        grid_max_point=best_point,
+        violations=tuple(violations),
+    )
+
+
+def _marginal_entries(
+    psi: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<0|rho|0>, <1|rho|1> and <0|rho|1> of qubit k's marginal for each real state.
+
+    psi holds real amplitudes with shape (states, 2, 2, 2), axis k for qubit
+    k; the two traced qubits are contracted as rows of four amplitudes.
+    """
+    zero = np.take(psi, 0, axis=k).reshape(-1, 4)
+    one = np.take(psi, 1, axis=k).reshape(-1, 4)
+    return (
+        np.einsum("ij,ij->i", zero, zero),
+        np.einsum("ij,ij->i", one, one),
+        np.einsum("ij,ij->i", zero, one),
+    )
+
+
+def _symmetric_2x2_eigenvalues(
+    p: np.ndarray, q: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ascending eigenvalues of the real symmetric matrices [[p, r], [r, q]]."""
+    root = np.sqrt((p - q) ** 2 + 4.0 * r * r)
+    return (p + q - root) / 2.0, (p + q + root) / 2.0
 
 
 def _crosscheck_spectra(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spectra: np.ndarray
 ) -> None:
-    """Compare the closed-form spectra with the partial-trace spectra of every state."""
+    """Compare the closed-form spectra with the marginal spectra of every state.
+
+    The three one-qubit marginals come from the amplitudes by contraction,
+    their eigenvalues from the exact 2x2 formula. A gap above SPECTRUM_TOL,
+    or a NaN on either side, fails the first such point and cut in grid order.
+    """
     psi = np.zeros((a.size, 2, 2, 2))
     psi[:, 0, 0, 0] = np.sqrt(d)
     psi[:, 0, 0, 1] = np.sqrt(a)
     psi[:, 0, 1, 0] = np.sqrt(b)
     psi[:, 1, 0, 0] = np.sqrt(c)
-    marginals = np.empty((a.size, 3, 2, 2))
+    bad = np.empty((a.size, 3), dtype=bool)
     for k in (1, 2, 3):
-        # qubit k against the two traced ones: M M^T = Tr_others |psi><psi|
-        kept = np.moveaxis(psi, k, 1).reshape(-1, 2, 4)
-        np.matmul(kept, kept.swapaxes(1, 2), out=marginals[:, k - 1])
-    gap = np.linalg.eigvalsh(marginals)  # ascending, like spectra
-    gap -= spectra
-    bad = np.argwhere((np.abs(gap) > SPECTRUM_TOL).any(axis=-1))
-    if bad.size:
-        i, cut = bad[0]
+        low, high = _symmetric_2x2_eigenvalues(*_marginal_entries(psi, k))
+        bad[:, k - 1] = ~(
+            (np.abs(low - spectra[:, k - 1, 0]) <= SPECTRUM_TOL)
+            & (np.abs(high - spectra[:, k - 1, 1]) <= SPECTRUM_TOL)
+        )
+    if bad.any():
+        i, cut = np.argwhere(bad)[0]
         raise StructureMismatchError(
             f"closed-form spectrum disagrees with partial trace at "
             f"{float(a[i])!r},{float(b[i])!r},{float(c[i])!r}, cut {cut + 1}"

@@ -344,32 +344,55 @@ def _state_file(data):
 _STATE_ARGV = ["measure", "entropy", "--cut", "1", "--state"]
 
 
+_FAILURES = [
+    (["ghz", "clone", "--states", "0,0,0"], 2, "need 2 or 3 distinct GHZ labels, got 1"),
+    (["ghz", "clone", "--states", "0,0,0", "0,0,1", "0,1,0", "1,0,0"], 2,
+     "need 2 or 3 distinct GHZ labels, got 4"),
+    (["ghz", "clone", "--states", "0,0,0", "0,1,1", "--blank", "2,0,0"], 2,
+     "GHZ label must be three bits 'p,i,j', got '2,0,0'"),
+    (["ghz", "triples", "--states", "0,0,0", "0,0,0", "0,1,1"], 2,
+     "triple member 0,0,0 is repeated"),
+    (["w", "classify", "--pair", "1,2,3"], 2, "pair must be 'm,n', got '1,2,3'"),
+    (["w", "audit", "--pair", "a,b"], 2, "pair members must be integers 1..8, got 'a,b'"),
+    (["w", "audit", "--blank", "W9"], 2, "W basis label must be W1..W8, got 'W9'"),
+    (["w", "blank-check", "--params", "0.5,0.5,0.5"], 2, "parameters must satisfy a+b+c <= 1"),
+    (["measure", "entropy", "--state", "W1", "--cut", "0"], 2,
+     "cut qubit 0 out of range 1..3"),
+    (["measure", "negativity", "--state", "W1", "--cut", "1,2,3"], 2,
+     "cut '1,2,3' must leave at least one qubit on each side"),
+    (["measure", "entropy", "--state", "W1", "--cut", "x"], 2,
+     "cut must be comma-separated qubit numbers, got 'x'"),
+    ([*_STATE_ARGV, lambda tmp: f"@{tmp}"], 2, "Is a directory"),
+    ([*_STATE_ARGV, _state_file(b"\xff\xfe[")], 2, "can't decode byte 0xff"),
+    ([*_STATE_ARGV, _state_file(b"")], 2, "Expecting value"),
+    (["w", "classify", "--all", "--out", lambda tmp: f"{tmp}/absent/out.txt"], 2,
+     "No such file or directory"),
+    (["ghz", "clone", "--states", "0,0,0", "0,0,1", "1,0,0"], 1,
+     "no local circuit clones {(0,0,0), (0,0,1), (1,0,0)}"),  # a real no-go
+]
+
+
 @pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["ghz", "clone", "--states", "0,0,0"], 2),
-        (["ghz", "clone", "--states", "0,0,0", "0,0,1", "0,1,0", "1,0,0"], 2),
-        (["ghz", "clone", "--states", "0,0,0", "0,1,1", "--blank", "2,0,0"], 2),
-        (["ghz", "triples", "--states", "0,0,0", "0,0,0", "0,1,1"], 2),
-        (["w", "classify", "--pair", "1,2,3"], 2),
-        (["w", "audit", "--pair", "a,b"], 2),
-        (["w", "audit", "--blank", "W9"], 2),
-        (["w", "blank-check", "--params", "0.5,0.5,0.5"], 2),
-        (["measure", "entropy", "--state", "W1", "--cut", "0"], 2),
-        (["measure", "negativity", "--state", "W1", "--cut", "1,2,3"], 2),
-        (["measure", "entropy", "--state", "W1", "--cut", "x"], 2),
-        ([*_STATE_ARGV, lambda tmp: f"@{tmp}"], 2),  # a directory
-        ([*_STATE_ARGV, _state_file(b"\xff\xfe[")], 2),  # not UTF-8
-        ([*_STATE_ARGV, _state_file(b"")], 2),
-        (["w", "classify", "--all", "--out", lambda tmp: f"{tmp}/absent/out.txt"], 2),
-        (["ghz", "clone", "--states", "0,0,0", "0,0,1", "1,0,0"], 1),  # a real no-go
-    ],
+    "argv, code, message", _FAILURES,
+    ids=[f"argv{i}-{code}" for i, (_, code, _) in enumerate(_FAILURES)],
 )
-def test_failure_exits_with_one_error_line(capsys, tmp_path, argv, code):
+def test_failure_exits_with_one_error_line(capsys, tmp_path, argv, code, message):
     argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("states", [
+    ["0,0,0", "0,0,0", "0,1,1"],
+    ["0,1,1", "0,0,0", "0,0,0"],
+    ["0,0,0", "0,1,1", "0,0,0"],
+])
+def test_triples_name_a_repeated_member(capsys, states):
+    code, out, err = run(capsys, "ghz", "triples", "--states", *states)
+    assert (code, out) == (2, "")
+    assert err == "error: triple member 0,0,0 is repeated; give three distinct states\n"
 
 
 def _csv_block(text, name):

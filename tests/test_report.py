@@ -164,3 +164,20 @@ def test_circuit_lines_match_gate_order():
     assert lines[0] == "CNOT orig->clone"
     assert "GATE S clone:1" in lines
     assert "GATE Sdg clone:3" in lines
+
+
+def test_scan_section_carries_the_grid_margin():
+    bundle = build_report(RunConfig())
+    scan = json.loads(emit_report(bundle, "json"))["scan"]
+    assert list(scan) == [
+        "step", "exclusion_radius", "points_tested", "violation_count",
+        "grid_max_entropy_bits", "violations",
+    ]
+    assert scan["grid_max_entropy_bits"] == bundle.scan.grid_max_entropy_bits
+    assert scan["grid_max_entropy_bits"] == pytest.approx(0.9043814577, abs=1e-10)
+    csv_lines = emit_report(bundle, "csv").split("[scan]\n", 1)[1].splitlines()
+    assert csv_lines[0].endswith(",violation_count,grid_max_entropy_bits")
+    assert csv_lines[1].endswith(f",0,{bundle.scan.grid_max_entropy_bits!r}")
+    table = emit_report(bundle, "table").split("== scan ==\n", 1)[1].splitlines()
+    assert table[0].endswith("violation_count  grid_max_entropy_bits")
+    assert table[1].endswith("0                0.904381")

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locclone import w_audit
 from locclone.measures import W_CUT_ENTROPY_BITS, wclass_min_cut_entropy
-from locclone.states import WClassParams
+from locclone.registers import density, partial_trace
+from locclone.states import WClassParams, w_class
 from locclone.w_audit import (
     StructureMismatchError,
     WStatePointError,
@@ -309,3 +312,101 @@ def test_lemma_scan_validation():
     # at step 1/3 the only grid point is the equal-weight point itself
     with pytest.raises(ValueError, match="outside the ball"):
         lemma_scan(1.0 / 3.0, 0.0)
+
+
+_weights = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _wclass_points(draw):
+    """W-class parameters: generic, on the d = 0 face, or with one x within 1e-6 of 1/2."""
+    weights = draw(st.tuples(_weights, _weights, _weights, _weights))
+    kind = draw(st.sampled_from(["generic", "face", "near-half"]))
+    if kind == "generic":
+        return WClassParams(*(w / sum(weights) for w in weights[:3]))
+    if kind == "face":
+        return WClassParams(*(w / sum(weights[:3]) for w in weights[:3]))
+    # d = 0 and one parameter at 1/2 + eps, where the 2x2 root goes to 0
+    half = 0.5 + draw(st.floats(min_value=-1e-6, max_value=1e-6))
+    share = weights[0] / (weights[0] + weights[1])
+    values = [half, (1.0 - half) * share, (1.0 - half) * (1.0 - share)]
+    shift = draw(st.integers(0, 2))
+    return WClassParams(*(values[shift:] + values[:shift]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_wclass_points(), min_size=1, max_size=8))
+def test_closed_form_2x2_eigenvalues_match_lapack(points):
+    psi = np.stack([w_class(p).amplitudes.real.reshape(2, 2, 2) for p in points])
+    for k in (1, 2, 3):
+        p, q, r = w_audit._marginal_entries(psi, k)
+        marginals = np.moveaxis(np.array([[p, r], [r, q]]), -1, 0)
+        for params, marginal in zip(points, marginals):
+            traced = {0, 1, 2} - {k - 1}
+            direct = partial_trace(density(w_class(params)), traced).entries
+            assert np.abs(marginal - direct).max() <= 1e-15
+        closed = np.stack(w_audit._symmetric_2x2_eigenvalues(p, q, r), axis=-1)
+        assert np.abs(closed - np.linalg.eigvalsh(marginals)).max() <= 1e-12
+
+
+def test_lemma_scan_catches_a_contraction_over_the_wrong_qubit(monkeypatch):
+    real = w_audit._marginal_entries
+    monkeypatch.setattr(w_audit, "_marginal_entries", lambda psi, k: real(psi, k % 3 + 1))
+    with pytest.raises(StructureMismatchError):
+        lemma_scan(0.2, 0.05)
+
+
+def test_lemma_scan_catches_a_nan_closed_form(monkeypatch):
+    real = w_audit.wclass_cut_spectra
+
+    def nan_at_first_point(a, b, c):
+        spectra = real(a, b, c)
+        spectra[0, 1, 0] = np.nan
+        return spectra
+
+    monkeypatch.setattr(w_audit, "wclass_cut_spectra", nan_at_first_point)
+    with pytest.raises(StructureMismatchError, match="cut 2"):
+        lemma_scan(0.2, 0.05)
+
+
+def test_lemma_scan_runs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran inside the scan")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    report = lemma_scan(0.05, 0.05)
+    assert report.points_tested == math.comb(20, 3)
+    assert report.violations == ()
+
+
+def _binary_entropy(p):
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.01])
+def test_lemma_scan_reports_its_grid_margin(step):
+    radius = 0.05
+    report = lemma_scan(step, radius)
+    assert report.grid_max_point == WClassParams(0.32, 0.32, 0.36)
+    assert report.grid_max_entropy_bits == pytest.approx(0.9043814577, abs=1e-10)
+    # the supremum outside the ball sits at d = 0, two parameters r/4 below 1/3
+    supremum = _binary_entropy(1.0 / 3.0 - radius / 4.0)
+    assert supremum == pytest.approx(0.9052854, abs=1e-7)
+    assert report.grid_max_entropy_bits < supremum < W_CUT_ENTROPY_BITS
+
+
+def test_lemma_scan_grid_margin_skips_the_ball():
+    step, radius = 0.05, 0.2
+    third = 1.0 / 3.0
+    entropies = {
+        p: wclass_min_cut_entropy(p)[1] for p in _scalar_grid(step)
+        if abs(p.a - third) + abs(p.b - third) + abs(p.c - third) + p.d > radius
+    }
+    report = lemma_scan(step, radius)
+    assert report.grid_max_entropy_bits == pytest.approx(max(entropies.values()), abs=1e-12)
+    assert entropies[report.grid_max_point] == report.grid_max_entropy_bits
+    # the grid's overall maximum lies inside this ball
+    assert max(wclass_min_cut_entropy(p)[1] for p in _scalar_grid(step)) > max(
+        entropies.values()
+    )
