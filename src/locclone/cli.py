@@ -61,6 +61,7 @@ from .report import (
     triple_row,
 )
 from .states import (
+    GhzLabel,
     parse_ghz_label,
     parse_state_label,
     parse_w_index,
@@ -123,8 +124,16 @@ def _load_state(label: str) -> StateVector:
     return parse_state_label(label)
 
 
+def _distinct_ghz_labels(texts: Sequence[str], role: str, advice: str) -> list[GhzLabel]:
+    labels = [parse_ghz_label(text) for text in texts]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"{role} member {label} is repeated; give {advice}")
+    return labels
+
+
 def _cmd_ghz_clone(args: argparse.Namespace) -> int:
-    members = sorted({parse_ghz_label(text) for text in args.states})
+    members = sorted(_distinct_ghz_labels(args.states, "clone", "distinct states"))
     blank = parse_ghz_label(args.blank)
     circuit = synthesize_cloner(members, blank)
     lines = circuit_lines(circuit)
@@ -148,10 +157,7 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> int:
     if args.all:
         items = [(triple, triple_clonability(triple)) for triple in all_triples()]
     else:
-        labels = [parse_ghz_label(text) for text in args.states]
-        for i, label in enumerate(labels):
-            if label in labels[:i]:
-                raise ValueError(f"triple member {label} is repeated; give three distinct states")
+        labels = _distinct_ghz_labels(args.states, "triple", "three distinct states")
         members = tuple(sorted(labels))
         items = [(members, triple_clonability(members))]
     rows = [triple_row(members, verdict) for members, verdict in items]

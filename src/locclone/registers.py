@@ -328,4 +328,6 @@ def load_state(path: str) -> StateVector:
             obj = json.load(fh)
         except RecursionError:  # nesting too deep for the parser
             raise ValueError("a state file must hold a list of [re, im] number pairs") from None
+        except ValueError as exc:  # a JSON syntax or UTF-8 decoding error
+            raise ValueError(f"state file {path} is not UTF-8 JSON: {exc}") from None
     return state_from_json(obj)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -130,26 +130,11 @@ def triple_row(members: Sequence[GhzLabel], verdict: TripleVerdict) -> dict:
 
 
 def classification_row(item: PairClassification) -> dict:
-    return {
-        "m": item.m,
-        "n": item.n,
-        "category": item.category,
-        "witness_k": item.witness_k,
-        "span_dim": item.span_dim,
-    }
+    return asdict(item)
 
 
 def audit_row(record: AuditRecord) -> dict:
-    return {
-        "m": record.m,
-        "n": record.n,
-        "category": record.category,
-        "witness_k": record.witness_k,
-        "form": record.form,
-        "negativity_in": float(record.negativity_in),
-        "negativity_out": float(record.negativity_out),
-        "blank": record.blank,
-    }
+    return asdict(record)
 
 
 def scan_sections(scan: ScanReport | None) -> list[tuple[str, list[dict]]]:

@@ -3,10 +3,11 @@
 Pairs (W_m, W_n) are sorted by the span of the supports of their two-qubit
 reductions Tr_k: category A has some k with span 2, category B none with 2
 but some with 3, category C span 4 for every k plus a k where the reductions
-do not commute. The audit then builds the six-qubit cloner input and output
-mixtures, cuts them between lab A (qubits i, j of both registers) and lab B
-(qubit k of both), and compares negativities: an output above the input
-certifies that no LOCC step can have produced it.
+do not commute. The audit cuts the cloner input and output mixtures between
+lab A (qubits i, j of both registers) and lab B (qubit k of both) and compares
+negativities: an output above the input certifies that no LOCC step can have
+produced it. The cut splits each register at qubit k, so the input negativity
+factors into two 8x8 ones; the output is a real 64x64 matrix.
 
 The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
@@ -41,7 +42,6 @@ from .registers import (
     commutator_norm,
     density,
     mix,
-    partial_trace,
     support_span_dim,
     tensor,
 )
@@ -151,11 +151,19 @@ def _validate_indices(m: int, n: int) -> None:
         raise ValueError("pair members must differ")
 
 
+def _cut_matrix(m: int, k: int) -> np.ndarray:
+    """Amplitudes of W_m as a 4x2 matrix over (qubits {i,j}, qubit k)."""
+    amps = w_basis(m).amplitudes.reshape([2, 2, 2])
+    a_axes = [q for q in range(3) if q != k - 1]
+    return amps.transpose(a_axes + [k - 1]).reshape(4, 2)
+
+
 def reduced_pair_state(m: int, k: int) -> DensityMatrix:
-    """Two-qubit reduction Tr_k of W_m (k is the 1-based traced qubit)."""
+    """Two-qubit reduction Tr_k of W_m (1-based traced qubit k), M M^dagger of _cut_matrix."""
     if k not in (1, 2, 3):
         raise ValueError(f"qubit index k={k!r} must be 1..3")
-    return partial_trace(density(w_basis(m)), {k - 1})
+    mat = _cut_matrix(m, k)
+    return DensityMatrix(2, mat @ mat.conj().T)
 
 
 def classify_pair(m: int, n: int) -> PairClassification:
@@ -166,32 +174,21 @@ def classify_pair(m: int, n: int) -> PairClassification:
     is the smallest k whose reductions do not commute.
     """
     _validate_indices(m, n)
-    dims = {
-        k: support_span_dim(reduced_pair_state(m, k), reduced_pair_state(n, k))
-        for k in (1, 2, 3)
-    }
+    reductions = {k: (reduced_pair_state(m, k), reduced_pair_state(n, k)) for k in (1, 2, 3)}
+    dims = {k: support_span_dim(*pair) for k, pair in reductions.items()}
     span = min(dims.values())
     if span <= 3:
         category = CATEGORY_A if span == 2 else CATEGORY_B
         witness = max(k for k, dim in dims.items() if dim == span)
         return PairClassification(m, n, category, witness, span)
     noncommuting = [
-        k
-        for k in (1, 2, 3)
-        if commutator_norm(reduced_pair_state(m, k), reduced_pair_state(n, k)) > COMMUTATOR_TOL
+        k for k, pair in reductions.items() if commutator_norm(*pair) > COMMUTATOR_TOL
     ]
     if not noncommuting:
         raise StructureMismatchError(
             f"pair ({m},{n}) spans 4 at every cut but all reductions commute"
         )
     return PairClassification(m, n, CATEGORY_C, min(noncommuting), 4)
-
-
-def _cut_matrix(m: int, k: int) -> np.ndarray:
-    """Amplitudes of W_m as a 4x2 matrix over (qubits {i,j}, qubit k)."""
-    amps = w_basis(m).amplitudes.reshape([2, 2, 2])
-    a_axes = [q for q in range(3) if q != k - 1]
-    return amps.transpose(a_axes + [k - 1]).reshape(4, 2)
 
 
 def btype_form(m: int, n: int, k: int) -> BTypeForm:
@@ -333,38 +330,43 @@ def cloner_io(
     registers; lab A holds the other four qubits.
     """
     _validate_indices(m, n)
-    if blank not in range(1, 9):
-        raise ValueError(f"blank index {blank!r} must be 1..8")
     if k not in (1, 2, 3):
         raise ValueError(f"qubit index k={k!r} must be 1..3")
-    state_m, state_n, state_blank = w_basis(m), w_basis(n), w_basis(blank)
-    rho_in = mix(
-        [0.5, 0.5],
-        [density(tensor(state_m, state_blank)), density(tensor(state_n, state_blank))],
-    )
-    rho_out = mix(
-        [0.5, 0.5],
-        [density(tensor(state_m, state_m)), density(tensor(state_n, state_n))],
-    )
-    cut = Bipartition(6, frozenset({k - 1, k + 2}))
-    return rho_in, rho_out, cut
+    pair, state_blank = (w_basis(m), w_basis(n)), w_basis(blank)
+    rho_in = mix([0.5, 0.5], [density(tensor(state, state_blank)) for state in pair])
+    rho_out = mix([0.5, 0.5], [density(tensor(state, state)) for state in pair])
+    return rho_in, rho_out, Bipartition(6, frozenset({k - 1, k + 2}))
+
+
+def input_negativity(pair: DensityMatrix, blank: DensityMatrix, k: int) -> float:
+    """Negativity of pair (x) blank across the six-qubit lab cut {k-1, k+2}.
+
+    The cut splits both registers at qubit k, so (pair (x) blank)^T_B is
+    pair^T_k (x) blank^T_k and trace norms multiply: 1 + N = (1 + N_pair)(1 + N_blank).
+    """
+    cut = Bipartition(3, frozenset({k - 1}))
+    return (1.0 + negativity(pair, cut)) * (1.0 + negativity(blank, cut)) - 1.0
 
 
 def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
-    """Negativities of the cloner mixtures across the witness lab cut.
+    """Negativities of the cloner_io mixtures across the witness lab cut.
 
-    Runs for any distinct pair; A-type records carry no form and are reported
-    without a reference comparison.
+    The input is input_negativity of the 8x8 pair mixture and blank, the output
+    the real 64x64 mixture of W_m (x) W_m and W_n (x) W_n. Runs for any distinct
+    pair; A-type records carry no form and get no reference comparison.
     """
     cls = classify_pair(m, n)
     k = cls.witness_k
     assert k is not None
     form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None
-    rho_in, rho_out, cut = cloner_io(m, n, k, blank)
-    return AuditRecord(
-        m, n, cls.category, k, form,
-        negativity(rho_in, cut), negativity(rho_out, cut), blank,
-    )
+    states = (w_basis(m), w_basis(n))
+    pair = mix([0.5, 0.5], [density(state) for state in states])
+    negativity_in = input_negativity(pair, density(w_basis(blank)), k)
+    # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
+    clones = np.stack([np.kron(s.amplitudes.real, s.amplitudes.real) for s in states])
+    rho_out = DensityMatrix(6, clones.T @ clones / 2.0)
+    negativity_out = negativity(rho_out, Bipartition(6, frozenset({k - 1, k + 2})))
+    return AuditRecord(m, n, cls.category, k, form, negativity_in, negativity_out, blank)
 
 
 def blank_insufficiency(params: WClassParams) -> InsufficiencyCertificate:

@@ -369,6 +369,8 @@ _FAILURES = [
      "No such file or directory"),
     (["ghz", "clone", "--states", "0,0,0", "0,0,1", "1,0,0"], 1,
      "no local circuit clones {(0,0,0), (0,0,1), (1,0,0)}"),  # a real no-go
+    (["ghz", "clone", "--states", "0,0,0", "0,0,0", "0,1,1"], 2,
+     "clone member 0,0,0 is repeated; give distinct states"),
 ]
 
 
@@ -393,6 +395,31 @@ def test_triples_name_a_repeated_member(capsys, states):
     code, out, err = run(capsys, "ghz", "triples", "--states", *states)
     assert (code, out) == (2, "")
     assert err == "error: triple member 0,0,0 is repeated; give three distinct states\n"
+
+
+@pytest.mark.parametrize("states", [
+    ["0,0,0", "0,0,0", "0,1,1"],
+    ["0,1,1", "0,0,0", "0,0,0"],
+    ["0,0,0", "0,0,0"],
+])
+def test_clone_names_a_repeated_member(capsys, states):
+    code, out, err = run(capsys, "ghz", "clone", "--states", *states)
+    assert (code, out) == (2, "")
+    assert err == "error: clone member 0,0,0 is repeated; give distinct states\n"
+
+
+@pytest.mark.parametrize("data, detail", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff\xfe[", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[[1,0],", "Expecting value"),
+])
+def test_state_file_errors_name_the_file(capsys, tmp_path, data, detail):
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *_STATE_ARGV, f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: state file {path} is not UTF-8 JSON: {detail}")
+    assert err.count("\n") == 1
 
 
 def _csv_block(text, name):

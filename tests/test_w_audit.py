@@ -6,13 +6,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locclone import w_audit
-from locclone.measures import W_CUT_ENTROPY_BITS, wclass_min_cut_entropy
-from locclone.registers import density, partial_trace
-from locclone.states import WClassParams, w_class
+from locclone.measures import W_CUT_ENTROPY_BITS, negativity, wclass_min_cut_entropy
+from locclone.registers import (
+    Bipartition,
+    DensityMatrix,
+    density,
+    mix,
+    partial_trace,
+    partial_transpose,
+    trace_norm,
+)
+from locclone.states import WClassParams, w_basis, w_class
 from locclone.w_audit import (
     StructureMismatchError,
     WStatePointError,
@@ -24,6 +33,7 @@ from locclone.w_audit import (
     classify_pair,
     cloner_io,
     ctype_structure,
+    input_negativity,
     lemma_scan,
     negativity_audit,
     reduced_pair_state,
@@ -198,6 +208,98 @@ def test_all_audit_records_count():
     records = all_audit_records()
     assert len(records) == 28
     assert all(r.blank == 1 for r in records)
+
+
+def test_w_basis_amplitudes_are_real():
+    # negativity_audit builds the output mixture from the real parts alone
+    for index in range(1, 9):
+        assert not np.any(w_basis(index).amplitudes.imag), index
+
+
+def test_negativity_audit_matches_the_64x64_mixtures():
+    pairs = list(itertools.combinations(range(1, 9), 2))
+    for (m, n), blank in itertools.product(pairs, range(1, 9)):
+        record = negativity_audit(m, n, blank)
+        rho_in, rho_out, cut = cloner_io(m, n, record.witness_k, blank)
+        assert abs(record.negativity_in - negativity(rho_in, cut)) <= 1e-12, (m, n, blank)
+        assert abs(record.negativity_out - negativity(rho_out, cut)) <= 1e-12, (m, n, blank)
+
+
+def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
+    seen = []
+
+    def recording(dm, cut):
+        seen.append((dm.entries.shape, dm.entries.dtype, cut.n_qubits))
+        return negativity(dm, cut)
+
+    def refuse(*args):
+        raise AssertionError("a six-qubit register was built")
+
+    monkeypatch.setattr(w_audit, "negativity", recording)
+    monkeypatch.setattr(w_audit, "tensor", refuse)
+    negativity_audit(1, 3, blank=4)
+    assert seen[:2] == [((8, 8), np.dtype(complex), 3)] * 2
+    assert seen[2:] == [((64, 64), np.dtype(np.float64), 6)]
+
+
+def test_classify_pair_builds_six_reductions(monkeypatch):
+    calls = []
+    real = w_audit.reduced_pair_state
+
+    def counting(m, k):
+        calls.append((m, k))
+        return real(m, k)
+
+    monkeypatch.setattr(w_audit, "reduced_pair_state", counting)
+    assert classify_pair(1, 3).category == "C"
+    assert sorted(calls) == [(m, k) for m in (1, 3) for k in (1, 2, 3)]
+
+
+def test_reduced_pair_state_is_the_partial_trace():
+    for m, k in itertools.product(range(1, 9), (1, 2, 3)):
+        direct = partial_trace(density(w_basis(m)), {k - 1}).entries
+        assert np.abs(reduced_pair_state(m, k).entries - direct).max() <= 1e-15, (m, k)
+
+
+@pytest.mark.parametrize("m, n, blank", [
+    (1, 6, 0), (1, 6, 9), (1, 6, -1), (0, 3, 1), (1, 9, 1), (4, 4, 1), (4, 4, 0),
+])
+def test_negativity_audit_rejects_bad_input(m, n, blank):
+    with pytest.raises(ValueError):
+        negativity_audit(m, n, blank)
+
+
+@st.composite
+def _mixed_states(draw):
+    """A random three-qubit density matrix of random rank, complex entries."""
+    rank = draw(st.integers(1, 8))
+    parts = draw(arrays(np.float64, (2, 8, rank), elements=st.floats(-1.0, 1.0)))
+    factor = parts[0] + 1j * parts[1]
+    rho = factor @ factor.conj().T
+    trace = float(np.trace(rho).real)
+    assume(trace > 1e-3)
+    return DensityMatrix(3, (rho + rho.conj().T) / (2.0 * trace))
+
+
+@st.composite
+def _pair_states(draw):
+    m, n = draw(st.sampled_from(list(itertools.combinations(range(1, 9), 2))))
+    return mix([0.5, 0.5], [density(w_basis(m)), density(w_basis(n))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_pair_states(), _mixed_states()), _mixed_states(), st.sampled_from([1, 2, 3]))
+def test_input_trace_norm_factors_at_the_lab_cut(pair, blank, k):
+    joint = DensityMatrix(6, np.kron(pair.entries, blank.entries))
+    lab_cut = Bipartition(6, frozenset({k - 1, k + 2}))
+    joint_norm = trace_norm(partial_transpose(joint, lab_cut))
+    cut = Bipartition(3, frozenset({k - 1}))
+    pair_norm = trace_norm(partial_transpose(pair, cut))
+    blank_norm = trace_norm(partial_transpose(blank, cut))
+    assert joint_norm == pytest.approx(pair_norm * blank_norm, abs=1e-10)
+    assert 1.0 + input_negativity(pair, blank, k) == pytest.approx(joint_norm, abs=1e-10)
+    # one qubit on the blank's B side bounds its factor by 2, whatever the blank
+    assert joint_norm <= 2.0 * pair_norm + 1e-10
 
 
 def test_blank_insufficiency_certificate():
