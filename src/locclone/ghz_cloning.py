@@ -31,11 +31,9 @@ from .registers import (
     StateVector,
     TransversalCnot,
     apply_circuit,
-    density,
+    cut_matrix,
     fidelity_pure,
-    partial_trace,
     psd_rank,
-    schmidt_coefficients,
     tensor,
 )
 from .states import GHZ_LABELS, GhzLabel, ghz
@@ -183,20 +181,22 @@ def synthesize_cloner(
 
 
 def _bell_like_across(states: Sequence[StateVector], cut: Bipartition) -> bool:
-    """Three orthogonal maximally entangled states confined to a 2x2 subspace?"""
+    """Three orthogonal maximally entangled states confined to a 2x2 subspace?
+
+    All of it comes from the stacked cut matrices M (side A on rows, B on columns):
+    the joint supports are the ranks of sum M M^dagger and sum M^T conj(M), and
+    the Schmidt coefficients come from one batched SVD.
+    """
     for u, v in itertools.combinations(states, 2):
         if abs(np.vdot(u.amplitudes, v.amplitudes)) > _ORTHO_TOL:
             return False
-    side_a = set(cut.side_a)
-    joint_a = sum(partial_trace(density(s), cut.side_b).entries for s in states)
-    joint_b = sum(partial_trace(density(s), side_a).entries for s in states)
+    mats = np.stack([cut_matrix(s, cut) for s in states])
+    joint_a = np.einsum("sij,skj->ik", mats, mats.conj())
+    joint_b = np.einsum("sji,sjk->ik", mats, mats.conj())
     if psd_rank(joint_a) != 2 or psd_rank(joint_b) != 2:
         return False
-    for s in states:
-        coeffs = schmidt_coefficients(s, cut)
-        if abs(coeffs[0] - 0.5) > _ORTHO_TOL or abs(coeffs[1] - 0.5) > _ORTHO_TOL:
-            return False
-    return True
+    coeffs = np.linalg.svd(mats, compute_uv=False) ** 2
+    return bool(np.all(np.abs(coeffs - 0.5) <= _ORTHO_TOL))
 
 
 def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:

@@ -8,6 +8,7 @@ Conventions used throughout the package:
   in front of v's.
 * Bipartitions name the B side; qubit indices are 0-based here (user-facing
   labels are 1-based and translated at the CLI boundary).
+* Circuits build no 2^n x 2^n operator: a gate is one matmul, a CNOT layer one gather.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ def make_pure(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
 
 def tensor(u: StateVector, v: StateVector) -> StateVector:
     """Tensor product with u's qubits more significant than v's."""
-    return StateVector(u.n_qubits + v.n_qubits, np.kron(u.amplitudes, v.amplitudes))
+    return StateVector(u.n_qubits + v.n_qubits, np.outer(u.amplitudes, v.amplitudes).ravel())
 
 
 def density(state: StateVector) -> DensityMatrix:
@@ -160,23 +161,15 @@ def mix(weights: Sequence[float], parts: Sequence[DensityMatrix]) -> DensityMatr
 
 
 def _apply_single(amps: np.ndarray, matrix: np.ndarray, target: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.tensordot(np.asarray(matrix, dtype=complex), t, axes=([1], [target]))
-    return np.moveaxis(t, 0, target).reshape(-1)
-
-
-def _apply_cnot(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sel: list[slice | int] = [slice(None)] * n
-    sel[control] = 1
-    # dropping the control axis shifts later axes left by one
-    flip_axis = target if target < control else target - 1
-    t[tuple(sel)] = np.flip(t[tuple(sel)], axis=flip_axis)
-    return t.reshape(-1)
+    t = amps.reshape(1 << target, 2, 1 << (n - target - 1))
+    return np.matmul(np.asarray(matrix, dtype=complex), t).reshape(-1)
 
 
 def apply_circuit(state: StateVector, layers: Sequence[LocalGate]) -> StateVector:
-    """Apply gates in listed order; transversal layers need an even register."""
+    """Apply gates in listed order; transversal layers need an even register.
+
+    A gate on qubit t is one matmul on the (2^t, 2, 2^(n-t-1)) view of the amplitudes.
+    """
     amps = state.amplitudes
     n = state.n_qubits
     for gate in layers:
@@ -187,12 +180,11 @@ def apply_circuit(state: StateVector, layers: Sequence[LocalGate]) -> StateVecto
         elif isinstance(gate, TransversalCnot):
             if n % 2:
                 raise ValueError("transversal CNOT needs equal original and clone halves")
-            half = n // 2
-            for q in range(half):
-                if gate.direction == "forward":
-                    amps = _apply_cnot(amps, q, q + half, n)
-                else:
-                    amps = _apply_cnot(amps, q + half, q, n)
+            # disjoint CNOTs commute: the layer is |a,b> -> |a,a^b> (forward) or |a^b,b>,
+            # an involution, so each amplitude is gathered from the image of its own index
+            a, b = np.divmod(np.arange(1 << n), 1 << (n // 2))
+            a, b = (a, a ^ b) if gate.direction == "forward" else (a ^ b, b)
+            amps = amps[(a << (n // 2)) | b]
         else:
             raise TypeError(f"unsupported gate {gate!r}")
     return StateVector(n, amps)
@@ -235,24 +227,27 @@ def hermitian_spectrum(op: HermitianOperator | DensityMatrix) -> np.ndarray:
     entries = op.entries
     if float(np.max(np.abs(entries - entries.conj().T))) > HERMITICITY_ATOL:
         raise ValueError("operator is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(entries)
-    return vals[::-1]
+    # LAPACK can miss by 2e-3 when entries' squares underflow (a 1e-161 amplitude in a
+    # 4-qubit mixture); zeroing entries below 1.5e-154 moves eigenvalues < 1e-150
+    return np.linalg.eigvalsh(np.where(np.abs(entries) < 1.5e-154, 0.0, entries))[::-1]
 
 
 def trace_norm(op: HermitianOperator | DensityMatrix) -> float:
     return float(np.abs(hermitian_spectrum(op)).sum())
 
 
-def schmidt_coefficients(state: StateVector, cut: Bipartition) -> np.ndarray:
-    """Squared Schmidt coefficients across the cut, descending, summing to 1."""
+def cut_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
+    """Amplitudes as a matrix with side-A qubits on rows and side-B qubits on columns."""
     if cut.n_qubits != state.n_qubits:
         raise ValueError("cut register size does not match the state")
-    a_axes = list(cut.side_a)
-    b_axes = sorted(cut.side_b)
-    m = state.amplitudes.reshape([2] * state.n_qubits)
-    m = m.transpose(a_axes + b_axes).reshape(1 << len(a_axes), 1 << len(b_axes))
-    sv = np.linalg.svd(m, compute_uv=False)
-    return sv**2
+    a_axes, b_axes = list(cut.side_a), sorted(cut.side_b)
+    m = state.amplitudes.reshape([2] * state.n_qubits).transpose(a_axes + b_axes)
+    return m.reshape(1 << len(a_axes), 1 << len(b_axes))
+
+
+def schmidt_coefficients(state: StateVector, cut: Bipartition) -> np.ndarray:
+    """Squared Schmidt coefficients across the cut, descending, summing to 1."""
+    return np.linalg.svd(cut_matrix(state, cut), compute_uv=False) ** 2
 
 
 def psd_rank(entries: np.ndarray) -> int:
@@ -326,8 +321,11 @@ def load_state(path: str) -> StateVector:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except RecursionError:  # nesting too deep for the parser
-            raise ValueError("a state file must hold a list of [re, im] number pairs") from None
+        except RecursionError:  # nesting too deep for the parser: not a list of pairs
+            obj = None
         except ValueError as exc:  # a JSON syntax or UTF-8 decoding error
             raise ValueError(f"state file {path} is not UTF-8 JSON: {exc}") from None
-    return state_from_json(obj)
+    try:
+        return state_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"state file {path}: {exc}") from None

@@ -363,7 +363,7 @@ def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
     pair = mix([0.5, 0.5], [density(state) for state in states])
     negativity_in = input_negativity(pair, density(w_basis(blank)), k)
     # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
-    clones = np.stack([np.kron(s.amplitudes.real, s.amplitudes.real) for s in states])
+    clones = np.stack([np.outer(s.amplitudes.real, s.amplitudes.real).ravel() for s in states])
     rho_out = DensityMatrix(6, clones.T @ clones / 2.0)
     negativity_out = negativity(rho_out, Bipartition(6, frozenset({k - 1, k + 2})))
     return AuditRecord(m, n, cls.category, k, form, negativity_in, negativity_out, blank)

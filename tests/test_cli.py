@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,10 +336,10 @@ def test_measure_rejects_malformed_state_file(capsys, monkeypatch, tmp_path, con
     assert _one_line_error(*run(capsys, *argv))
 
 
-def _state_file(data):
+def _state_file(data, name="state.json"):
     """An argv entry that writes data to a state file and names it."""
     def make(tmp_path):
-        path = tmp_path / "state.json"
+        path = tmp_path / name
         path.write_bytes(data)
         return f"@{path}"
     return make
@@ -371,6 +375,10 @@ _FAILURES = [
      "no local circuit clones {(0,0,0), (0,0,1), (1,0,0)}"),  # a real no-go
     (["ghz", "clone", "--states", "0,0,0", "0,0,0", "0,1,1"], 2,
      "clone member 0,0,0 is repeated; give distinct states"),
+    ([*_STATE_ARGV, _state_file(b"[" * 100_000 + b"]" * 100_000, "deep.json")], 2,
+     lambda tmp: f"state file {tmp}/deep.json: a state file must hold a list of [re, im]"),
+    ([*_STATE_ARGV, _state_file(b'{"a":1}', "obj.json")], 2,
+     lambda tmp: f"state file {tmp}/obj.json: a state file must hold a list of [re, im]"),
 ]
 
 
@@ -383,7 +391,7 @@ def test_failure_exits_with_one_error_line(capsys, tmp_path, argv, code, message
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    assert (message(tmp_path) if callable(message) else message) in err
 
 
 @pytest.mark.parametrize("states", [
@@ -499,3 +507,13 @@ def test_each_clone_is_simulated_once(capsys, monkeypatch):
     calls.clear()
     build_report(RunConfig(step=0.1))
     assert len(calls) == 2 * 28 + 3 * 32  # 28 pairs and 32 clonable triples
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["ghz", "clone", "--states", "0,0,0", "0,1,1", "--format", "json"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-m", "locclone", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)

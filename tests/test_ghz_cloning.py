@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locclone import ghz_cloning
 from locclone.ghz_cloning import (
@@ -19,8 +21,19 @@ from locclone.ghz_cloning import (
     triple_clonability,
     verify_cloner,
 )
-from locclone.registers import GATE_Z, Bipartition, SingleQubitGate, TransversalCnot
-from locclone.states import GHZ_LABELS, GhzLabel
+from locclone.registers import (
+    GATE_Z,
+    Bipartition,
+    SingleQubitGate,
+    StateVector,
+    TransversalCnot,
+    density,
+    embed_operator,
+    partial_trace,
+    psd_rank,
+    schmidt_coefficients,
+)
+from locclone.states import GHZ_LABELS, GhzLabel, ghz
 
 L = GhzLabel
 
@@ -219,3 +232,53 @@ def test_synthesized_circuit_carries_its_fidelities():
         circuit = synthesize_cloner(members)
         assert [label for label, _ in circuit.fidelities] == sorted(members)
         assert dict(circuit.fidelities) == verify_cloner(circuit, members)
+
+
+def reference_bell_like(states, cut):
+    """The witness from density matrices, partial traces and per-state Schmidt coefficients."""
+    tol = ghz_cloning._ORTHO_TOL
+    for u, v in itertools.combinations(states, 2):
+        if abs(np.vdot(u.amplitudes, v.amplitudes)) > tol:
+            return False
+    joint_a = sum(partial_trace(density(s), cut.side_b).entries for s in states)
+    joint_b = sum(partial_trace(density(s), cut.side_a).entries for s in states)
+    if psd_rank(joint_a) != 2 or psd_rank(joint_b) != 2:
+        return False
+    for s in states:
+        coeffs = schmidt_coefficients(s, cut)
+        if abs(coeffs[0] - 0.5) > tol or abs(coeffs[1] - 0.5) > tol:
+            return False
+    return True
+
+
+CUTS = [Bipartition(3, frozenset({k})) for k in range(3)]
+
+
+def test_cut_matrix_witness_matches_the_density_route():
+    found = 0
+    for triple in all_label_triples():
+        states = [ghz(label) for label in triple]
+        for cut in CUTS:
+            verdict = ghz_cloning._bell_like_across(states, cut)
+            assert verdict == reference_bell_like(states, cut)
+            found += verdict
+    assert found == 24  # one witness cut per refused triple
+
+
+def _random_unitary(rng, dim):
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(raw)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(all_label_triples()), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_witness_survives_local_unitaries_across_the_cut(triple, k, seed):
+    rng = np.random.default_rng(seed)
+    cut = CUTS[k]
+    local = np.kron(_random_unitary(rng, 4), _random_unitary(rng, 2))
+    op = embed_operator(local, 3, list(cut.side_a) + [k])
+    states = [ghz(label) for label in triple]
+    rotated = [StateVector(3, op @ s.amplitudes) for s in states]
+    verdict = ghz_cloning._bell_like_across(states, cut)
+    assert ghz_cloning._bell_like_across(rotated, cut) == verdict
+    assert reference_bell_like(rotated, cut) == verdict

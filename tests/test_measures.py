@@ -298,3 +298,16 @@ def test_product_state_measures_exactly_zero_on_every_cut(state):
         cut = Bipartition(n, frozenset(q for q in range(n) if mask >> q & 1))
         assert cut_entropy(state, cut).entropy_bits == 0.0
         assert negativity(density(state), cut) == 0.0
+
+
+def test_negativity_ignores_amplitudes_whose_squares_underflow():
+    # LAPACK's eigvalsh put this mixture's negativity 2.2e-5 low before tiny entries were flushed
+    amps = np.zeros(16)
+    amps[[1, 7, 9]] = [2 / 3, 1 / 3, 2 / 3]
+    cut = Bipartition(4, frozenset({0, 1}))
+    basis = density(make_pure([1] + [0] * 15))
+    values = []
+    for tiny in (0.0, 4.61406301e-161):
+        amps[0] = tiny
+        values.append(negativity(mix([0.5, 0.5], [basis, density(make_pure(amps))]), cut))
+    assert abs(values[1] - values[0]) <= 1e-12

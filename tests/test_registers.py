@@ -343,3 +343,44 @@ def test_tracing_side_a_commutes_with_transposing_side_b(case):
     reduced_cut = Bipartition(dm.n_qubits - 1, {q - (q > traced) for q in cut.side_b})
     traced_first = partial_transpose(partial_trace(dm, [traced]), reduced_cut)
     assert np.abs(then_traced.entries - traced_first.entries).max() <= 1e-14
+
+
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def _complex_array(data, shape):
+    raw = data.draw(arrays(float, (2, *shape), elements=_entries))
+    return raw[0] + 1j * raw[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_single_qubit_gate_is_the_embedded_operator(n, data):
+    amps = _complex_array(data, (1 << n,))
+    unitary, _ = np.linalg.qr(_complex_array(data, (2, 2)))
+    for target in range(n):
+        got = apply_circuit(StateVector(n, amps), [SingleQubitGate(target, unitary)])
+        want = embed_operator(unitary, n, [target]) @ amps
+        assert np.abs(got.amplitudes - want).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.data())
+def test_transversal_layer_is_its_cnots_one_pair_at_a_time(n, data):
+    amps = _complex_array(data, (1 << n,))
+    half = n // 2
+    for direction in ("forward", "reverse"):
+        want = amps
+        for q in range(half):
+            control_target = [q, q + half] if direction == "forward" else [q + half, q]
+            want = embed_operator(_CNOT, n, control_target) @ want
+        got = apply_circuit(StateVector(n, amps), [TransversalCnot(direction)])
+        assert np.array_equal(got.amplitudes, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_tensor_is_kron_bit_for_bit(n_u, n_v, data):
+    u = StateVector(n_u, _complex_array(data, (1 << n_u,)))
+    v = StateVector(n_v, _complex_array(data, (1 << n_v,)))
+    assert tensor(u, v).amplitudes.tobytes() == np.kron(u.amplitudes, v.amplitudes).tobytes()
