@@ -11,15 +11,13 @@ from .registers import (
     StateVector,
     TransversalCnot,
     apply_circuit,
-    commutator_norm,
     density,
-    fidelity_pure,
+    integer_rank,
     make_pure,
     mix,
     partial_trace,
     partial_transpose,
     schmidt_coefficients,
-    support_span_dim,
     tensor,
     trace_norm,
 )

@@ -10,7 +10,9 @@ solution over the members. If a pair shares (i, j), a reverse transversal
 CNOT copies p but resets the clone bits to (0, 0), and bit flips restore them.
 Every other set is refused without simulation; for a triple that is the no-go
 case of three Bell states across one cut, which triple_clonability checks.
-Every circuit returned is verified by direct simulation first.
+Every circuit returned is verified by direct simulation first. Both checks
+run on the integer amplitudes sqrt(2) * ghz (ghz_signs), so each is exact:
+the witness needs no tolerance and a verified fidelity is exactly 1.0.
 """
 from __future__ import annotations
 
@@ -31,15 +33,10 @@ from .registers import (
     StateVector,
     TransversalCnot,
     apply_circuit,
-    cut_matrix,
-    fidelity_pure,
-    psd_rank,
-    tensor,
+    integer_rank,
+    qubit_cut_matrix,
 )
-from .states import GHZ_LABELS, GhzLabel, ghz
-
-FIDELITY_TOL = 1e-9
-_ORTHO_TOL = 1e-12
+from .states import GHZ_LABELS, GhzLabel, ghz_signs
 
 BLANK_DEFAULT = GhzLabel(0, 0, 0)
 
@@ -131,13 +128,23 @@ def _phase_gate_layer(exponents: tuple[int, int, int]) -> tuple[LocalGate, ...]:
 def verify_cloner(
     circuit: CloningCircuit, states: Iterable[GhzLabel]
 ) -> Mapping[GhzLabel, float]:
-    """Fidelity of the circuit output with ghz(s) (x) ghz(s) for each member."""
-    blank_state = ghz(circuit.blank)
+    """Fidelity of the circuit output with ghz(s) (x) ghz(s) for each member.
+
+    The circuit runs on the Gaussian-integer amplitudes ghz_signs(s) (x)
+    ghz_signs(blank), and the fidelity is |<u|v>|^2 / (<u|u><v|v>) against
+    u = ghz_signs(s) (x) ghz_signs(s). Every term is a small integer, so the
+    value is exact: 1.0 for a cloner, 0.5 for a wrong quarter turn.
+    """
+    blank_signs = ghz_signs(circuit.blank)
     fidelities: dict[GhzLabel, float] = {}
     for label in states:
-        source = ghz(label)
-        produced = apply_circuit(tensor(source, blank_state), circuit.layers)
-        fidelities[label] = fidelity_pure(produced, tensor(source, source))
+        source = ghz_signs(label)
+        start = StateVector(6, np.outer(source, blank_signs).ravel())
+        produced = apply_circuit(start, circuit.layers).amplitudes
+        target = np.outer(source, source).ravel()
+        overlap = np.vdot(target, produced)
+        norms = np.vdot(target, target).real * np.vdot(produced, produced).real
+        fidelities[label] = float((overlap.real**2 + overlap.imag**2) / norms)
     return fidelities
 
 
@@ -172,31 +179,30 @@ def synthesize_cloner(
     layers = _blank_pre_rotation(blank) + layers
     fidelities = verify_cloner(CloningCircuit(layers, blank), members)
     worst = min(fidelities.values())
-    if not worst >= 1.0 - FIDELITY_TOL:
+    if worst != 1.0:
         raise NoCircuitFound(
             f"closed-form circuit for {_format_members(members)} fails verification: "
-            f"worst fidelity {worst!r} below 1 - {FIDELITY_TOL:g}"
+            f"worst fidelity {worst!r}, not 1"
         )
     return CloningCircuit(layers, blank, tuple(fidelities.items()))
 
 
-def _bell_like_across(states: Sequence[StateVector], cut: Bipartition) -> bool:
+def _bell_like_across(signs: np.ndarray, qubit: int) -> bool:
     """Three orthogonal maximally entangled states confined to a 2x2 subspace?
 
-    All of it comes from the stacked cut matrices M (side A on rows, B on columns):
-    the joint supports are the ranks of sum M M^dagger and sum M^T conj(M), and
-    the Schmidt coefficients come from one batched SVD.
+    signs stacks the integer amplitudes sqrt(2) * psi of the three states; the
+    cut puts qubit (0-based) on side B. With M each state's cut matrix, the
+    states are orthogonal when their Gram matrix is diagonal, their joint A-side
+    support is the rank of [M1 | M2 | M3], and a state is maximally entangled
+    when M^T M is the identity. Side B is one qubit, so its joint support is
+    2-dimensional whenever any state is entangled and needs no check.
     """
-    for u, v in itertools.combinations(states, 2):
-        if abs(np.vdot(u.amplitudes, v.amplitudes)) > _ORTHO_TOL:
-            return False
-    mats = np.stack([cut_matrix(s, cut) for s in states])
-    joint_a = np.einsum("sij,skj->ik", mats, mats.conj())
-    joint_b = np.einsum("sji,sjk->ik", mats, mats.conj())
-    if psd_rank(joint_a) != 2 or psd_rank(joint_b) != 2:
+    if np.triu(signs @ signs.T, 1).any():
         return False
-    coeffs = np.linalg.svd(mats, compute_uv=False) ** 2
-    return bool(np.all(np.abs(coeffs - 0.5) <= _ORTHO_TOL))
+    mats = [qubit_cut_matrix(s, qubit) for s in signs]
+    if integer_rank(np.hstack(mats)) != 2:
+        return False
+    return all(np.array_equal(m.T @ m, np.eye(2, dtype=m.dtype)) for m in mats)
 
 
 def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:
@@ -208,11 +214,10 @@ def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:
     members = _normalize_members(triple)
     if len(members) != 3:
         raise ValueError("the Bell-triple criterion applies to triples")
-    states = [ghz(label) for label in members]
-    for k in (1, 2, 3):
-        cut = Bipartition(3, frozenset({k - 1}))
-        if _bell_like_across(states, cut):
-            return cut
+    signs = np.stack([ghz_signs(label) for label in members])
+    for qubit in range(3):
+        if _bell_like_across(signs, qubit):
+            return Bipartition(3, frozenset({qubit}))
     return None
 
 

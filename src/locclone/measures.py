@@ -38,6 +38,8 @@ def entropy_bits(probabilities: np.ndarray | list[float]) -> float:
     """Shannon entropy in bits; rounding noise within ZERO_CLAMP of 0 reads as 0."""
     total = 0.0
     for p in np.asarray(probabilities, dtype=float):
+        if not np.isfinite(p):
+            raise ValueError(f"probability {p!r} is not finite")
         if p < -ZERO_CLAMP:
             raise ValueError(f"negative probability {p!r}")
         if p > 1e-300:

@@ -9,6 +9,8 @@ Conventions used throughout the package:
 * Bipartitions name the B side; qubit indices are 0-based here (user-facing
   labels are 1-based and translated at the CLI boundary).
 * Circuits build no 2^n x 2^n operator: a gate is one matmul, a CNOT layer one gather.
+* Ranks are exact: integer_rank eliminates over Python ints, and callers deciding a
+  yes-or-no claim pass scaled integer amplitudes, so no rank needs a tolerance.
 """
 from __future__ import annotations
 
@@ -20,16 +22,12 @@ import numpy as np
 
 NORM_ATOL = 1e-9
 HERMITICITY_ATOL = 1e-12
-# Eigenvalues at or below this count as zero in a rank. Every matrix the package
-# ranks (W-basis reductions, their pair sums, GHZ Bell-triple marginals) has
-# eigenvalues at most 2.8e-17 or at least 0.127, so no value between changes a rank.
-RANK_TOL = 1e-10
 MAX_STATE_QUBITS = 10  # keeps a state file's density matrix within 16 MB
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state on n_qubits qubits, unit norm."""
+    """Pure state on n_qubits qubits, unit norm unless a caller keeps exact scaled amplitudes."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -137,19 +135,12 @@ def density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, np.outer(amps, amps.conj()))
 
 
-def fidelity_pure(u: StateVector, v: StateVector) -> float:
-    """|<u|v>|^2 for pure states."""
-    if u.n_qubits != v.n_qubits:
-        raise ValueError("register sizes differ")
-    return float(abs(np.vdot(u.amplitudes, v.amplitudes)) ** 2)
-
-
 def mix(weights: Sequence[float], parts: Sequence[DensityMatrix]) -> DensityMatrix:
     """Convex mixture of density matrices."""
     if len(weights) != len(parts) or not parts:
         raise ValueError("weights and density matrices must pair up nonempty")
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
+    if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):  # NaN and inf fail
         raise ValueError("weights must be nonnegative and sum to 1")
     n = parts[0].n_qubits
     if any(p.n_qubits != n for p in parts):
@@ -169,6 +160,8 @@ def apply_circuit(state: StateVector, layers: Sequence[LocalGate]) -> StateVecto
     """Apply gates in listed order; transversal layers need an even register.
 
     A gate on qubit t is one matmul on the (2^t, 2, 2^(n-t-1)) view of the amplitudes.
+    The map is linear, so scaled integer amplitudes stay exact under the X, Z, S, Sdg
+    and CNOT gates.
     """
     amps = state.amplitudes
     n = state.n_qubits
@@ -225,7 +218,7 @@ def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> HermitianOperator:
 def hermitian_spectrum(op: HermitianOperator | DensityMatrix) -> np.ndarray:
     """Real eigenvalues in descending order; rejects non-Hermitian input."""
     entries = op.entries
-    if float(np.max(np.abs(entries - entries.conj().T))) > HERMITICITY_ATOL:
+    if not float(np.max(np.abs(entries - entries.conj().T))) <= HERMITICITY_ATOL:  # or NaN
         raise ValueError("operator is not Hermitian within tolerance")
     # LAPACK can miss by 2e-3 when entries' squares underflow (a 1e-161 amplitude in a
     # 4-qubit mixture); zeroing entries below 1.5e-154 moves eigenvalues < 1e-150
@@ -250,25 +243,36 @@ def schmidt_coefficients(state: StateVector, cut: Bipartition) -> np.ndarray:
     return np.linalg.svd(cut_matrix(state, cut), compute_uv=False) ** 2
 
 
-def psd_rank(entries: np.ndarray) -> int:
-    """Rank of a positive semidefinite matrix, counting eigenvalues above RANK_TOL."""
-    vals = np.linalg.eigvalsh(entries)
-    return int(np.count_nonzero(vals > RANK_TOL))
+def qubit_cut_matrix(amplitudes: np.ndarray, qubit: int) -> np.ndarray:
+    """Amplitudes as a 2^(n-1) x 2 matrix: the other qubits on rows, the given qubit on columns.
+
+    The same matrix as cut_matrix with side B {qubit}, for amplitudes of any dtype
+    (integer ones included) and without building a Bipartition.
+    """
+    return amplitudes.reshape(1 << qubit, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
 
 
-def support_span_dim(a: DensityMatrix, b: DensityMatrix) -> int:
-    """Dimension of the span of the supports of two density matrices."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("register sizes differ")
-    return psd_rank(a.entries + b.entries)
+def integer_rank(matrix: np.ndarray) -> int:
+    """Exact rank of an integer matrix, by fraction-free elimination over Python ints.
 
-
-def commutator_norm(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Max-abs entry of [a, b]."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("register sizes differ")
-    comm = a.entries @ b.entries - b.entries @ a.entries
-    return float(np.max(np.abs(comm)))
+    Float input is refused: the answer is exact only because the entries are.
+    """
+    if matrix.dtype.kind not in "iu" or matrix.ndim != 2:
+        raise TypeError(f"integer_rank needs a 2-D integer matrix, not {matrix.ndim}-D {matrix.dtype}")
+    rows = matrix.tolist()
+    rank = 0
+    for col in range(matrix.shape[1]):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rank += 1
+        # cross-multiplying clears column col from every other row and keeps them integer
+        rows = [
+            [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)] if row[col] else row
+            for row in rows
+        ]
+    return rank
 
 
 def embed_operator(matrix: np.ndarray, n_qubits: int, targets: Sequence[int]) -> np.ndarray:

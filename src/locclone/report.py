@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .ghz_cloning import (
-    FIDELITY_TOL,
     CloningCircuit,
     NoCircuitFound,
     TripleVerdict,
@@ -27,7 +26,7 @@ from .ghz_cloning import (
     synthesize_cloner,
     triple_clonability,
 )
-from .registers import RANK_TOL, Bipartition, SingleQubitGate, TransversalCnot
+from .registers import Bipartition, SingleQubitGate, TransversalCnot
 from .states import GhzLabel
 from .w_audit import (
     CATEGORY_B,
@@ -240,8 +239,6 @@ def build_report(config: RunConfig) -> ReportBundle:
 
 def config_row(config: RunConfig) -> dict:
     return {
-        "rank_tol": RANK_TOL,
-        "fidelity_tol": FIDELITY_TOL,
         "match_tol": MATCH_TOL,
         "step": config.step,
         "exclusion_radius": config.exclusion_radius,

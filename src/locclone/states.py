@@ -8,7 +8,9 @@ Three families:
 * the W class sqrt(a)|001> + sqrt(b)|010> + sqrt(c)|100> + sqrt(d)|000>
   with a,b,c > 0 and d = 1-(a+b+c) >= 0.
 
-Qubits are numbered 1..3 in user-facing labels and 0..2 internally.
+Qubits are numbered 1..3 in user-facing labels and 0..2 internally. The
+basis states also come as integer sign vectors (ghz_signs = sqrt(2) * ghz,
+w_signs = sqrt(3) * w_basis) for the checks that decide exact claims.
 """
 from __future__ import annotations
 
@@ -47,12 +49,17 @@ GHZ_LABELS: tuple[GhzLabel, ...] = tuple(
 )
 
 
+def ghz_signs(label: GhzLabel) -> np.ndarray:
+    """Integer amplitudes of ghz(label) times sqrt(2): one +1 and one (-1)^p."""
+    signs = np.zeros(8, dtype=np.int64)
+    signs[(label.i << 1) | label.j] = 1
+    signs[4 | ((1 - label.i) << 1) | (1 - label.j)] = 1 - 2 * label.p
+    return signs
+
+
 def ghz(label: GhzLabel) -> StateVector:
     """GHZ basis state (|0 i j> + (-1)^p |1 i~ j~>)/sqrt(2)."""
-    amps = np.zeros(8, dtype=complex)
-    amps[(label.i << 1) | label.j] = _SQRT_HALF
-    amps[4 | ((1 - label.i) << 1) | (1 - label.j)] = (-1.0) ** label.p * _SQRT_HALF
-    return StateVector(3, amps)
+    return StateVector(3, (ghz_signs(label) * _SQRT_HALF).astype(complex))
 
 
 # Basis kets per W state, as (bitstring, sign); every amplitude is sign/sqrt(3).
@@ -68,14 +75,19 @@ _W_TERMS: dict[int, tuple[tuple[str, int], ...]] = {
 }
 
 
-def w_basis(n: int) -> StateVector:
-    """W-type basis state W1..W8."""
+def w_signs(n: int) -> np.ndarray:
+    """Integer amplitudes of W basis state n times sqrt(3): three entries of +/-1."""
     if n not in _W_TERMS:
         raise ValueError(f"W basis index must be 1..8, got {n!r}")
-    amps = np.zeros(8, dtype=complex)
+    signs = np.zeros(8, dtype=np.int64)
     for bits, sign in _W_TERMS[n]:
-        amps[int(bits, 2)] = sign * _SQRT_THIRD
-    return StateVector(3, amps)
+        signs[int(bits, 2)] = sign
+    return signs
+
+
+def w_basis(n: int) -> StateVector:
+    """W-type basis state W1..W8."""
+    return StateVector(3, (w_signs(n) * _SQRT_THIRD).astype(complex))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,16 @@
 Pairs (W_m, W_n) are sorted by the span of the supports of their two-qubit
 reductions Tr_k: category A has some k with span 2, category B none with 2
 but some with 3, category C span 4 for every k plus a k where the reductions
-do not commute. The audit cuts the cloner input and output mixtures between
-lab A (qubits i, j of both registers) and lab B (qubit k of both) and compares
-negativities: an output above the input certifies that no LOCC step can have
-produced it. The cut splits each register at qubit k, so the input negativity
-factors into two 8x8 ones; the output is a real 64x64 matrix.
+do not commute. These decisions and the B forms are exact: sqrt(3) * W_m has
+entries 0 and +/-1, so its 4x2 cut matrix M at qubit k is integer, and so is
+R = M M^T = 3 Tr_k. Spans are integer ranks and commutators integer matrices,
+with no tolerance to tune.
+
+The audit cuts the cloner input and output mixtures between lab A (qubits
+i, j of both registers) and lab B (qubit k of both) and compares negativities:
+an output above the input certifies that no LOCC step can have produced it.
+The cut splits each register at qubit k, so the input negativity factors into
+two 8x8 ones; the output is a real 64x64 matrix.
 
 The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
@@ -36,23 +41,20 @@ from .measures import (
     wclass_min_cut_entropy,
 )
 from .registers import (
-    RANK_TOL,
     Bipartition,
     DensityMatrix,
-    commutator_norm,
     density,
+    integer_rank,
     mix,
-    support_span_dim,
+    qubit_cut_matrix,
     tensor,
 )
-from .states import WClassParams, w_basis
+from .states import WClassParams, w_basis, w_signs
 
-COMMUTATOR_TOL = 1e-10
 STRUCTURE_TOL = 1e-10
 SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 _SCAN_CHUNK = 1 << 10  # grid points per scan step; larger chunks only add memory
-_WEIGHT_TOL = 1e-8
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 CATEGORY_A = "A"
@@ -151,19 +153,16 @@ def _validate_indices(m: int, n: int) -> None:
         raise ValueError("pair members must differ")
 
 
-def _cut_matrix(m: int, k: int) -> np.ndarray:
-    """Amplitudes of W_m as a 4x2 matrix over (qubits {i,j}, qubit k)."""
-    amps = w_basis(m).amplitudes.reshape([2, 2, 2])
-    a_axes = [q for q in range(3) if q != k - 1]
-    return amps.transpose(a_axes + [k - 1]).reshape(4, 2)
+def scaled_reduction(m: int, k: int) -> np.ndarray:
+    """3 Tr_k |W_m><W_m| (1-based traced qubit k) as an integer 4x4 matrix.
 
-
-def reduced_pair_state(m: int, k: int) -> DensityMatrix:
-    """Two-qubit reduction Tr_k of W_m (1-based traced qubit k), M M^dagger of _cut_matrix."""
+    It is M M^T for the integer cut matrix M of sqrt(3) * W_m, so its column
+    space is the support of the reduction and its eigenvalues are 2, 1, 0, 0.
+    """
     if k not in (1, 2, 3):
         raise ValueError(f"qubit index k={k!r} must be 1..3")
-    mat = _cut_matrix(m, k)
-    return DensityMatrix(2, mat @ mat.conj().T)
+    mat = qubit_cut_matrix(w_signs(m), k - 1)
+    return mat @ mat.T
 
 
 def classify_pair(m: int, n: int) -> PairClassification:
@@ -174,16 +173,14 @@ def classify_pair(m: int, n: int) -> PairClassification:
     is the smallest k whose reductions do not commute.
     """
     _validate_indices(m, n)
-    reductions = {k: (reduced_pair_state(m, k), reduced_pair_state(n, k)) for k in (1, 2, 3)}
-    dims = {k: support_span_dim(*pair) for k, pair in reductions.items()}
+    reductions = {k: (scaled_reduction(m, k), scaled_reduction(n, k)) for k in (1, 2, 3)}
+    dims = {k: integer_rank(np.hstack(pair)) for k, pair in reductions.items()}
     span = min(dims.values())
     if span <= 3:
         category = CATEGORY_A if span == 2 else CATEGORY_B
         witness = max(k for k, dim in dims.items() if dim == span)
         return PairClassification(m, n, category, witness, span)
-    noncommuting = [
-        k for k, pair in reductions.items() if commutator_norm(*pair) > COMMUTATOR_TOL
-    ]
+    noncommuting = [k for k, (r_m, r_n) in reductions.items() if np.any(r_m @ r_n - r_n @ r_m)]
     if not noncommuting:
         raise StructureMismatchError(
             f"pair ({m},{n}) spans 4 at every cut but all reductions commute"
@@ -195,40 +192,21 @@ def btype_form(m: int, n: int, k: int) -> BTypeForm:
     """Form I or II of a B-type pair from the shared support direction.
 
     The two A-side supports meet in one direction; its marginal weight is 2/3
-    in both states for form I and 1/3 in both for form II.
+    in both states for form I and 1/3 in both for form II. With R = 3 Tr_k,
+    R (R - I) is twice the projector onto the weight-2/3 eigenvector and
+    R (R - 2I) minus the projector onto the weight-1/3 one, so a form holds
+    exactly when the two states' projectors share their column: integer rank 1.
     """
-    rho_m, rho_n = reduced_pair_state(m, k), reduced_pair_state(n, k)
-    if support_span_dim(rho_m, rho_n) != 3:
+    r_m, r_n = scaled_reduction(m, k), scaled_reduction(n, k)
+    if integer_rank(np.hstack([r_m, r_n])) != 3:
         raise ValueError(f"pair ({m},{n}) does not span 3 at k={k}; not a B-type witness")
-    basis_m = _support_basis(rho_m)
-    basis_n = _support_basis(rho_n)
-    overlap = basis_m.conj().T @ basis_n
-    u, singular, _ = np.linalg.svd(overlap)
-    meeting = int(np.count_nonzero(singular > 1.0 - _WEIGHT_TOL))
-    if meeting != 1:
-        raise StructureMismatchError(
-            f"pair ({m},{n}) at k={k}: support intersection is {meeting}-dimensional"
-        )
-    shared = basis_m @ u[:, 0]
-    weight_m = float(np.real(shared.conj() @ rho_m.entries @ shared))
-    weight_n = float(np.real(shared.conj() @ rho_n.entries @ shared))
-    for weight, rho in ((weight_m, rho_m), (weight_n, rho_n)):
-        if float(np.linalg.norm(rho.entries @ shared - weight * shared)) > _WEIGHT_TOL:
-            raise StructureMismatchError(
-                f"pair ({m},{n}) at k={k}: shared direction is not a marginal eigenvector"
-            )
-    if abs(weight_m - 2.0 / 3.0) < _WEIGHT_TOL and abs(weight_n - 2.0 / 3.0) < _WEIGHT_TOL:
-        return BTypeForm(FORM_I, weight_m)
-    if abs(weight_m - 1.0 / 3.0) < _WEIGHT_TOL and abs(weight_n - 1.0 / 3.0) < _WEIGHT_TOL:
-        return BTypeForm(FORM_II, weight_m)
+    eye = np.eye(4, dtype=r_m.dtype)
+    for form, weight, shift in ((FORM_I, 2.0 / 3.0, 1), (FORM_II, 1.0 / 3.0, 2)):
+        if integer_rank(np.hstack([r @ (r - shift * eye) for r in (r_m, r_n)])) == 1:
+            return BTypeForm(form, weight)
     raise StructureMismatchError(
-        f"pair ({m},{n}) at k={k}: inconsistent shared weights {weight_m}, {weight_n}"
+        f"pair ({m},{n}) at k={k}: the shared direction is no common marginal eigenvector"
     )
-
-
-def _support_basis(rho: DensityMatrix) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(rho.entries)
-    return vecs[:, vals > RANK_TOL]
 
 
 def atype_structure(m: int, n: int, k: int) -> AtypeReport:
@@ -236,7 +214,7 @@ def atype_structure(m: int, n: int, k: int) -> AtypeReport:
     cls = classify_pair(m, n)
     if cls.category != CATEGORY_A or cls.witness_k != k:
         raise ValueError(f"pair ({m},{n}) is {cls.category} with witness {cls.witness_k}, not A at k={k}")
-    mat_m, mat_n = _cut_matrix(m, k), _cut_matrix(n, k)
+    mat_m, mat_n = (qubit_cut_matrix(w_basis(x).amplitudes, k - 1) for x in (m, n))
     u_m, s_m, _ = np.linalg.svd(mat_m)
     u_n, s_n, _ = np.linalg.svd(mat_n)
     lam_m, lam_n = s_m**2, s_n**2
@@ -278,7 +256,7 @@ def ctype_structure(m: int, n: int) -> CtypeReport:
         raise ValueError(f"pair ({m},{n}) is {cls.category}, not C")
     k = cls.witness_k
     assert k is not None
-    mat_m, mat_n = _cut_matrix(m, k), _cut_matrix(n, k)
+    mat_m, mat_n = (qubit_cut_matrix(w_basis(x).amplitudes, k - 1) for x in (m, n))
     u, s, vh = np.linalg.svd(mat_m)
     # canonical |0>_A, |0>_B carry sqrt(1/3) in W_m; svd sorts descending
     a_low, a_high = u[:, 1], u[:, 0]

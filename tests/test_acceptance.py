@@ -66,7 +66,7 @@ def test_every_ghz_pair_clones_locally():
         worst = min(worst, min(verify_cloner(circuit, pair).values()))
     _criterion(
         "all 28 GHZ pairs clone with a verified local circuit",
-        worst >= 1.0 - 1e-9,
+        worst == 1.0,
         f"worst fidelity {worst!r}",
     )
 
@@ -99,7 +99,7 @@ def test_triple_split_matches_label_pattern():
     _criterion(
         "triples split 32 clonable / 24 refused with label-pattern witnesses",
         len(refused) == 24
-        and accepted_worst >= 1.0 - 1e-9
+        and accepted_worst == 1.0
         and pattern_ok
         and sorted(witness_12_3) == sorted(all_same_i),
         f"refused {len(refused)}, worst accepted fidelity {accepted_worst!r}",

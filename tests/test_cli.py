@@ -41,7 +41,7 @@ def test_clone_triple_json(capsys):
     payload = json.loads(out)
     assert payload["circuit"][0] == "CNOT orig->clone"
     assert len(payload["fidelities"]) == 3
-    assert all(row["fidelity"] > 1 - 1e-9 for row in payload["fidelities"])
+    assert all(row["fidelity"] == 1.0 for row in payload["fidelities"])
 
 
 def test_clone_no_go_triple_fails(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from locclone import ghz_cloning
 from locclone.ghz_cloning import (
-    FIDELITY_TOL,
     CloningCircuit,
     CloningInconsistency,
     NoCircuitFound,
@@ -22,6 +21,7 @@ from locclone.ghz_cloning import (
     verify_cloner,
 )
 from locclone.registers import (
+    GATE_S,
     GATE_Z,
     Bipartition,
     SingleQubitGate,
@@ -30,10 +30,9 @@ from locclone.registers import (
     density,
     embed_operator,
     partial_trace,
-    psd_rank,
     schmidt_coefficients,
 )
-from locclone.states import GHZ_LABELS, GhzLabel, ghz
+from locclone.states import GHZ_LABELS, GhzLabel, ghz, ghz_signs
 
 L = GhzLabel
 
@@ -51,7 +50,7 @@ def test_every_pair_clones():
     for pair in all_label_pairs():
         circuit = synthesize_cloner(pair)
         worst = min(worst, min(verify_cloner(circuit, pair).values()))
-    assert worst >= 1.0 - FIDELITY_TOL
+    assert worst == 1.0
 
 
 def test_plain_pair_needs_only_the_cnot():
@@ -66,13 +65,20 @@ def test_shared_bit_pair_uses_reverse_route():
     circuit = synthesize_cloner([L(0, 0, 0), L(1, 0, 0)])
     directions = [g.direction for g in circuit.layers if isinstance(g, TransversalCnot)]
     assert "reverse" in directions
-    assert all(f >= 1.0 - FIDELITY_TOL for f in verify_cloner(circuit, [L(0, 0, 0), L(1, 0, 0)]).values())
+    assert all(f == 1.0 for f in verify_cloner(circuit, [L(0, 0, 0), L(1, 0, 0)]).values())
 
 
 def test_forward_cnot_alone_misses_the_phase():
     circuit = CloningCircuit((TransversalCnot("forward"),), L(0, 0, 0))
     fidelities = verify_cloner(circuit, [L(1, 0, 0)])
-    assert fidelities[L(1, 0, 0)] < 0.5
+    assert fidelities[L(1, 0, 0)] == 0.0
+
+
+def test_an_extra_quarter_turn_gives_exactly_one_half():
+    pair = [L(0, 0, 0), L(0, 1, 1)]
+    circuit = synthesize_cloner(pair)
+    skewed = CloningCircuit(circuit.layers + (SingleQubitGate(3, GATE_S, "S"),), circuit.blank)
+    assert set(verify_cloner(skewed, pair).values()) == {0.5}
 
 
 def test_triple_with_phase_corrections():
@@ -82,7 +88,7 @@ def test_triple_with_phase_corrections():
         (g.name, g.target) for g in circuit.layers if isinstance(g, SingleQubitGate)
     )
     assert names == [("S", 3), ("Sdg", 5)]
-    assert all(f >= 1.0 - FIDELITY_TOL for f in verify_cloner(circuit, members).values())
+    assert all(f == 1.0 for f in verify_cloner(circuit, members).values())
 
 
 def test_rotated_blank_gets_pre_rotation():
@@ -90,7 +96,7 @@ def test_rotated_blank_gets_pre_rotation():
     circuit = synthesize_cloner([L(0, 0, 0), L(0, 1, 1)], blank)
     head = [(g.name, g.target) for g in circuit.layers[:2] if isinstance(g, SingleQubitGate)]
     assert head == [("Z", 3), ("X", 4)]
-    assert all(f >= 1.0 - FIDELITY_TOL for f in verify_cloner(circuit, [L(0, 0, 0), L(0, 1, 1)]).values())
+    assert all(f == 1.0 for f in verify_cloner(circuit, [L(0, 0, 0), L(0, 1, 1)]).values())
 
 
 def test_any_blank_works_for_sampled_pairs():
@@ -101,7 +107,7 @@ def test_any_blank_works_for_sampled_pairs():
         blank = GHZ_LABELS[int(rng.integers(8))]
         circuit = synthesize_cloner(pair, blank)
         assert circuit.blank == blank
-        assert min(verify_cloner(circuit, pair).values()) >= 1.0 - FIDELITY_TOL
+        assert min(verify_cloner(circuit, pair).values()) == 1.0
 
 
 def test_circuits_stay_local():
@@ -158,7 +164,7 @@ def test_triple_survey_counts_and_invariants():
         assert verdict.clonable == (verdict.witness_cut is None)
         if verdict.clonable:
             clonable += 1
-            assert min(verify_cloner(verdict.circuit, triple).values()) >= 1.0 - FIDELITY_TOL
+            assert min(verify_cloner(verdict.circuit, triple).values()) == 1.0
     assert clonable == 32
     assert len(all_label_triples()) - clonable == 24
 
@@ -200,7 +206,7 @@ def test_closed_form_decides_every_set_for_every_blank(monkeypatch):
                 refused += 1
                 continue
             assert len(calls) - before == len(members)
-            assert min(verify_cloner(circuit, members).values()) >= 1.0 - FIDELITY_TOL
+            assert min(verify_cloner(circuit, members).values()) == 1.0
             verified += 1
     assert (verified, refused) == (480, 192)
 
@@ -209,7 +215,7 @@ def test_wrong_phase_gate_fails_verification(monkeypatch):
     # a quarter turn that is really a half turn: the simulation must object
     monkeypatch.setitem(ghz_cloning._PHASE_GATES, 1, ("S", GATE_Z))
     members = r"\{\(0,0,0\), \(0,1,0\), \(1,0,1\)\}"
-    with pytest.raises(NoCircuitFound, match=members + r".*worst fidelity 0\.\d"):
+    with pytest.raises(NoCircuitFound, match=members + r".*worst fidelity 0\.5, not 1"):
         synthesize_cloner([L(0, 0, 0), L(1, 0, 1), L(0, 1, 0)])
 
 
@@ -236,13 +242,14 @@ def test_synthesized_circuit_carries_its_fidelities():
 
 def reference_bell_like(states, cut):
     """The witness from density matrices, partial traces and per-state Schmidt coefficients."""
-    tol = ghz_cloning._ORTHO_TOL
+    tol = 1e-12
     for u, v in itertools.combinations(states, 2):
         if abs(np.vdot(u.amplitudes, v.amplitudes)) > tol:
             return False
     joint_a = sum(partial_trace(density(s), cut.side_b).entries for s in states)
     joint_b = sum(partial_trace(density(s), cut.side_a).entries for s in states)
-    if psd_rank(joint_a) != 2 or psd_rank(joint_b) != 2:
+    # each eigenvalue of these joint marginals is 0 up to rounding or at least 0.5
+    if any(np.count_nonzero(np.linalg.eigvalsh(j) > 1e-10) != 2 for j in (joint_a, joint_b)):
         return False
     for s in states:
         coeffs = schmidt_coefficients(s, cut)
@@ -258,11 +265,40 @@ def test_cut_matrix_witness_matches_the_density_route():
     found = 0
     for triple in all_label_triples():
         states = [ghz(label) for label in triple]
-        for cut in CUTS:
-            verdict = ghz_cloning._bell_like_across(states, cut)
+        signs = np.stack([ghz_signs(label) for label in triple])
+        for k, cut in enumerate(CUTS):
+            verdict = ghz_cloning._bell_like_across(signs, k)
             assert verdict == reference_bell_like(states, cut)
             found += verdict
     assert found == 24  # one witness cut per refused triple
+
+
+def _kets(*terms):
+    """Integer amplitudes on three qubits from (sign, basis index) terms."""
+    signs = np.zeros(8, dtype=np.int64)
+    for sign, index in terms:
+        signs[index] = sign
+    return signs
+
+
+@pytest.mark.parametrize(
+    "kets, expected",
+    [
+        # GHZ (0,0,0), (1,0,0), (0,0,1): three Bell states on A-side support {00, 11}
+        ([((1, 0), (1, 7)), ((1, 0), (-1, 7)), ((1, 1), (1, 6))], True),
+        # the first state twice: not orthogonal
+        ([((1, 0), (1, 7)), ((1, 0), (1, 7)), ((1, 0), (-1, 7))], False),
+        # |001> is orthogonal to both and shares their A-side support, but is a product
+        ([((1, 0), (1, 7)), ((1, 0), (-1, 7)), ((1, 1),)], False),
+        # GHZ (0,1,0) brings A-side rows 01 and 10: the joint support is 4-dimensional
+        ([((1, 0), (1, 7)), ((1, 0), (-1, 7)), ((1, 2), (1, 5))], False),
+    ],
+)
+def test_bell_like_checks_each_condition(kets, expected):
+    signs = np.stack([_kets(*terms) for terms in kets])
+    assert ghz_cloning._bell_like_across(signs, 2) == expected
+    states = [StateVector(3, s / np.linalg.norm(s)) for s in signs.astype(complex)]
+    assert reference_bell_like(states, CUTS[2]) == expected
 
 
 def _random_unitary(rng, dim):
@@ -277,8 +313,6 @@ def test_witness_survives_local_unitaries_across_the_cut(triple, k, seed):
     cut = CUTS[k]
     local = np.kron(_random_unitary(rng, 4), _random_unitary(rng, 2))
     op = embed_operator(local, 3, list(cut.side_a) + [k])
-    states = [ghz(label) for label in triple]
-    rotated = [StateVector(3, op @ s.amplitudes) for s in states]
-    verdict = ghz_cloning._bell_like_across(states, cut)
-    assert ghz_cloning._bell_like_across(rotated, cut) == verdict
+    rotated = [StateVector(3, op @ ghz(label).amplitudes) for label in triple]
+    verdict = ghz_cloning._bell_like_across(np.stack([ghz_signs(label) for label in triple]), k)
     assert reference_bell_like(rotated, cut) == verdict

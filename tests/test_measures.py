@@ -57,6 +57,9 @@ def test_entropy_bits_basics():
     assert entropy_bits([1.0, -1e-13]) == 0.0  # rounding noise is dropped
     with pytest.raises(ValueError):
         entropy_bits([1.1, -0.1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            entropy_bits([bad, 1.0])
 
 
 def test_threshold_constant():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from locclone import w_audit
+from locclone import ghz_cloning, w_audit
 from locclone.measures import W_CUT_ENTROPY_BITS, negativity, wclass_min_cut_entropy
 from locclone.registers import (
     Bipartition,
@@ -36,7 +36,7 @@ from locclone.w_audit import (
     input_negativity,
     lemma_scan,
     negativity_audit,
-    reduced_pair_state,
+    scaled_reduction,
 )
 
 # Hand-checked catalog: category and witness cut for every W-basis pair.
@@ -87,14 +87,15 @@ def test_classify_rejects_bad_indices():
         classify_pair(4, 4)
 
 
-def test_reduced_pair_state_validates_cut():
+def test_scaled_reduction_validates_cut():
     with pytest.raises(ValueError):
-        reduced_pair_state(1, 0)
+        scaled_reduction(1, 0)
     with pytest.raises(ValueError):
-        reduced_pair_state(1, 4)
-    rho = reduced_pair_state(1, 3)
-    assert rho.entries.shape == (4, 4)
-    assert np.trace(rho.entries).real == pytest.approx(1.0)
+        scaled_reduction(1, 4)
+    r = scaled_reduction(1, 3)
+    assert r.shape == (4, 4)
+    assert r.dtype.kind == "i"
+    assert np.trace(r) == 3
 
 
 def test_btype_forms():
@@ -104,16 +105,27 @@ def test_btype_forms():
         result = btype_form(m, n, k)
         if (m, n) in FORM_I_PAIRS:
             assert result.form == "I"
-            assert result.shared_direction_weight == pytest.approx(2.0 / 3.0)
+            assert result.shared_direction_weight == 2.0 / 3.0
         else:
             assert result.form == "II"
-            assert result.shared_direction_weight == pytest.approx(1.0 / 3.0)
+            assert result.shared_direction_weight == 1.0 / 3.0
 
 
 def test_btype_form_rejects_wrong_span():
     # (1,2) spans 2 at its witness, never 3
     with pytest.raises(ValueError):
         btype_form(1, 2, 2)
+
+
+def test_btype_form_rejects_a_shared_direction_that_is_no_eigenvector(monkeypatch):
+    # supports span{e1, e2} and span{e1, e3} meet in e1, an eigenvector of only the first
+    fake = {
+        1: np.diag([2, 1, 0, 0]),
+        2: np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 2, 0], [0, 0, 0, 0]]),
+    }
+    monkeypatch.setattr(w_audit, "scaled_reduction", lambda m, k: fake[m])
+    with pytest.raises(StructureMismatchError, match="no common marginal eigenvector"):
+        btype_form(1, 2, 3)
 
 
 def test_atype_structure_all_six():
@@ -244,21 +256,21 @@ def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
 
 def test_classify_pair_builds_six_reductions(monkeypatch):
     calls = []
-    real = w_audit.reduced_pair_state
+    real = w_audit.scaled_reduction
 
     def counting(m, k):
         calls.append((m, k))
         return real(m, k)
 
-    monkeypatch.setattr(w_audit, "reduced_pair_state", counting)
+    monkeypatch.setattr(w_audit, "scaled_reduction", counting)
     assert classify_pair(1, 3).category == "C"
     assert sorted(calls) == [(m, k) for m in (1, 3) for k in (1, 2, 3)]
 
 
-def test_reduced_pair_state_is_the_partial_trace():
+def test_scaled_reduction_is_three_times_the_partial_trace():
     for m, k in itertools.product(range(1, 9), (1, 2, 3)):
         direct = partial_trace(density(w_basis(m)), {k - 1}).entries
-        assert np.abs(reduced_pair_state(m, k).entries - direct).max() <= 1e-15, (m, k)
+        assert np.abs(scaled_reduction(m, k) - 3.0 * direct).max() <= 1e-15, (m, k)
 
 
 @pytest.mark.parametrize("m, n, blank", [
@@ -480,6 +492,22 @@ def test_lemma_scan_runs_no_eigensolver(monkeypatch):
     report = lemma_scan(0.05, 0.05)
     assert report.points_tested == math.comb(20, 3)
     assert report.violations == ()
+
+
+def test_exact_verdicts_run_no_eigensolver_or_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver or SVD ran behind an exact verdict")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    classes = all_pair_classifications()
+    b_pairs = [c for c in classes if c.category == "B"]
+    forms = [btype_form(c.m, c.n, c.witness_k).form for c in b_pairs]
+    assert (len(b_pairs), forms.count("I"), forms.count("II")) == (10, 4, 6)
+    verdicts = [ghz_cloning.triple_clonability(t) for t in ghz_cloning.all_triples()]
+    assert sum(v.clonable for v in verdicts) == 32
+    for pair in ghz_cloning.all_pairs():
+        assert dict(ghz_cloning.synthesize_cloner(pair).fidelities) == dict.fromkeys(pair, 1.0)
 
 
 def _binary_entropy(p):
