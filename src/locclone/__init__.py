@@ -34,7 +34,7 @@ from .measures import (
     CutEntropyResult,
     cut_entropy,
     negativity,
-    wclass_cut_spectrum,
+    wclass_cut_spectra,
     wclass_min_cut_entropy,
 )
 from .ghz_cloning import (

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .ghz_cloning import (
@@ -49,10 +50,8 @@ from .registers import Bipartition, StateVector, density, load_state
 from .report import (
     OUTPUT_FORMATS,
     RunConfig,
-    audit_row,
     build_report,
     circuit_lines,
-    classification_row,
     emit_report,
     reference_mismatches,
     render,
@@ -170,7 +169,7 @@ def _cmd_w_classify(args: argparse.Namespace) -> int:
         items = all_pair_classifications()
     else:
         items = (classify_pair(*_parse_pair(args.pair)),)
-    rows = [classification_row(item) for item in items]
+    rows = [asdict(item) for item in items]
     _emit(args, rows, [("w_classifications", rows)])
     return 0
 
@@ -181,7 +180,7 @@ def _cmd_w_audit(args: argparse.Namespace) -> int:
         records = [negativity_audit(*_parse_pair(args.pair), blank)]
     else:
         records = list(all_audit_records(blank))
-    rows = [audit_row(record) for record in records]
+    rows = [asdict(record) for record in records]
     _emit(args, rows, [("pairs", rows)])
     notes = reference_mismatches(records)
     for note in notes:

@@ -128,14 +128,6 @@ def triple_row(members: Sequence[GhzLabel], verdict: TripleVerdict) -> dict:
     }
 
 
-def classification_row(item: PairClassification) -> dict:
-    return asdict(item)
-
-
-def audit_row(record: AuditRecord) -> dict:
-    return asdict(record)
-
-
 def scan_sections(scan: ScanReport | None) -> list[tuple[str, list[dict]]]:
     """The scan's summary row and violation rows, as the report lays them out."""
     if scan is None:
@@ -345,8 +337,8 @@ def _bundle_view(bundle: ReportBundle) -> tuple[dict, list[tuple[str, list[dict]
     rows = {
         "ghz_pairs": [ghz_pair_row(r) for r in bundle.ghz_pairs],
         "ghz_triples": [triple_row(members, v) for members, v in bundle.ghz_triples],
-        "w_classifications": [classification_row(c) for c in bundle.w_classifications],
-        "pairs": [audit_row(r) for r in bundle.pairs],
+        "w_classifications": [asdict(c) for c in bundle.w_classifications],
+        "pairs": [asdict(r) for r in bundle.pairs],
     }
     scan = scan_sections(bundle.scan)
     document = {
@@ -358,11 +350,6 @@ def _bundle_view(bundle: ReportBundle) -> tuple[dict, list[tuple[str, list[dict]
     }
     notes = ("notes", [{"note": note} for note in bundle.notes])
     return document, [*rows.items(), *scan, notes]
-
-
-def bundle_document(bundle: ReportBundle) -> dict:
-    """JSON-ready view of a bundle with stable key order."""
-    return _bundle_view(bundle)[0]
 
 
 def emit_report(bundle: ReportBundle, output_format: str) -> str:

@@ -18,10 +18,10 @@ The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
 parameter opposite the cut, so the minimum cut entropy of every state except
 the equal-weight three-term point stays below that point's entropy and a
-product blank plus LOCC cannot reach it. The scan evaluates that closed form
-over the whole parameter grid in numpy, one grid row at a time, and
-checks it at every grid point against the eigenvalues of the three one-qubit
-marginals. Each marginal is contracted from the state's amplitude tensor over
+product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the one
+implementation of that closed form, runs over the whole parameter grid in
+numpy, one grid row at a time, and the scan checks it at every grid point
+against the eigenvalues of the three one-qubit marginals. Each marginal is contracted from the state's amplitude tensor over
 the two traced qubits; being real symmetric 2x2, its eigenvalues follow
 exactly from its entries p, q (diagonal) and r (off-diagonal) as
 (p + q -/+ sqrt((p - q)^2 + 4r^2))/2, so no eigensolver runs per point.
@@ -35,9 +35,9 @@ import numpy as np
 
 from .measures import (
     W_CUT_ENTROPY_BITS,
+    entropy_bits,
     negativity,
     wclass_cut_spectra,
-    wclass_min_cut_entropies,
     wclass_min_cut_entropy,
 )
 from .registers import (
@@ -428,12 +428,12 @@ def check_scan_inputs(step: float, exclusion_radius: float) -> None:
 def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     """Scan the open parameter simplex for minimum cut entropies at the threshold.
 
-    Any grid point outside the L1 exclusion ball around the equal-weight point
-    whose minimum cut entropy reaches the threshold (within 1e-12) is recorded
-    as a violation, in grid order and with its entropy recomputed by the
-    scalar wclass_min_cut_entropy; the expected result is none. The report
-    also carries the largest minimum cut entropy outside the ball, scalar
-    recomputed, at its first grid point: the scan's margin below the
+    A point's minimum cut entropy is entropy_bits of its wclass_cut_spectra,
+    minimised over the cuts. Any grid point outside the L1 exclusion ball
+    around the equal-weight point whose minimum reaches the threshold (within
+    1e-12) is recorded as a violation with that entropy, in grid order; the
+    expected result is none. The report also carries the largest minimum
+    outside the ball, at its first grid point: the scan's margin below the
     threshold. At every grid point the closed-form spectra of all three cuts
     must match the exact 2x2 eigenvalues of the marginals contracted from the
     amplitudes to SPECTRUM_TOL, or StructureMismatchError is raised.
@@ -448,21 +448,21 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
         _crosscheck_spectra(a, b, c, d, spectra)
         entropy = np.where(
             _distance_from_w_point(a, b, c, d) > exclusion_radius,
-            wclass_min_cut_entropies(spectra),
+            entropy_bits(spectra).min(axis=-1),
             -np.inf,
         )
         for i in np.flatnonzero(entropy >= W_CUT_ENTROPY_BITS - 1e-12):
             params = WClassParams(float(a[i]), float(b[i]), float(c[i]))
-            violations.append((params, wclass_min_cut_entropy(params)[1]))
+            violations.append((params, float(entropy[i])))
         top = int(np.argmax(entropy))  # first maximum, so ties keep grid order
         if entropy[top] > best_entropy:
-            best_entropy = entropy[top]
+            best_entropy = float(entropy[top])
             best_point = WClassParams(float(a[top]), float(b[top]), float(c[top]))
         tested += a.size
     assert best_point is not None  # check_scan_inputs leaves a point outside the ball
     return ScanReport(
         step, exclusion_radius, tested,
-        grid_max_entropy_bits=wclass_min_cut_entropy(best_point)[1],
+        grid_max_entropy_bits=best_entropy,
         grid_max_point=best_point,
         violations=tuple(violations),
     )

@@ -21,7 +21,7 @@ from locclone.measures import (
     W_CUT_ENTROPY_BITS,
     cut_entropy,
     negativity,
-    wclass_cut_spectrum,
+    wclass_cut_spectra,
 )
 from locclone.registers import Bipartition, density, make_pure, schmidt_coefficients
 from locclone.report import (
@@ -217,8 +217,9 @@ def test_closed_form_spectra_match_direct_reduction():
         raw = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
         params = WClassParams(*(float(x) * scale + floor for x in raw[:3]))
         state = w_class(params)
+        spectra = wclass_cut_spectra(*(np.array([x]) for x in (params.a, params.b, params.c)))
         for cut_index in (1, 2, 3):
-            minus, plus = wclass_cut_spectrum(params, cut_index)
+            minus, plus = spectra[0, cut_index - 1]
             direct = schmidt_coefficients(
                 state, Bipartition(3, frozenset({cut_index - 1}))
             )

@@ -14,10 +14,7 @@ from locclone.measures import (
     cut_entropy,
     entropy_bits,
     negativity,
-    wclass_cut_entropy,
     wclass_cut_spectra,
-    wclass_cut_spectrum,
-    wclass_min_cut_entropies,
     wclass_min_cut_entropy,
 )
 from locclone.registers import (
@@ -44,6 +41,12 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def cut_spectrum(params, cut_index):
+    """(lambda-, lambda+) of one state at one cut, from length-1 wclass_cut_spectra."""
+    spectra = wclass_cut_spectra(*(np.array([x]) for x in (params.a, params.b, params.c)))
+    return tuple(float(x) for x in spectra[0, cut_index - 1])
+
+
 def random_simplex_params(rng):
     a, b, c, _ = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
     # shrink toward the interior so a,b,c stay positive with a+b+c < 1
@@ -57,9 +60,31 @@ def test_entropy_bits_basics():
     assert entropy_bits([1.0, -1e-13]) == 0.0  # rounding noise is dropped
     with pytest.raises(ValueError):
         entropy_bits([1.1, -0.1])
-    for bad in (np.nan, np.inf):
+    for above_one in ([2.0], [0.5, 1.5]):  # the formula alone gives -2 and -0.377 bits
+        with pytest.raises(ValueError):
+            entropy_bits(above_one)
+    for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             entropy_bits([bad, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 40)),
+              elements=st.floats(min_value=0.0, max_value=1.0)))
+def test_entropy_bits_matches_a_loop(weights):
+    # each row, normalised, is one distribution; the loop adds its terms in index order
+    assume(np.all(weights.sum(axis=1) > 0.0))
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    logs = np.log2(np.where(rows > 0.0, rows, 1.0))
+    want = []
+    for row, log_row in zip(rows, logs):
+        total = 0.0
+        for p, log_p in zip(row, log_row):
+            total -= p * log_p
+        want.append(0.0 if abs(total) < 1e-12 else total)
+    got = entropy_bits(rows)
+    assert got.shape == (len(rows),) and got.tolist() == want
+    assert [float(entropy_bits(row)) for row in rows] == want
 
 
 def test_threshold_constant():
@@ -132,9 +157,9 @@ def test_negativity_invariant_under_local_unitaries():
 
 def test_wclass_cut_spectrum_known_points():
     third = 1.0 / 3.0
-    lam_minus, lam_plus = wclass_cut_spectrum(WClassParams(third, third, third), 1)
+    lam_minus, lam_plus = cut_spectrum(WClassParams(third, third, third), 1)
     assert (lam_minus, lam_plus) == (pytest.approx(third, abs=1e-12), pytest.approx(2 * third, abs=1e-12))
-    lam_minus, lam_plus = wclass_cut_spectrum(WClassParams(0.25, 0.25, 0.5), 1)
+    lam_minus, lam_plus = cut_spectrum(WClassParams(0.25, 0.25, 0.5), 1)
     assert lam_minus == pytest.approx(0.5, abs=1e-12)
     assert lam_plus == pytest.approx(0.5, abs=1e-12)
 
@@ -144,14 +169,9 @@ def test_wclass_cut_spectrum_postconditions():
     for _ in range(50):
         params = random_simplex_params(rng)
         for cut_index in (1, 2, 3):
-            lam_minus, lam_plus = wclass_cut_spectrum(params, cut_index)
+            lam_minus, lam_plus = cut_spectrum(params, cut_index)
             assert lam_minus + lam_plus == pytest.approx(1.0, abs=1e-12)
             assert -1e-12 <= lam_minus <= lam_plus <= 1.0 + 1e-12
-
-
-def test_wclass_cut_spectrum_bad_cut_index():
-    with pytest.raises(ValueError):
-        wclass_cut_spectrum(WClassParams(0.4, 0.3, 0.3), 4)
 
 
 def test_wclass_spectrum_matches_partial_trace():
@@ -161,7 +181,7 @@ def test_wclass_spectrum_matches_partial_trace():
         params = random_simplex_params(rng)
         state = w_class(params)
         for cut_index in (1, 2, 3):
-            lam_minus, lam_plus = wclass_cut_spectrum(params, cut_index)
+            lam_minus, lam_plus = cut_spectrum(params, cut_index)
             direct = schmidt_coefficients(state, Bipartition(3, frozenset({cut_index - 1})))
             worst = max(worst, abs(direct[0] - lam_plus), abs(direct[-1] - max(lam_minus, 0.0)))
     assert worst <= 1e-10
@@ -172,18 +192,14 @@ _weights = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False, allow_infin
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_weights, _weights, _weights, _weights), min_size=1, max_size=8))
-def test_array_closed_form_matches_scalar_and_partial_trace(weights):
+def test_array_closed_form_matches_partial_trace(weights):
     # four positive weights normalised give a point (a, b, c) with d >= 0
     points = [WClassParams(*(w / sum(ws) for w in ws[:3])) for ws in weights]
     a, b, c = (np.array([getattr(p, name) for p in points]) for name in "abc")
     spectra = wclass_cut_spectra(a, b, c)
-    entropies = wclass_min_cut_entropies(spectra)
+    entropies = entropy_bits(spectra).min(axis=-1)
     assert spectra.shape == (len(points), 3, 2) and entropies.shape == (len(points),)
-    for params, rows, entropy in zip(points, spectra, entropies):
-        for cut_index in (1, 2, 3):
-            scalar = wclass_cut_spectrum(params, cut_index)
-            assert np.abs(rows[cut_index - 1] - scalar).max() <= 1e-15
-        assert abs(entropy - wclass_min_cut_entropy(params)[1]) <= 1e-12
+    for params, entropy in zip(points, entropies):
         state = w_class(params)
         direct = min(
             cut_entropy(state, Bipartition(3, frozenset({k}))).entropy_bits for k in range(3)
@@ -199,7 +215,7 @@ def test_balanced_cut_spectrum_needs_balanced_c():
         for ib in range(1, top - ia):
             for ic in range(1, top - ia - ib + 1):
                 params = WClassParams(ia * step, ib * step, ic * step)
-                lam_minus, lam_plus = wclass_cut_spectrum(params, 1)
+                lam_minus, lam_plus = cut_spectrum(params, 1)
                 if 1 / 3 - 1e-12 <= lam_minus and lam_plus <= 2 / 3 + 1e-12:
                     assert 1 / 3 - 1e-9 <= params.c <= 2 / 3 + 1e-9
 
@@ -235,7 +251,10 @@ def test_wclass_min_cut_entropy_minimizes():
     for _ in range(20):
         params = random_simplex_params(rng)
         cut_index, entropy = wclass_min_cut_entropy(params)
-        values = [wclass_cut_entropy(params, k) for k in (1, 2, 3)]
+        state = w_class(params)
+        values = [
+            cut_entropy(state, Bipartition(3, frozenset({k - 1}))).entropy_bits for k in (1, 2, 3)
+        ]
         assert entropy == pytest.approx(min(values), abs=1e-14)
         assert values[cut_index - 1] == pytest.approx(entropy, abs=1e-14)
 

@@ -13,7 +13,6 @@ from locclone.report import (
     ReportBundle,
     RunConfig,
     build_report,
-    bundle_document,
     circuit_lines,
     csv_text,
     emit_report,
@@ -84,7 +83,7 @@ def test_emit_report_rejects_unknown_format():
 
 def test_bundle_document_key_order():
     bundle = ReportBundle(version="0.1.0", config=RunConfig())
-    assert list(bundle_document(bundle)) == [
+    assert list(json.loads(emit_report(bundle, "json"))) == [
         "version",
         "config",
         "ghz_pairs",

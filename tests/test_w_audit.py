@@ -390,8 +390,8 @@ def test_lemma_scan_reports_threshold_hits_in_grid_order(monkeypatch):
     step, radius = 0.1, 0.5
     monkeypatch.setattr(
         w_audit,
-        "wclass_min_cut_entropies",
-        lambda spectra: np.full(len(spectra), W_CUT_ENTROPY_BITS),
+        "entropy_bits",
+        lambda spectra: np.full(spectra.shape[:-1], W_CUT_ENTROPY_BITS),
     )
     report = lemma_scan(step, radius)
     third = 1.0 / 3.0
@@ -401,9 +401,7 @@ def test_lemma_scan_reports_threshold_hits_in_grid_order(monkeypatch):
     ]
     assert 0 < len(outside) < report.points_tested == 120
     assert [params for params, _ in report.violations] == outside
-    assert [entropy for _, entropy in report.violations] == [
-        wclass_min_cut_entropy(p)[1] for p in outside
-    ]
+    assert [entropy for _, entropy in report.violations] == [W_CUT_ENTROPY_BITS] * len(outside)
 
 
 def test_lemma_scan_validation():
@@ -520,6 +518,8 @@ def test_lemma_scan_reports_its_grid_margin(step):
     report = lemma_scan(step, radius)
     assert report.grid_max_point == WClassParams(0.32, 0.32, 0.36)
     assert report.grid_max_entropy_bits == pytest.approx(0.9043814577, abs=1e-10)
+    # the scan's own value, with no recompute, is the one-point closed form's
+    assert report.grid_max_entropy_bits == wclass_min_cut_entropy(report.grid_max_point)[1]
     # the supremum outside the ball sits at d = 0, two parameters r/4 below 1/3
     supremum = _binary_entropy(1.0 / 3.0 - radius / 4.0)
     assert supremum == pytest.approx(0.9052854, abs=1e-7)
