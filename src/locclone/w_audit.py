@@ -3,10 +3,13 @@
 Pairs (W_m, W_n) are sorted by the span of the supports of their two-qubit
 reductions Tr_k: category A has some k with span 2, category B none with 2
 but some with 3, category C span 4 for every k plus a k where the reductions
-do not commute. These decisions and the B forms are exact: sqrt(3) * W_m has
-entries 0 and +/-1, so its 4x2 cut matrix M at qubit k is integer, and so is
-R = M M^T = 3 Tr_k. Spans are integer ranks and commutators integer matrices,
-with no tolerance to tune.
+do not commute. These decisions and the A, B and C structures are exact:
+sqrt(3) * W_m has entries 0 and +/-1, so its 4x2 cut matrix M at qubit k is
+integer, and so is R = M M^T = 3 Tr_k. Spans are integer ranks and
+commutators integer matrices. The canonical forms are integer tests on one
+Gram matrix G = M_m^T M_n, after each M^T M is checked to be diagonal with
+entries {1, 2}: its columns are then the A-side Schmidt directions, paired
+with |0> and |1> on qubit k. No tolerance is left to tune.
 
 The audit cuts the cloner input and output mixtures between lab A (qubits
 i, j of both registers) and lab B (qubit k of both) and compares negativities:
@@ -21,10 +24,11 @@ the equal-weight three-term point stays below that point's entropy and a
 product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the one
 implementation of that closed form, runs over the whole parameter grid in
 numpy, one grid row at a time, and the scan checks it at every grid point
-against the eigenvalues of the three one-qubit marginals. Each marginal is contracted from the state's amplitude tensor over
-the two traced qubits; being real symmetric 2x2, its eigenvalues follow
-exactly from its entries p, q (diagonal) and r (off-diagonal) as
-(p + q -/+ sqrt((p - q)^2 + 4r^2))/2, so no eigensolver runs per point.
+against the eigenvalues of the three one-qubit marginals. Each marginal is
+contracted from the state's amplitude tensor over the two traced qubits;
+being real symmetric 2x2, its eigenvalues follow exactly from its entries
+p, q (diagonal) and r (off-diagonal) as (p + q -/+ sqrt((p - q)^2 + 4r^2))/2,
+so no eigensolver runs per point.
 """
 from __future__ import annotations
 
@@ -51,11 +55,9 @@ from .registers import (
 )
 from .states import WClassParams, w_basis, w_signs
 
-STRUCTURE_TOL = 1e-10
 SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 _SCAN_CHUNK = 1 << 10  # grid points per scan step; larger chunks only add memory
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 CATEGORY_A = "A"
 CATEGORY_B = "B"
@@ -97,8 +99,8 @@ class AtypeReport:
     k: int
     schmidt_m: tuple[float, float]
     schmidt_n: tuple[float, float]
-    axis_overlap: float      # min |<a_m|a_n>| over the two shared A directions, ~1
-    partner_overlap: float   # max |<b_m|b_n>| over B partners of those directions, ~0
+    axis_overlap: float      # min |<a_m|a_n>| over the two shared A directions: 1
+    partner_overlap: float   # max |<b_m|b_n>| over B partners of those directions: 0
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,10 @@ class CtypeReport:
     m: int
     n: int
     k: int
-    overlap_magnitude: float      # |<0|0'>| ~ 1/sqrt(2)
-    sign_residual: float          # |<0|0'> + <1|1'>| ~ 0
-    cross_overlap: float          # max(|<0|1'>|, |<1|0'>|) ~ 0
-    b_basis_residual: float       # |<alpha0|alpha1>| ~ 0
+    overlap_magnitude: float      # |<0|0'>| = 1/sqrt(2)
+    sign_residual: float          # |<0|0'> + <1|1'>| = 0
+    cross_overlap: float          # max(|<0|1'>|, |<1|0'>|) = 0
+    b_basis_residual: float       # |<alpha0|alpha1>| = 0
 
 
 @dataclass(frozen=True)
@@ -188,114 +190,95 @@ def classify_pair(m: int, n: int) -> PairClassification:
     return PairClassification(m, n, CATEGORY_C, min(noncommuting), 4)
 
 
+def _witness_gram(m: int, n: int, k: int) -> tuple[int, int, np.ndarray]:
+    """Heavy columns h_m, h_n of both states at cut k and their Gram matrix G = M_m^T M_n.
+
+    M is the integer 4x2 cut matrix of sqrt(3) * W at qubit k. Each state must
+    have M^T M diagonal with entries {1, 2}: then column b is the A-side Schmidt
+    direction paired with |b> on qubit k, of marginal weight M^T M[b, b] / 3,
+    so column h (weight 2/3) is heavy and 1 - h (weight 1/3) light, and G[i, j]
+    is the overlap of column i of M_m with column j of M_n.
+    """
+    mats = [qubit_cut_matrix(w_signs(x), k - 1) for x in (m, n)]
+    heavy = []
+    for x, mat in zip((m, n), mats):
+        gram = mat.T @ mat
+        if gram[0, 1] or sorted(np.diag(gram).tolist()) != [1, 2]:
+            raise StructureMismatchError(
+                f"W{x} at k={k}: M^T M = {gram.tolist()} is not diagonal with entries 1, 2"
+            )
+        heavy.append(int(np.argmax(np.diag(gram))))
+    return heavy[0], heavy[1], mats[0].T @ mats[1]
+
+
 def btype_form(m: int, n: int, k: int) -> BTypeForm:
     """Form I or II of a B-type pair from the shared support direction.
 
-    The two A-side supports meet in one direction; its marginal weight is 2/3
-    in both states for form I and 1/3 in both for form II. With R = 3 Tr_k,
-    R (R - I) is twice the projector onto the weight-2/3 eigenvector and
-    R (R - 2I) minus the projector onto the weight-1/3 one, so a form holds
-    exactly when the two states' projectors share their column: integer rank 1.
+    The two A-side supports meet in one direction. With h and l each state's
+    heavy (weight 2/3) and light (weight 1/3) column, form I has the heavy
+    columns parallel (|G[h_m, h_n]| = 2) and form II the light ones
+    (|G[l_m, l_n]| = 1). Columns of norm^2 2 and 1 are never parallel, so a
+    direction shared at different weights, or by no columns at all, fails.
     """
-    r_m, r_n = scaled_reduction(m, k), scaled_reduction(n, k)
-    if integer_rank(np.hstack([r_m, r_n])) != 3:
+    if integer_rank(np.hstack([scaled_reduction(m, k), scaled_reduction(n, k)])) != 3:
         raise ValueError(f"pair ({m},{n}) does not span 3 at k={k}; not a B-type witness")
-    eye = np.eye(4, dtype=r_m.dtype)
-    for form, weight, shift in ((FORM_I, 2.0 / 3.0, 1), (FORM_II, 1.0 / 3.0, 2)):
-        if integer_rank(np.hstack([r @ (r - shift * eye) for r in (r_m, r_n)])) == 1:
-            return BTypeForm(form, weight)
+    h_m, h_n, g = _witness_gram(m, n, k)
+    heavy, light = abs(g[h_m, h_n]) == 2, abs(g[1 - h_m, 1 - h_n]) == 1
+    if heavy != light:
+        return BTypeForm(FORM_I, 2.0 / 3.0) if heavy else BTypeForm(FORM_II, 1.0 / 3.0)
     raise StructureMismatchError(
         f"pair ({m},{n}) at k={k}: the shared direction is no common marginal eigenvector"
     )
 
 
 def atype_structure(m: int, n: int, k: int) -> AtypeReport:
-    """Check the different-planes pattern of an A-type pair at witness k."""
+    """Check the different-planes pattern of an A-type pair at witness k.
+
+    Both states split 2/3, 1/3 at k (_witness_gram), their heavy and their light
+    columns are parallel (|G[h_m, h_n]| = 2, |G[l_m, l_n]| = 1), and the heavy
+    columns pair with opposite B partners (h_m != h_n). The report's overlaps
+    are then exactly 1 and 0.
+    """
     cls = classify_pair(m, n)
     if cls.category != CATEGORY_A or cls.witness_k != k:
         raise ValueError(f"pair ({m},{n}) is {cls.category} with witness {cls.witness_k}, not A at k={k}")
-    mat_m, mat_n = (qubit_cut_matrix(w_basis(x).amplitudes, k - 1) for x in (m, n))
-    u_m, s_m, _ = np.linalg.svd(mat_m)
-    u_n, s_n, _ = np.linalg.svd(mat_n)
-    lam_m, lam_n = s_m**2, s_n**2
-    for lam in (lam_m, lam_n):
-        if abs(lam[0] - 2.0 / 3.0) > STRUCTURE_TOL or abs(lam[1] - 1.0 / 3.0) > STRUCTURE_TOL:
-            raise StructureMismatchError(
-                f"pair ({m},{n}) at k={k}: cut coefficients {lam[:2]} are not {{2/3, 1/3}}"
-            )
-    axis_overlap = 1.0
-    partner_overlap = 0.0
-    for col in (0, 1):
-        axis_overlap = min(axis_overlap, float(abs(np.vdot(u_m[:, col], u_n[:, col]))))
-        partner_m = u_m[:, col].conj() @ mat_m
-        partner_n = u_n[:, col].conj() @ mat_n
-        partner_m = partner_m / np.linalg.norm(partner_m)
-        partner_n = partner_n / np.linalg.norm(partner_n)
-        partner_overlap = max(partner_overlap, float(abs(np.vdot(partner_m, partner_n))))
-    if 1.0 - axis_overlap > STRUCTURE_TOL:
+    h_m, h_n, g = _witness_gram(m, n, k)
+    if abs(g[h_m, h_n]) != 2 or abs(g[1 - h_m, 1 - h_n]) != 1:
         raise StructureMismatchError(
-            f"pair ({m},{n}) at k={k}: A-side directions differ (overlap {axis_overlap})"
+            f"pair ({m},{n}) at k={k}: A-side directions differ (G = {g.tolist()})"
         )
-    if partner_overlap > STRUCTURE_TOL:
-        raise StructureMismatchError(
-            f"pair ({m},{n}) at k={k}: B partners are not opposite (overlap {partner_overlap})"
-        )
-    return AtypeReport(
-        m, n, k,
-        (float(lam_m[0]), float(lam_m[1])),
-        (float(lam_n[0]), float(lam_n[1])),
-        axis_overlap,
-        partner_overlap,
-    )
+    if h_m == h_n:
+        raise StructureMismatchError(f"pair ({m},{n}) at k={k}: B partners are not opposite")
+    return AtypeReport(m, n, k, (2.0 / 3.0, 1.0 / 3.0), (2.0 / 3.0, 1.0 / 3.0), 1.0, 0.0)
 
 
 def ctype_structure(m: int, n: int) -> CtypeReport:
-    """Check the swapped-coefficient canonical structure of a C-type pair."""
+    """Check the swapped-coefficient canonical structure of a C-type pair.
+
+    With h and l W_m's heavy and light column at the witness k, W_n is heavy
+    on l, G is diagonal, |G[l, l]| = 1 and G[l, l] + G[h, h] = 0: the two
+    states' directions paired with |l> overlap by 1/sqrt(2), those paired with
+    |h> by the opposite sign, and no cross pair overlaps. The residuals are
+    then exactly 0.
+    """
     cls = classify_pair(m, n)
     if cls.category != CATEGORY_C:
         raise ValueError(f"pair ({m},{n}) is {cls.category}, not C")
     k = cls.witness_k
     assert k is not None
-    mat_m, mat_n = (qubit_cut_matrix(w_basis(x).amplitudes, k - 1) for x in (m, n))
-    u, s, vh = np.linalg.svd(mat_m)
-    # canonical |0>_A, |0>_B carry sqrt(1/3) in W_m; svd sorts descending
-    a_low, a_high = u[:, 1], u[:, 0]
-    b_low, b_high = vh[1, :], vh[0, :]
-    if abs(s[0] ** 2 - 2.0 / 3.0) > STRUCTURE_TOL or abs(s[1] ** 2 - 1.0 / 3.0) > STRUCTURE_TOL:
+    h_m, h_n, g = _witness_gram(m, n, k)
+    l_m = 1 - h_m
+    if h_n == h_m or g[0, 1] or g[1, 0] or abs(g[l_m, l_m]) != 1 or g[l_m, l_m] + g[h_m, h_m]:
         raise StructureMismatchError(
-            f"pair ({m},{n}) at k={k}: cut coefficients {s**2} are not {{2/3, 1/3}}"
+            f"pair ({m},{n}) at k={k}: canonical C structure fails (G = {g.tolist()})"
         )
-    alpha_low = mat_n @ b_low.conj()
-    alpha_high = mat_n @ b_high.conj()
-    b_basis_residual = float(abs(np.vdot(alpha_low, alpha_high)))
-    norm_low, norm_high = float(np.vdot(alpha_low, alpha_low).real), float(
-        np.vdot(alpha_high, alpha_high).real
-    )
-    if abs(norm_low - 2.0 / 3.0) > STRUCTURE_TOL or abs(norm_high - 1.0 / 3.0) > STRUCTURE_TOL:
-        raise StructureMismatchError(
-            f"pair ({m},{n}) at k={k}: coefficients {norm_low}, {norm_high} are not swapped"
-        )
-    prime_low = alpha_low / np.sqrt(norm_low)
-    prime_high = alpha_high / np.sqrt(norm_high)
-    ov_low = complex(np.vdot(a_low, prime_low))
-    ov_high = complex(np.vdot(a_high, prime_high))
-    report = CtypeReport(
+    return CtypeReport(
         m, n, k,
-        overlap_magnitude=float(abs(ov_low)),
-        sign_residual=float(abs(ov_low + ov_high)),
-        cross_overlap=max(
-            float(abs(np.vdot(a_low, prime_high))), float(abs(np.vdot(a_high, prime_low)))
-        ),
-        b_basis_residual=b_basis_residual,
+        overlap_magnitude=float(abs(g[l_m, l_m]) / np.sqrt(2.0)),
+        sign_residual=0.0,
+        cross_overlap=0.0,
+        b_basis_residual=0.0,
     )
-    if (
-        abs(report.overlap_magnitude - _SQRT_HALF) > STRUCTURE_TOL
-        or report.sign_residual > STRUCTURE_TOL
-        or report.cross_overlap > STRUCTURE_TOL
-        or report.b_basis_residual > STRUCTURE_TOL
-    ):
-        raise StructureMismatchError(f"pair ({m},{n}) at k={k}: canonical C structure fails: {report}")
-    return report
 
 
 def cloner_io(
@@ -446,9 +429,11 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
         d = np.maximum(0.0, 1.0 - (a + b + c))
         spectra = wclass_cut_spectra(a, b, c)
         _crosscheck_spectra(a, b, c, d, spectra)
+        cuts = entropy_bits(spectra)
+        # a column-wise minimum beats a reduction over the short cut axis
         entropy = np.where(
             _distance_from_w_point(a, b, c, d) > exclusion_radius,
-            entropy_bits(spectra).min(axis=-1),
+            np.minimum(np.minimum(cuts[:, 0], cuts[:, 1]), cuts[:, 2]),
             -np.inf,
         )
         for i in np.flatnonzero(entropy >= W_CUT_ENTROPY_BITS - 1e-12):

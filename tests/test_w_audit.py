@@ -21,8 +21,9 @@ from locclone.registers import (
     partial_transpose,
     trace_norm,
 )
-from locclone.states import WClassParams, w_basis, w_class
+from locclone.states import WClassParams, w_basis, w_class, w_signs
 from locclone.w_audit import (
+    PairClassification,
     StructureMismatchError,
     WStatePointError,
     all_audit_records,
@@ -117,15 +118,57 @@ def test_btype_form_rejects_wrong_span():
         btype_form(1, 2, 2)
 
 
+def _fake_w_signs(monkeypatch, fakes):
+    """Serve w_audit integer amplitudes from fakes where given, the real ones elsewhere."""
+    monkeypatch.setattr(w_audit, "w_signs", lambda x: np.array(fakes[x]) if x in fakes else w_signs(x))
+
+
+def _mutate_cut_matrix(monkeypatch, state, mutate):
+    """Pass state's cut matrices through mutate; M M^T, and so classify_pair, must not change."""
+    real, target = w_audit.qubit_cut_matrix, w_signs(state)
+
+    def patched(amplitudes, qubit):
+        mat = real(amplitudes, qubit)
+        return mutate(mat) if np.array_equal(amplitudes, target) else mat
+
+    monkeypatch.setattr(w_audit, "qubit_cut_matrix", patched)
+
+
 def test_btype_form_rejects_a_shared_direction_that_is_no_eigenvector(monkeypatch):
-    # supports span{e1, e2} and span{e1, e3} meet in e1, an eigenvector of only the first
-    fake = {
-        1: np.diag([2, 1, 0, 0]),
-        2: np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 2, 0], [0, 0, 0, 0]]),
-    }
-    monkeypatch.setattr(w_audit, "scaled_reduction", lambda m, k: fake[m])
+    # at k=3 the cut matrix rows are amplitude pairs: M_m has columns (1,1,0,0), (0,0,1,0)
+    # and M_n (0,1,1,0), (1,0,0,0); they span 3 and meet in (1,1,1,0), a column of neither
+    _fake_w_signs(monkeypatch, {1: [1, 0, 1, 0, 0, 1, 0, 0], 2: [0, 1, 1, 0, 1, 0, 0, 0]})
+    assert w_audit._witness_gram(1, 2, 3)[2].tolist() == [[1, 1], [1, 0]]
     with pytest.raises(StructureMismatchError, match="no common marginal eigenvector"):
         btype_form(1, 2, 3)
+
+
+def test_btype_form_rejects_a_cut_matrix_off_the_one_two_split(monkeypatch):
+    # M_m columns (1,1,0,0), (1,0,0,0) overlap, so M_m^T M_m = [[2, 1], [1, 1]]; still spans 3
+    _fake_w_signs(monkeypatch, {1: [1, 1, 1, 0, 0, 0, 0, 0], 2: [0, 0, 1, 0, 0, 1, 0, 1]})
+    with pytest.raises(StructureMismatchError, match="not diagonal"):
+        btype_form(1, 2, 3)
+
+
+def test_atype_structure_rejects_heavy_columns_on_one_partner(monkeypatch):
+    _mutate_cut_matrix(monkeypatch, 2, lambda mat: mat[:, ::-1])
+    assert classify_pair(1, 2).witness_k == 2
+    with pytest.raises(StructureMismatchError, match="not opposite"):
+        atype_structure(1, 2, 2)
+
+
+def test_atype_structure_rejects_a_pair_sharing_one_direction(monkeypatch):
+    # span 2 alone forces both column pairs parallel, so pass a B pair off as A
+    monkeypatch.setattr(w_audit, "classify_pair", lambda m, n: PairClassification(m, n, "A", 3, 2))
+    with pytest.raises(StructureMismatchError, match="A-side directions differ"):
+        atype_structure(1, 6, 3)
+
+
+def test_ctype_structure_rejects_a_flipped_column_sign(monkeypatch):
+    _mutate_cut_matrix(monkeypatch, 3, lambda mat: mat * np.array([1, -1]))
+    assert classify_pair(1, 3).category == "C"
+    with pytest.raises(StructureMismatchError, match="canonical C structure"):
+        ctype_structure(1, 3)
 
 
 def test_atype_structure_all_six():
@@ -133,11 +176,11 @@ def test_atype_structure_all_six():
         if category != "A":
             continue
         rep = atype_structure(m, n, k)
-        assert rep.axis_overlap == pytest.approx(1.0, abs=1e-10)
-        assert rep.partner_overlap == pytest.approx(0.0, abs=1e-10)
+        assert rep.k == k
+        assert rep.axis_overlap == 1.0
+        assert rep.partner_overlap == 0.0
         for coeffs in (rep.schmidt_m, rep.schmidt_n):
-            assert max(coeffs) == pytest.approx(2.0 / 3.0, abs=1e-10)
-            assert min(coeffs) == pytest.approx(1.0 / 3.0, abs=1e-10)
+            assert coeffs == (2.0 / 3.0, 1.0 / 3.0)
 
 
 def test_atype_structure_rejects_other_categories():
@@ -153,10 +196,8 @@ def test_ctype_structure_all_twelve():
             continue
         rep = ctype_structure(m, n)
         assert rep.k == k
-        assert rep.overlap_magnitude == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
-        assert rep.sign_residual <= 1e-10
-        assert rep.cross_overlap <= 1e-10
-        assert rep.b_basis_residual <= 1e-10
+        assert rep.overlap_magnitude == 1.0 / np.sqrt(2.0)
+        assert rep.sign_residual == rep.cross_overlap == rep.b_basis_residual == 0.0
 
 
 def test_ctype_structure_rejects_other_categories():
@@ -502,6 +543,11 @@ def test_exact_verdicts_run_no_eigensolver_or_svd(monkeypatch):
     b_pairs = [c for c in classes if c.category == "B"]
     forms = [btype_form(c.m, c.n, c.witness_k).form for c in b_pairs]
     assert (len(b_pairs), forms.count("I"), forms.count("II")) == (10, 4, 6)
+    for c in classes:
+        if c.category == "A":
+            assert atype_structure(c.m, c.n, c.witness_k).axis_overlap == 1.0
+        elif c.category == "C":
+            assert ctype_structure(c.m, c.n).sign_residual == 0.0
     verdicts = [ghz_cloning.triple_clonability(t) for t in ghz_cloning.all_triples()]
     assert sum(v.clonable for v in verdicts) == 32
     for pair in ghz_cloning.all_pairs():
