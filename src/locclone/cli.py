@@ -34,6 +34,7 @@ stdout or --out; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -237,6 +238,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 1 if bundle.notes else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -331,10 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str]) -> int:
-    """Parse argv and run one subcommand, mapping failures to exit codes."""
-    parser = build_parser()
+    """Parse argv and run one subcommand, mapping failures to exit codes.
+
+    The parser is built on the first call and reused for the rest of the
+    process: parse_args returns a fresh Namespace and leaves the parser as
+    it was, so one request cannot leak a value into the next.
+    """
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:

@@ -240,6 +240,39 @@ def test_report_runs_are_byte_identical(capsys, tmp_path):
     assert payload["notes"] == []
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# each pair of neighbours would leak a value if parsing mutated the parser:
+# the blank, measure's per-leaf quantity default, and the scan step
+_REUSE_SEQUENCE = (
+    ("ghz", "clone", "--states", "0,0,0", "0,1,1", "--blank", "0,1,1"),
+    ("ghz", "clone", "--states", "0,0,0", "0,1,1"),
+    ("measure", "negativity", "--state", "W1", "--cut", "3"),
+    ("measure", "entropy", "--state", "W1", "--cut", "3"),
+    ("report", "--format", "xml"),
+    ("w", "lemma", "--step", "0.05"),
+    ("w", "lemma"),
+)
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys):
+    cli.build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in _REUSE_SEQUENCE]
+    assert cli.build_parser.cache_info().misses == 1
+    for argv, got in zip(_REUSE_SEQUENCE, reused):
+        cli.build_parser.cache_clear()
+        assert got == run(capsys, *argv), argv
+    clone_blank, clone_default, neg, entropy, bad_format, lemma_fine, lemma = reused
+    assert "blank 0,1,1" in clone_blank[1]
+    assert "blank 0,0,0" in clone_default[1]
+    assert (neg[1], entropy[1]) == ("0.942809\n", "0.9182958\n")
+    assert bad_format[0] == 2 and bad_format[1] == ""
+    assert "usage: locclone report" in bad_format[2]
+    assert " 1140 " in lemma_fine[1] and " 19600 " in lemma[1]
+
+
 def _one_line_error(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 

@@ -434,15 +434,45 @@ def test_lemma_scan_reports_threshold_hits_in_grid_order(monkeypatch):
         "entropy_bits",
         lambda spectra: np.full(spectra.shape[:-1], W_CUT_ENTROPY_BITS),
     )
-    report = lemma_scan(step, radius)
     third = 1.0 / 3.0
     outside = [
         p for p in _scalar_grid(step)
         if abs(p.a - third) + abs(p.b - third) + abs(p.c - third) + p.d > radius
     ]
-    assert 0 < len(outside) < report.points_tested == 120
-    assert [params for params, _ in report.violations] == outside
-    assert [entropy for _, entropy in report.violations] == [W_CUT_ENTROPY_BITS] * len(outside)
+    # one chunk for the whole grid, then chunks of 7 that split rows and hits
+    for chunk in (w_audit._SCAN_CHUNK, 7):
+        monkeypatch.setattr(w_audit, "_SCAN_CHUNK", chunk)
+        report = lemma_scan(step, radius)
+        assert 0 < len(outside) < report.points_tested == 120
+        assert [params for params, _ in report.violations] == outside
+        assert [entropy for _, entropy in report.violations] == (
+            [W_CUT_ENTROPY_BITS] * len(outside)
+        )
+        assert report.grid_max_point == outside[0]  # every hit ties: the first wins
+
+
+@pytest.mark.parametrize("step", [0.05, 0.02])
+def test_grid_chunks_are_full_and_in_grid_order(monkeypatch, step):
+    # at the default size a chunk spans grid rows: some chunk holds two ia values
+    assert any(np.unique(a).size > 1 for a, _, _ in w_audit._grid_chunks(step))
+    grid = _scalar_grid(step)
+    for chunk in (w_audit._SCAN_CHUNK, 300, 7, 1):
+        monkeypatch.setattr(w_audit, "_SCAN_CHUNK", chunk)
+        chunks = list(w_audit._grid_chunks(step))
+        points = [
+            WClassParams(float(a), float(b), float(c))
+            for part in chunks for a, b, c in zip(*part)
+        ]
+        assert points == grid
+        assert all(part[0].size == chunk for part in chunks[:-1])
+        assert 0 < chunks[-1][0].size <= chunk
+
+
+def test_lemma_scan_does_not_depend_on_the_chunk_size(monkeypatch):
+    expected = lemma_scan(0.05, 0.05)
+    for chunk in (1, 7):
+        monkeypatch.setattr(w_audit, "_SCAN_CHUNK", chunk)
+        assert lemma_scan(0.05, 0.05) == expected
 
 
 def test_lemma_scan_validation():
