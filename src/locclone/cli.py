@@ -110,10 +110,12 @@ def _parse_cut(text: str, n_qubits: int) -> Bipartition:
         qubits = [int(token) for token in text.split(",")]
     except ValueError:
         raise ValueError(f"cut must be comma-separated qubit numbers, got {text!r}") from None
-    for qubit in qubits:
+    for i, qubit in enumerate(qubits):
         if not 1 <= qubit <= n_qubits:
             raise ValueError(f"cut qubit {qubit} out of range 1..{n_qubits}")
-    if len(set(qubits)) == n_qubits:
+        if qubit in qubits[:i]:
+            raise ValueError(f"cut qubit {qubit} is repeated; give each qubit once")
+    if len(qubits) == n_qubits:
         raise ValueError(f"cut {text!r} must leave at least one qubit on each side")
     return Bipartition(n_qubits, frozenset(qubit - 1 for qubit in qubits))
 

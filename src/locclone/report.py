@@ -34,8 +34,8 @@ from .w_audit import (
     AuditRecord,
     PairClassification,
     ScanReport,
-    all_audit_records,
     all_pair_classifications,
+    audit_classified,
     check_scan_inputs,
     lemma_scan,
 )
@@ -210,7 +210,7 @@ def build_report(config: RunConfig) -> ReportBundle:
             f"w pair taxonomy {_split_text(split)} differs from the paper's "
             f"{_split_text(REFERENCE_TAXONOMY)}"
         )
-    records = all_audit_records()
+    records = tuple(audit_classified(c) for c in classifications)
     notes.extend(reference_mismatches(records))
 
     scan = lemma_scan(config.step, config.exclusion_radius)

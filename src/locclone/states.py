@@ -134,10 +134,8 @@ def parse_ghz_label(text: str) -> GhzLabel:
 
 def parse_w_index(text: str) -> int:
     t = text.strip().upper()
-    if len(t) == 2 and t[0] == "W" and t[1].isdigit():
-        n = int(t[1])
-        if 1 <= n <= 8:
-            return n
+    if len(t) == 2 and t[0] == "W" and t[1] in "12345678":
+        return int(t[1])
     raise ValueError(f"W basis label must be W1..W8, got {text!r}")
 
 

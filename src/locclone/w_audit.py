@@ -5,11 +5,14 @@ reductions Tr_k: category A has some k with span 2, category B none with 2
 but some with 3, category C span 4 for every k plus a k where the reductions
 do not commute. These decisions and the A, B and C structures are exact:
 sqrt(3) * W_m has entries 0 and +/-1, so its 4x2 cut matrix M at qubit k is
-integer, and so is R = M M^T = 3 Tr_k. Spans are integer ranks and
-commutators integer matrices. The canonical forms are integer tests on one
-Gram matrix G = M_m^T M_n, after each M^T M is checked to be diagonal with
-entries {1, 2}: its columns are then the A-side Schmidt directions, paired
-with |0> and |1> on qubit k. No tolerance is left to tune.
+integer and the reduction Tr_k = M M^T / 3 has the column space of M. The
+span at k is the integer rank of [M_m | M_n], and the reductions commute
+exactly when the Gram matrix G = M_m^T M_n is 0: with span 4, P = [M_m | M_n]
+is invertible and 9 times their commutator, M_m G M_n^T - M_n G^T M_m^T, is
+P [[0, G], [-G^T, 0]] P^T. The canonical forms are integer tests on the same
+G, after each M^T M is checked to be diagonal with entries {1, 2}: its columns
+are then the A-side Schmidt directions, paired with |0> and |1> on qubit k.
+No tolerance is left to tune.
 
 The audit cuts the cloner input and output mixtures between lab A (qubits
 i, j of both registers) and lab B (qubit k of both) and compares negativities:
@@ -160,34 +163,22 @@ def _validate_indices(m: int, n: int) -> None:
         raise ValueError("pair members must differ")
 
 
-def scaled_reduction(m: int, k: int) -> np.ndarray:
-    """3 Tr_k |W_m><W_m| (1-based traced qubit k) as an integer 4x4 matrix.
-
-    It is M M^T for the integer cut matrix M of sqrt(3) * W_m, so its column
-    space is the support of the reduction and its eigenvalues are 2, 1, 0, 0.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError(f"qubit index k={k!r} must be 1..3")
-    mat = qubit_cut_matrix(w_signs(m), k - 1)
-    return mat @ mat.T
-
-
 def classify_pair(m: int, n: int) -> PairClassification:
     """Category A/B/C of a W-basis pair with its witness cut.
 
     The witness for A and B is the largest k attaining the minimal span (one
     pair attains its minimum at every k and is cataloged under k=3); for C it
-    is the smallest k whose reductions do not commute.
+    is the smallest k whose reductions do not commute, that is whose Gram
+    matrix G is nonzero (see the module docstring).
     """
     _validate_indices(m, n)
-    reductions = {k: (scaled_reduction(m, k), scaled_reduction(n, k)) for k in (1, 2, 3)}
-    dims = {k: integer_rank(np.hstack(pair)) for k, pair in reductions.items()}
-    span = min(dims.values())
+    cuts = {k: _cut_gram(m, n, k) for k in (1, 2, 3)}
+    span = min(dim for *_, dim in cuts.values())
     if span <= 3:
         category = CATEGORY_A if span == 2 else CATEGORY_B
-        witness = max(k for k, dim in dims.items() if dim == span)
+        witness = max(k for k, (*_, dim) in cuts.items() if dim == span)
         return PairClassification(m, n, category, witness, span)
-    noncommuting = [k for k, (r_m, r_n) in reductions.items() if np.any(r_m @ r_n - r_n @ r_m)]
+    noncommuting = [k for k, (_, _, g, _) in cuts.items() if g.any()]
     if not noncommuting:
         raise StructureMismatchError(
             f"pair ({m},{n}) spans 4 at every cut but all reductions commute"
@@ -195,25 +186,29 @@ def classify_pair(m: int, n: int) -> PairClassification:
     return PairClassification(m, n, CATEGORY_C, min(noncommuting), 4)
 
 
-def _witness_gram(m: int, n: int, k: int) -> tuple[int, int, np.ndarray]:
-    """Heavy columns h_m, h_n of both states at cut k and their Gram matrix G = M_m^T M_n.
+def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, np.ndarray, int]:
+    """Heavy columns h_m, h_n at cut k, the Gram matrix G = M_m^T M_n and the span.
 
     M is the integer 4x2 cut matrix of sqrt(3) * W at qubit k. Each state must
     have M^T M diagonal with entries {1, 2}: then column b is the A-side Schmidt
     direction paired with |b> on qubit k, of marginal weight M^T M[b, b] / 3,
     so column h (weight 2/3) is heavy and 1 - h (weight 1/3) light, and G[i, j]
-    is the overlap of column i of M_m with column j of M_n.
+    is the overlap of column i of M_m with column j of M_n. The span of the two
+    reductions' supports is the rank of [M_m | M_n].
     """
-    mats = [qubit_cut_matrix(w_signs(x), k - 1) for x in (m, n)]
+    if k not in (1, 2, 3):
+        raise ValueError(f"qubit index k={k!r} must be 1..3")
+    pair = np.hstack([qubit_cut_matrix(w_signs(x), k - 1) for x in (m, n)])
+    gram = pair.T @ pair  # [[M_m^T M_m, G], [G^T, M_n^T M_n]]
     heavy = []
-    for x, mat in zip((m, n), mats):
-        gram = mat.T @ mat
-        if gram[0, 1] or sorted(np.diag(gram).tolist()) != [1, 2]:
+    for x, i in ((m, 0), (n, 2)):
+        own = gram[i:i + 2, i:i + 2].tolist()
+        if own[0][1] or sorted((own[0][0], own[1][1])) != [1, 2]:
             raise StructureMismatchError(
-                f"W{x} at k={k}: M^T M = {gram.tolist()} is not diagonal with entries 1, 2"
+                f"W{x} at k={k}: M^T M = {own} is not diagonal with entries 1, 2"
             )
-        heavy.append(int(np.argmax(np.diag(gram))))
-    return heavy[0], heavy[1], mats[0].T @ mats[1]
+        heavy.append(0 if own[0][0] == 2 else 1)
+    return heavy[0], heavy[1], gram[:2, 2:], integer_rank(pair)
 
 
 def btype_form(m: int, n: int, k: int) -> BTypeForm:
@@ -225,9 +220,9 @@ def btype_form(m: int, n: int, k: int) -> BTypeForm:
     (|G[l_m, l_n]| = 1). Columns of norm^2 2 and 1 are never parallel, so a
     direction shared at different weights, or by no columns at all, fails.
     """
-    if integer_rank(np.hstack([scaled_reduction(m, k), scaled_reduction(n, k)])) != 3:
+    h_m, h_n, g, span = _cut_gram(m, n, k)
+    if span != 3:
         raise ValueError(f"pair ({m},{n}) does not span 3 at k={k}; not a B-type witness")
-    h_m, h_n, g = _witness_gram(m, n, k)
     heavy, light = abs(g[h_m, h_n]) == 2, abs(g[1 - h_m, 1 - h_n]) == 1
     if heavy != light:
         return BTypeForm(FORM_I, 2.0 / 3.0) if heavy else BTypeForm(FORM_II, 1.0 / 3.0)
@@ -239,7 +234,7 @@ def btype_form(m: int, n: int, k: int) -> BTypeForm:
 def atype_structure(m: int, n: int, k: int) -> AtypeReport:
     """Check the different-planes pattern of an A-type pair at witness k.
 
-    Both states split 2/3, 1/3 at k (_witness_gram), their heavy and their light
+    Both states split 2/3, 1/3 at k (_cut_gram), their heavy and their light
     columns are parallel (|G[h_m, h_n]| = 2, |G[l_m, l_n]| = 1), and the heavy
     columns pair with opposite B partners (h_m != h_n). The report's overlaps
     are then exactly 1 and 0.
@@ -247,7 +242,7 @@ def atype_structure(m: int, n: int, k: int) -> AtypeReport:
     cls = classify_pair(m, n)
     if cls.category != CATEGORY_A or cls.witness_k != k:
         raise ValueError(f"pair ({m},{n}) is {cls.category} with witness {cls.witness_k}, not A at k={k}")
-    h_m, h_n, g = _witness_gram(m, n, k)
+    h_m, h_n, g, _ = _cut_gram(m, n, k)
     if abs(g[h_m, h_n]) != 2 or abs(g[1 - h_m, 1 - h_n]) != 1:
         raise StructureMismatchError(
             f"pair ({m},{n}) at k={k}: A-side directions differ (G = {g.tolist()})"
@@ -271,7 +266,7 @@ def ctype_structure(m: int, n: int) -> CtypeReport:
         raise ValueError(f"pair ({m},{n}) is {cls.category}, not C")
     k = cls.witness_k
     assert k is not None
-    h_m, h_n, g = _witness_gram(m, n, k)
+    h_m, h_n, g, _ = _cut_gram(m, n, k)
     l_m = 1 - h_m
     if h_n == h_m or g[0, 1] or g[1, 0] or abs(g[l_m, l_m]) != 1 or g[l_m, l_m] + g[h_m, h_m]:
         raise StructureMismatchError(
@@ -315,14 +310,18 @@ def input_negativity(pair: DensityMatrix, blank: DensityMatrix, k: int) -> float
 
 
 def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
-    """Negativities of the cloner_io mixtures across the witness lab cut.
+    """Negativities of the cloner_io mixtures across the witness lab cut."""
+    return audit_classified(classify_pair(m, n), blank)
+
+
+def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
+    """negativity_audit of a pair already classified, at its witness cut.
 
     The input is input_negativity of the 8x8 pair mixture and blank, the output
     the real 64x64 mixture of W_m (x) W_m and W_n (x) W_n. Runs for any distinct
     pair; A-type records carry no form and get no reference comparison.
     """
-    cls = classify_pair(m, n)
-    k = cls.witness_k
+    m, n, k = cls.m, cls.n, cls.witness_k
     assert k is not None
     form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None
     states = (w_basis(m), w_basis(n))
@@ -530,4 +529,4 @@ def all_pair_classifications() -> tuple[PairClassification, ...]:
 
 
 def all_audit_records(blank: int = 1) -> tuple[AuditRecord, ...]:
-    return tuple(negativity_audit(m, n, blank) for m in range(1, 9) for n in range(m + 1, 9))
+    return tuple(audit_classified(cls, blank) for cls in all_pair_classifications())

@@ -412,6 +412,7 @@ _FAILURES = [
      lambda tmp: f"state file {tmp}/deep.json: a state file must hold a list of [re, im]"),
     ([*_STATE_ARGV, _state_file(b'{"a":1}', "obj.json")], 2,
      lambda tmp: f"state file {tmp}/obj.json: a state file must hold a list of [re, im]"),
+    (["w", "audit", "--blank", "W\u00b2"], 2, "W basis label must be W1..W8, got 'W\u00b2'"),
 ]
 
 
@@ -447,6 +448,14 @@ def test_clone_names_a_repeated_member(capsys, states):
     code, out, err = run(capsys, "ghz", "clone", "--states", *states)
     assert (code, out) == (2, "")
     assert err == "error: clone member 0,0,0 is repeated; give distinct states\n"
+
+
+@pytest.mark.parametrize("cut", ["1,1", "2,1,2", "1,2,3,3"])
+def test_measure_names_a_repeated_cut_qubit(capsys, cut):
+    repeated = cut.split(",")[-1]
+    code, out, err = run(capsys, "measure", "entropy", "--state", "W1", "--cut", cut)
+    assert (code, out) == (2, "")
+    assert err == f"error: cut qubit {repeated} is repeated; give each qubit once\n"
 
 
 @pytest.mark.parametrize("data, detail", [

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from locclone import w_audit
 from locclone.ghz_cloning import synthesize_cloner
 from locclone.registers import Bipartition, GATE_X, SingleQubitGate, TransversalCnot
 from locclone.report import (
@@ -135,6 +136,22 @@ def test_build_report_sections():
     assert bundle.scan is not None
     assert bundle.scan.points_tested == 1140
     assert bundle.notes == ()
+
+
+def test_build_report_classifies_each_pair_once(monkeypatch):
+    calls = []
+    real = w_audit.classify_pair
+
+    def counting(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(w_audit, "classify_pair", counting)
+    bundle = build_report(RunConfig(step=0.1))
+    assert len(calls) == len(set(calls)) == 28
+    assert [(r.m, r.n, r.category, r.witness_k) for r in bundle.pairs] == [
+        (c.m, c.n, c.category, c.witness_k) for c in bundle.w_classifications
+    ]
 
 
 def test_build_report_json_round_trip():

@@ -16,6 +16,7 @@ from locclone.registers import (
     Bipartition,
     DensityMatrix,
     density,
+    integer_rank,
     mix,
     partial_trace,
     partial_transpose,
@@ -37,7 +38,6 @@ from locclone.w_audit import (
     input_negativity,
     lemma_scan,
     negativity_audit,
-    scaled_reduction,
 )
 
 # Hand-checked catalog: category and witness cut for every W-basis pair.
@@ -88,17 +88,6 @@ def test_classify_rejects_bad_indices():
         classify_pair(4, 4)
 
 
-def test_scaled_reduction_validates_cut():
-    with pytest.raises(ValueError):
-        scaled_reduction(1, 0)
-    with pytest.raises(ValueError):
-        scaled_reduction(1, 4)
-    r = scaled_reduction(1, 3)
-    assert r.shape == (4, 4)
-    assert r.dtype.kind == "i"
-    assert np.trace(r) == 3
-
-
 def test_btype_forms():
     for (m, n), (category, k) in GOLDEN.items():
         if category != "B":
@@ -124,7 +113,11 @@ def _fake_w_signs(monkeypatch, fakes):
 
 
 def _mutate_cut_matrix(monkeypatch, state, mutate):
-    """Pass state's cut matrices through mutate; M M^T, and so classify_pair, must not change."""
+    """Pass state's cut matrices through mutate, a column swap or sign flip.
+
+    Neither changes a column space or which Gram matrices vanish, so classify_pair
+    must not change.
+    """
     real, target = w_audit.qubit_cut_matrix, w_signs(state)
 
     def patched(amplitudes, qubit):
@@ -138,7 +131,7 @@ def test_btype_form_rejects_a_shared_direction_that_is_no_eigenvector(monkeypatc
     # at k=3 the cut matrix rows are amplitude pairs: M_m has columns (1,1,0,0), (0,0,1,0)
     # and M_n (0,1,1,0), (1,0,0,0); they span 3 and meet in (1,1,1,0), a column of neither
     _fake_w_signs(monkeypatch, {1: [1, 0, 1, 0, 0, 1, 0, 0], 2: [0, 1, 1, 0, 1, 0, 0, 0]})
-    assert w_audit._witness_gram(1, 2, 3)[2].tolist() == [[1, 1], [1, 0]]
+    assert w_audit._cut_gram(1, 2, 3)[2].tolist() == [[1, 1], [1, 0]]
     with pytest.raises(StructureMismatchError, match="no common marginal eigenvector"):
         btype_form(1, 2, 3)
 
@@ -148,6 +141,74 @@ def test_btype_form_rejects_a_cut_matrix_off_the_one_two_split(monkeypatch):
     _fake_w_signs(monkeypatch, {1: [1, 1, 1, 0, 0, 0, 0, 0], 2: [0, 0, 1, 0, 0, 1, 0, 1]})
     with pytest.raises(StructureMismatchError, match="not diagonal"):
         btype_form(1, 2, 3)
+
+
+def test_classify_pair_checks_the_one_two_split(monkeypatch):
+    _fake_w_signs(monkeypatch, {1: [1, 1, 1, 0, 0, 0, 0, 0]})
+    with pytest.raises(StructureMismatchError, match="not diagonal"):
+        classify_pair(1, 2)
+
+
+def test_btype_form_validates_the_cut():
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="must be 1..3"):
+            btype_form(1, 6, k)
+
+
+def test_classify_pair_reads_each_cut_once(monkeypatch):
+    calls = []
+    real = w_audit._cut_gram
+
+    def counting(m, n, k):
+        calls.append((m, n, k))
+        return real(m, n, k)
+
+    monkeypatch.setattr(w_audit, "_cut_gram", counting)
+    assert classify_pair(1, 3).category == "C"
+    assert calls == [(1, 3, 1), (1, 3, 2), (1, 3, 3)]
+
+
+def _small_integer_cut_matrices():
+    return arrays(np.int64, (4, 2), elements=st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_integer_cut_matrices(), _small_integer_cut_matrices(), st.booleans())
+def test_reductions_commute_exactly_when_the_gram_matrix_vanishes(m_mat, n_mat, orthogonal):
+    if orthogonal:
+        # det(S) N - M adj(S) M^T N with S = M^T M: integer, and orthogonal to M's columns
+        s = m_mat.T @ m_mat
+        adj = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]])
+        n_mat = (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]) * n_mat - m_mat @ adj @ m_mat.T @ n_mat
+    assume(integer_rank(np.hstack([m_mat, n_mat])) == 4)
+    r_m, r_n = m_mat @ m_mat.T, n_mat @ n_mat.T
+    assert np.array_equal(r_m @ r_n, r_n @ r_m) == (not (m_mat.T @ n_mat).any())
+
+
+def _float_taxonomy(m, n):
+    """Spans and commutation of the float reductions Tr_k per cut, and the classification."""
+    spans, commuting = {}, {}
+    for k in (1, 2, 3):
+        r_m, r_n = (partial_trace(density(w_basis(x)), {k - 1}).entries for x in (m, n))
+        spans[k] = int(np.linalg.matrix_rank(np.hstack([r_m, r_n])))
+        commuting[k] = bool(np.linalg.norm(r_m @ r_n - r_n @ r_m) <= 1e-12)
+    span = min(spans.values())
+    if span < 4:
+        witness = max(k for k, dim in spans.items() if dim == span)
+        return spans, commuting, ("A" if span == 2 else "B", witness, span)
+    return spans, commuting, ("C", min(k for k, ok in commuting.items() if not ok), 4)
+
+
+def test_taxonomy_matches_a_float_partial_trace_reference():
+    for m, n in itertools.combinations(range(1, 9), 2):
+        spans, commuting, expected = _float_taxonomy(m, n)
+        for k in (1, 2, 3):
+            _, _, g, span = w_audit._cut_gram(m, n, k)
+            assert span == spans[k], (m, n, k)
+            if span == 4:
+                assert (not g.any()) == commuting[k], (m, n, k)
+        cls = classify_pair(m, n)
+        assert (cls.category, cls.witness_k, cls.span_dim) == expected, (m, n)
 
 
 def test_atype_structure_rejects_heavy_columns_on_one_partner(monkeypatch):
@@ -293,25 +354,6 @@ def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
     negativity_audit(1, 3, blank=4)
     assert seen[:2] == [((8, 8), np.dtype(complex), 3)] * 2
     assert seen[2:] == [((64, 64), np.dtype(np.float64), 6)]
-
-
-def test_classify_pair_builds_six_reductions(monkeypatch):
-    calls = []
-    real = w_audit.scaled_reduction
-
-    def counting(m, k):
-        calls.append((m, k))
-        return real(m, k)
-
-    monkeypatch.setattr(w_audit, "scaled_reduction", counting)
-    assert classify_pair(1, 3).category == "C"
-    assert sorted(calls) == [(m, k) for m in (1, 3) for k in (1, 2, 3)]
-
-
-def test_scaled_reduction_is_three_times_the_partial_trace():
-    for m, k in itertools.product(range(1, 9), (1, 2, 3)):
-        direct = partial_trace(density(w_basis(m)), {k - 1}).entries
-        assert np.abs(scaled_reduction(m, k) - 3.0 * direct).max() <= 1e-15, (m, k)
 
 
 @pytest.mark.parametrize("m, n, blank", [
