@@ -93,12 +93,20 @@ def _emit(
     _write(render(document, sections, args.format), args.out)
 
 
+def _ascii_number(token: str) -> int:
+    """A number in ASCII digits; int() alone also reads other scripts' digits."""
+    token = token.strip()
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not an ASCII number: {token!r}")
+    return int(token)
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = [piece.strip() for piece in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"pair must be 'm,n', got {text!r}")
     try:
-        m, n = (int(piece) for piece in parts)
+        m, n = (_ascii_number(piece) for piece in parts)
     except ValueError:
         raise ValueError(f"pair members must be integers 1..8, got {text!r}") from None
     return m, n
@@ -107,7 +115,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def _parse_cut(text: str, n_qubits: int) -> Bipartition:
     """A 1-based, comma-separated list of B-side qubits as a cut of n_qubits."""
     try:
-        qubits = [int(token) for token in text.split(",")]
+        qubits = [_ascii_number(token) for token in text.split(",")]
     except ValueError:
         raise ValueError(f"cut must be comma-separated qubit numbers, got {text!r}") from None
     for i, qubit in enumerate(qubits):

@@ -18,7 +18,9 @@ The audit cuts the cloner input and output mixtures between lab A (qubits
 i, j of both registers) and lab B (qubit k of both) and compares negativities:
 an output above the input certifies that no LOCC step can have produced it.
 The cut splits each register at qubit k, so the input negativity factors into
-two 8x8 ones; the output is a real 64x64 matrix.
+two 8x8 ones. Each W-basis state has one Z(x)Z(x)Z parity, so the output commutes
+with both registers' parities, and its partial transpose splits into four 16x16
+parity sectors that one batched eigensolve takes at once.
 
 The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
@@ -36,7 +38,7 @@ follow exactly from its entries p, q (diagonal) and r (off-diagonal) as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,15 +46,19 @@ from .measures import (
     W_CUT_ENTROPY_BITS,
     entropy_bits,
     negativity,
+    transpose_negativity,
     wclass_cut_spectra,
     wclass_min_cut_entropy,
 )
 from .registers import (
     Bipartition,
     DensityMatrix,
+    HermitianOperator,
+    StateVector,
     density,
     integer_rank,
     mix,
+    partial_transpose,
     qubit_cut_matrix,
     tensor,
 )
@@ -66,6 +72,13 @@ SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 # and 1 << 13, with 30.0, 31.3 and 33.5 MB max RSS (99 ms and 30.1 MB with
 # one grid row per chunk).
 _SCAN_CHUNK = 1 << 12
+
+# The 64 joint indices of original (x) clone, original register most significant,
+# listed by (original parity, clone parity): four sectors of 16 indices each.
+_SECTORS = np.argsort(
+    [2 * (bin(i >> 3).count("1") % 2) + bin(i & 7).count("1") % 2 for i in range(64)],
+    kind="stable",
+).reshape(4, 16)
 
 CATEGORY_A = "A"
 CATEGORY_B = "B"
@@ -317,9 +330,11 @@ def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
 def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
     """negativity_audit of a pair already classified, at its witness cut.
 
-    The input is input_negativity of the 8x8 pair mixture and blank, the output
-    the real 64x64 mixture of W_m (x) W_m and W_n (x) W_n. Runs for any distinct
-    pair; A-type records carry no form and get no reference comparison.
+    The input is input_negativity of the 8x8 pair mixture and blank. The output
+    mixture of W_m (x) W_m and W_n (x) W_n keeps each register's Z(x)Z(x)Z parity,
+    so its negativity comes from four 16x16 parity sectors (_output_negativity).
+    Runs for any distinct pair; A-type records carry no form and get no
+    reference comparison.
     """
     m, n, k = cls.m, cls.n, cls.witness_k
     assert k is not None
@@ -327,11 +342,29 @@ def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
     states = (w_basis(m), w_basis(n))
     pair = mix([0.5, 0.5], [density(state) for state in states])
     negativity_in = input_negativity(pair, density(w_basis(blank)), k)
+    negativity_out = _output_negativity(states, k)
+    return AuditRecord(m, n, cls.category, k, form, negativity_in, negativity_out, blank)
+
+
+def _output_negativity(states: Sequence[StateVector], k: int) -> float:
+    """Negativity of the equal mixture of clones |s>|s> across the lab cut {k-1, k+2}.
+
+    States of definite Z(x)Z(x)Z parity make the mixture commute with each register's
+    parity, which transposing lab B keeps, so the partial transpose lies in _SECTORS:
+    one stacked 16x16 eigensolve. An entry outside them raises StructureMismatchError.
+    """
     # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
     clones = np.stack([np.outer(s.amplitudes.real, s.amplitudes.real).ravel() for s in states])
-    rho_out = DensityMatrix(6, clones.T @ clones / 2.0)
-    negativity_out = negativity(rho_out, Bipartition(6, frozenset({k - 1, k + 2})))
-    return AuditRecord(m, n, cls.category, k, form, negativity_in, negativity_out, blank)
+    rho_out = DensityMatrix(6, clones.T @ clones / len(states))
+    flipped = partial_transpose(rho_out, Bipartition(6, frozenset({k - 1, k + 2}))).entries
+    blocks = flipped[_SECTORS[:, :, None], _SECTORS[:, None, :]]
+    inside, total = np.count_nonzero(blocks), np.count_nonzero(flipped)
+    if inside < total:
+        raise StructureMismatchError(
+            f"{total - inside} of {total} nonzero entries of the output's partial transpose "
+            f"at k={k} lie outside the register parity sectors"
+        )
+    return transpose_negativity(HermitianOperator(16, blocks))
 
 
 def blank_insufficiency(params: WClassParams) -> InsufficiencyCertificate:

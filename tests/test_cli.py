@@ -413,6 +413,11 @@ _FAILURES = [
     ([*_STATE_ARGV, _state_file(b'{"a":1}', "obj.json")], 2,
      lambda tmp: f"state file {tmp}/obj.json: a state file must hold a list of [re, im]"),
     (["w", "audit", "--blank", "W\u00b2"], 2, "W basis label must be W1..W8, got 'W\u00b2'"),
+    # Arabic-Indic digits, which int() reads as 1 and 3
+    (["w", "classify", "--pair", "\u0661,\u0663"], 2,
+     "pair members must be integers 1..8, got '\u0661,\u0663'"),
+    (["measure", "entropy", "--state", "W1", "--cut", "\u0661"], 2,
+     "cut must be comma-separated qubit numbers, got '\u0661'"),
 ]
 
 

@@ -425,3 +425,47 @@ def test_tensor_is_kron_bit_for_bit(n_u, n_v, data):
     u = StateVector(n_u, _complex_array(data, (1 << n_u,)))
     v = StateVector(n_v, _complex_array(data, (1 << n_v,)))
     assert tensor(u, v).amplitudes.tobytes() == np.kron(u.amplitudes, v.amplitudes).tobytes()
+
+
+def _hermitian_stack(data, n_blocks, dim):
+    raw = _complex_array(data, (n_blocks, dim, dim))
+    return (raw + np.swapaxes(raw, -1, -2).conj()) / 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_stacked_spectrum_is_the_block_diagonal_spectrum(n_blocks, dim, data):
+    stack = _hermitian_stack(data, n_blocks, dim)
+    assembled = np.zeros((n_blocks * dim, n_blocks * dim), dtype=complex)
+    for i, block in enumerate(stack):
+        assembled[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block
+    spectra = hermitian_spectrum(HermitianOperator(dim, stack))
+    assert spectra.shape == (n_blocks, dim)
+    assert np.all(np.diff(spectra, axis=-1) <= 0.0)  # each block descending
+    want = hermitian_spectrum(HermitianOperator(n_blocks * dim, assembled))
+    assert np.abs(np.sort(spectra.ravel())[::-1] - want).max() <= 1e-12
+    got_norm = trace_norm(HermitianOperator(dim, stack))
+    assert got_norm == pytest.approx(trace_norm(HermitianOperator(n_blocks * dim, assembled)),
+                                     abs=1e-12)
+    # a 2-D operator's spectrum is exactly the one eigvalsh gives, descending
+    for block in stack:
+        plain = np.linalg.eigvalsh(np.where(np.abs(block) < 1.5e-154, 0.0, block))[::-1]
+        assert np.array_equal(hermitian_spectrum(HermitianOperator(dim, block)), plain)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 6), st.data())
+def test_stacked_spectrum_refuses_one_bad_block(n_blocks, dim, data):
+    stack = _hermitian_stack(data, n_blocks, dim)
+    bad = data.draw(st.integers(0, n_blocks - 1))
+    row, col = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    skewed = stack.copy()
+    skewed[bad, row, (row + 1) % dim] += 1e-6  # breaks the symmetry of one entry pair
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_spectrum(HermitianOperator(dim, skewed))
+    with_nan = stack.copy()
+    with_nan[bad, row, col] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_spectrum(HermitianOperator(dim, with_nan))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_norm(HermitianOperator(dim, with_nan))

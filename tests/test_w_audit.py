@@ -22,7 +22,7 @@ from locclone.registers import (
     partial_transpose,
     trace_norm,
 )
-from locclone.states import WClassParams, w_basis, w_class, w_signs
+from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class, w_signs
 from locclone.w_audit import (
     PairClassification,
     StructureMismatchError,
@@ -340,20 +340,73 @@ def test_negativity_audit_matches_the_64x64_mixtures():
 
 
 def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
-    seen = []
+    seen, solves = [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def recording(dm, cut):
         seen.append((dm.entries.shape, dm.entries.dtype, cut.n_qubits))
         return negativity(dm, cut)
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        solves.append((a.shape, a.dtype))
+        return eigvalsh(a, *args, **kwargs)
 
     def refuse(*args):
         raise AssertionError("a six-qubit register was built")
 
     monkeypatch.setattr(w_audit, "negativity", recording)
     monkeypatch.setattr(w_audit, "tensor", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     negativity_audit(1, 3, blank=4)
-    assert seen[:2] == [((8, 8), np.dtype(complex), 3)] * 2
-    assert seen[2:] == [((64, 64), np.dtype(np.float64), 6)]
+    assert seen == [((8, 8), np.dtype(complex), 3)] * 2
+    # the output's spectrum comes from its four parity sectors, not from a 64x64 solve
+    assert [s for s in solves if s[0][-1] > 8] == [((4, 16, 16), np.dtype(np.float64))]
+
+
+@pytest.mark.parametrize("index", range(1, 9))
+def test_w_basis_states_have_a_definite_register_parity(index):
+    parities = {bin(int(ket)).count("1") % 2 for ket in np.flatnonzero(w_signs(index))}
+    assert parities == {index % 2}  # W1, W3, W5, W7 odd; W2, W4, W6, W8 even
+
+
+def _sector_of_each_index():
+    sector = np.full(64, -1)
+    for label, indices in enumerate(w_audit._SECTORS):
+        sector[indices] = label
+    return sector
+
+
+def test_parity_sectors_partition_the_joint_indices_by_register_parity():
+    assert sorted(w_audit._SECTORS.ravel().tolist()) == list(range(64))
+    for indices in w_audit._SECTORS:
+        parities = {(bin(i >> 3).count("1") % 2, bin(i & 7).count("1") % 2) for i in indices}
+        assert len(parities) == 1
+
+
+def test_output_partial_transpose_lies_in_the_parity_sectors_at_every_cut():
+    sector = _sector_of_each_index()
+    outside = sector[:, None] != sector[None, :]
+    pairs = itertools.combinations(range(1, 9), 2)
+    for (m, n), k in itertools.product(pairs, (1, 2, 3)):
+        _, rho_out, cut = cloner_io(m, n, k)
+        assert not partial_transpose(rho_out, cut).entries[outside].any(), (m, n, k)
+        value = w_audit._output_negativity((w_basis(m), w_basis(n)), k)
+        assert abs(value - negativity(rho_out, cut)) <= 1e-12, (m, n, k)
+
+
+def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
+    # a GHZ state mixes parities: |000> is even and |111> odd
+    w_basis_of = w_audit.w_basis
+    mutant = ghz(GhzLabel(0, 0, 0))
+    monkeypatch.setattr(w_audit, "w_basis", lambda x: mutant if x == 1 else w_basis_of(x))
+    _, rho_out, cut = cloner_io(1, 6, 3)  # the mutant's output too, at the pair's witness cut
+    flipped = partial_transpose(rho_out, cut).entries
+    sector = _sector_of_each_index()
+    dropped = np.count_nonzero(flipped[sector[:, None] != sector[None, :]])
+    assert dropped > 0
+    message = f"{dropped} of {np.count_nonzero(flipped)} nonzero entries"
+    with pytest.raises(StructureMismatchError, match=message):
+        negativity_audit(1, 6)
 
 
 @pytest.mark.parametrize("m, n, blank", [
