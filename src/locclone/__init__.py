@@ -15,10 +15,8 @@ from .registers import (
     integer_rank,
     make_pure,
     mix,
-    partial_trace,
     partial_transpose,
     schmidt_coefficients,
-    tensor,
     trace_norm,
 )
 from .states import (
@@ -58,7 +56,6 @@ from .w_audit import (
     blank_insufficiency,
     btype_form,
     classify_pair,
-    cloner_io,
     ctype_structure,
     lemma_scan,
     negativity_audit,

@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 * Qubit 0 is the most significant bit of the amplitude index, so basis state
   |q0 q1 ... q_{n-1}> lives at index q0*2^(n-1) + q1*2^(n-2) + ... + q_{n-1}.
-* Joint registers compose original-then-clone: tensor(u, v) puts u's qubits
-  in front of v's.
+* Joint registers compose original-then-clone: the original's qubits come
+  first, as the more significant half of the joint index.
 * Bipartitions name the B side; qubit indices are 0-based here (user-facing
   labels are 1-based and translated at the CLI boundary).
 * Circuits build no 2^n x 2^n operator: a gate is one matmul, a CNOT layer one gather.
@@ -32,10 +32,6 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -53,7 +49,6 @@ class DensityMatrix:
 class HermitianOperator:
     """Hermitian operator that need not be positive (partial transposes land here)."""
 
-    dim: int
     entries: np.ndarray
 
 
@@ -123,11 +118,6 @@ def make_pure(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
     if abs(norm - 1.0) > NORM_ATOL:
         raise ValueError(f"norm {norm!r} differs from 1 by more than {NORM_ATOL}")
     return StateVector(size.bit_length() - 1, amps / norm)
-
-
-def tensor(u: StateVector, v: StateVector) -> StateVector:
-    """Tensor product with u's qubits more significant than v's."""
-    return StateVector(u.n_qubits + v.n_qubits, np.outer(u.amplitudes, v.amplitudes).ravel())
 
 
 def density(state: StateVector) -> DensityMatrix:
@@ -212,7 +202,7 @@ def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> HermitianOperator:
     for q in cut.side_b:
         perm[q], perm[q + n] = perm[q + n], perm[q]
     out = t.transpose(perm).reshape(dm.dim, dm.dim)
-    return HermitianOperator(dm.dim, out)
+    return HermitianOperator(out)
 
 
 def hermitian_spectrum(op: HermitianOperator | DensityMatrix) -> np.ndarray:
@@ -280,28 +270,8 @@ def integer_rank(matrix: np.ndarray) -> int:
     return rank
 
 
-def embed_operator(matrix: np.ndarray, n_qubits: int, targets: Sequence[int]) -> np.ndarray:
-    """Lift an operator on the listed qubits (in that order) to the full register."""
-    targets = [int(q) for q in targets]
-    k = len(targets)
-    if len(set(targets)) != k or any(q < 0 or q >= n_qubits for q in targets):
-        raise ValueError(f"bad target list {targets} for {n_qubits} qubits")
-    rest = [q for q in range(n_qubits) if q not in targets]
-    order = targets + rest
-    full = np.kron(np.asarray(matrix, dtype=complex), np.eye(1 << len(rest)))
-    t = full.reshape([2] * (2 * n_qubits))
-    perm = [order.index(q) for q in range(n_qubits)]
-    t = t.transpose(perm + [p + n_qubits for p in perm])
-    return t.reshape(1 << n_qubits, 1 << n_qubits)
-
-
-def state_to_json(state: StateVector) -> list[list[float]]:
-    """Amplitudes as [re, im] pairs, qubit-0-most-significant order."""
-    return [[float(z.real), float(z.imag)] for z in state.amplitudes]
-
-
 def state_from_json(obj: object) -> StateVector:
-    """Inverse of state_to_json; accepts only a list of [re, im] pairs of finite numbers.
+    """State from a list of [re, im] pairs of finite numbers (qubit 0 most significant) only.
 
     Registers above MAX_STATE_QUBITS are refused before any matrix is built.
     """
@@ -319,11 +289,6 @@ def state_from_json(obj: object) -> StateVector:
         return make_pure([complex(re, im) for re, im in obj])
     except OverflowError:  # an integer too large for a float
         raise ValueError("amplitudes must be finite") from None
-
-
-def save_state(state: StateVector, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(state), fh)
 
 
 def load_state(path: str) -> StateVector:

@@ -60,7 +60,6 @@ from .registers import (
     mix,
     partial_transpose,
     qubit_cut_matrix,
-    tensor,
 )
 from .states import WClassParams, w_basis, w_signs
 
@@ -294,24 +293,6 @@ def ctype_structure(m: int, n: int) -> CtypeReport:
     )
 
 
-def cloner_io(
-    m: int, n: int, k: int, blank: int = 1
-) -> tuple[DensityMatrix, DensityMatrix, Bipartition]:
-    """Cloner input/output mixtures over original+blank registers, with the lab cut.
-
-    Input: equal mixture of W_m (x) W_blank and W_n (x) W_blank. Output: equal
-    mixture of W_m (x) W_m and W_n (x) W_n. Lab B holds qubit k of both
-    registers; lab A holds the other four qubits.
-    """
-    _validate_indices(m, n)
-    if k not in (1, 2, 3):
-        raise ValueError(f"qubit index k={k!r} must be 1..3")
-    pair, state_blank = (w_basis(m), w_basis(n)), w_basis(blank)
-    rho_in = mix([0.5, 0.5], [density(tensor(state, state_blank)) for state in pair])
-    rho_out = mix([0.5, 0.5], [density(tensor(state, state)) for state in pair])
-    return rho_in, rho_out, Bipartition(6, frozenset({k - 1, k + 2}))
-
-
 def input_negativity(pair: DensityMatrix, blank: DensityMatrix, k: int) -> float:
     """Negativity of pair (x) blank across the six-qubit lab cut {k-1, k+2}.
 
@@ -323,7 +304,11 @@ def input_negativity(pair: DensityMatrix, blank: DensityMatrix, k: int) -> float
 
 
 def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
-    """Negativities of the cloner_io mixtures across the witness lab cut."""
+    """Negativities of the cloner's input and output across the witness lab cut.
+
+    Input: equal mixture of W_m (x) W_blank and W_n (x) W_blank. Output: that of
+    W_m (x) W_m and W_n (x) W_n.
+    """
     return audit_classified(classify_pair(m, n), blank)
 
 
@@ -364,7 +349,7 @@ def _output_negativity(states: Sequence[StateVector], k: int) -> float:
             f"{total - inside} of {total} nonzero entries of the output's partial transpose "
             f"at k={k} lie outside the register parity sectors"
         )
-    return transpose_negativity(HermitianOperator(16, blocks))
+    return transpose_negativity(HermitianOperator(blocks))
 
 
 def blank_insufficiency(params: WClassParams) -> InsufficiencyCertificate:

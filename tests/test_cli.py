@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,11 @@ import pytest
 
 from locclone import cli, ghz_cloning, report
 from locclone.cli import run_command
-from locclone.registers import make_pure, save_state
+from locclone.registers import make_pure
 from locclone.report import RunConfig, build_report
+from locclone.w_audit import all_audit_records
+
+from references import save_state
 
 
 def run(capsys, *argv):
@@ -96,6 +100,15 @@ def test_audit_pair_matches_benchmark(capsys):
     assert err == ""
     assert "1.89097" in out
     assert "2.14597" in out
+
+
+def test_audit_all_pairs_json_is_every_record(capsys):
+    code, out, err = run(capsys, "w", "audit", "--blank", "W4", "--format", "json")
+    assert code == 0
+    assert err == ""
+    rows = json.loads(out)
+    assert len(rows) == 28
+    assert rows == [asdict(record) for record in all_audit_records(4)]
 
 
 def test_audit_repeated_member(capsys):

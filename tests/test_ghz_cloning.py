@@ -27,12 +27,10 @@ from locclone.registers import (
     SingleQubitGate,
     StateVector,
     TransversalCnot,
-    density,
-    embed_operator,
-    partial_trace,
-    schmidt_coefficients,
 )
 from locclone.states import GHZ_LABELS, GhzLabel, ghz, ghz_signs
+
+from references import embed_operator, reference_bell_like
 
 L = GhzLabel
 
@@ -238,24 +236,6 @@ def test_synthesized_circuit_carries_its_fidelities():
         circuit = synthesize_cloner(members)
         assert [label for label, _ in circuit.fidelities] == sorted(members)
         assert dict(circuit.fidelities) == verify_cloner(circuit, members)
-
-
-def reference_bell_like(states, cut):
-    """The witness from density matrices, partial traces and per-state Schmidt coefficients."""
-    tol = 1e-12
-    for u, v in itertools.combinations(states, 2):
-        if abs(np.vdot(u.amplitudes, v.amplitudes)) > tol:
-            return False
-    joint_a = sum(partial_trace(density(s), cut.side_b).entries for s in states)
-    joint_b = sum(partial_trace(density(s), cut.side_a).entries for s in states)
-    # each eigenvalue of these joint marginals is 0 up to rounding or at least 0.5
-    if any(np.count_nonzero(np.linalg.eigvalsh(j) > 1e-10) != 2 for j in (joint_a, joint_b)):
-        return False
-    for s in states:
-        coeffs = schmidt_coefficients(s, cut)
-        if abs(coeffs[0] - 0.5) > tol or abs(coeffs[1] - 0.5) > tol:
-            return False
-    return True
 
 
 CUTS = [Bipartition(3, frozenset({k})) for k in range(3)]

@@ -21,13 +21,13 @@ from locclone.registers import (
     Bipartition,
     DensityMatrix,
     density,
-    embed_operator,
     make_pure,
     mix,
     schmidt_coefficients,
-    tensor,
 )
 from locclone.states import GHZ_LABELS, WClassParams, ghz, w_basis, w_class
+
+from references import embed_operator, tensor
 
 
 def random_state(rng, n):

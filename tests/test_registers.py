@@ -22,7 +22,6 @@ from locclone.registers import (
     apply_circuit,
     cut_matrix,
     density,
-    embed_operator,
     hermitian_spectrum,
     integer_rank,
     load_state,
@@ -31,12 +30,12 @@ from locclone.registers import (
     partial_trace,
     partial_transpose,
     qubit_cut_matrix,
-    save_state,
     schmidt_coefficients,
-    tensor,
     trace_norm,
 )
 from locclone.states import GhzLabel, ghz, w_basis
+
+from references import embed_operator, save_state, tensor
 
 RT2 = np.sqrt(2.0)
 
@@ -242,12 +241,12 @@ def test_partial_transpose_product_stays_positive():
 
 
 def test_hermitian_spectrum_sorted_and_checked():
-    op = HermitianOperator(2, np.array([[0, 1], [1, 0]], dtype=complex))
+    op = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.allclose(hermitian_spectrum(op), [1, -1])
     with pytest.raises(ValueError):
-        hermitian_spectrum(HermitianOperator(2, np.array([[0, 1], [0, 0]], dtype=complex)))
+        hermitian_spectrum(HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex)))
     with pytest.raises(ValueError):
-        hermitian_spectrum(HermitianOperator(2, np.array([[0, 1], [1, np.nan]], dtype=complex)))
+        hermitian_spectrum(HermitianOperator(np.array([[0, 1], [1, np.nan]], dtype=complex)))
 
 
 def test_trace_norm_of_density_is_one():
@@ -439,18 +438,17 @@ def test_stacked_spectrum_is_the_block_diagonal_spectrum(n_blocks, dim, data):
     assembled = np.zeros((n_blocks * dim, n_blocks * dim), dtype=complex)
     for i, block in enumerate(stack):
         assembled[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block
-    spectra = hermitian_spectrum(HermitianOperator(dim, stack))
+    spectra = hermitian_spectrum(HermitianOperator(stack))
     assert spectra.shape == (n_blocks, dim)
     assert np.all(np.diff(spectra, axis=-1) <= 0.0)  # each block descending
-    want = hermitian_spectrum(HermitianOperator(n_blocks * dim, assembled))
+    want = hermitian_spectrum(HermitianOperator(assembled))
     assert np.abs(np.sort(spectra.ravel())[::-1] - want).max() <= 1e-12
-    got_norm = trace_norm(HermitianOperator(dim, stack))
-    assert got_norm == pytest.approx(trace_norm(HermitianOperator(n_blocks * dim, assembled)),
-                                     abs=1e-12)
+    got_norm = trace_norm(HermitianOperator(stack))
+    assert got_norm == pytest.approx(trace_norm(HermitianOperator(assembled)), abs=1e-12)
     # a 2-D operator's spectrum is exactly the one eigvalsh gives, descending
     for block in stack:
         plain = np.linalg.eigvalsh(np.where(np.abs(block) < 1.5e-154, 0.0, block))[::-1]
-        assert np.array_equal(hermitian_spectrum(HermitianOperator(dim, block)), plain)
+        assert np.array_equal(hermitian_spectrum(HermitianOperator(block)), plain)
 
 
 @settings(max_examples=50, deadline=None)
@@ -462,10 +460,10 @@ def test_stacked_spectrum_refuses_one_bad_block(n_blocks, dim, data):
     skewed = stack.copy()
     skewed[bad, row, (row + 1) % dim] += 1e-6  # breaks the symmetry of one entry pair
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_spectrum(HermitianOperator(dim, skewed))
+        hermitian_spectrum(HermitianOperator(skewed))
     with_nan = stack.copy()
     with_nan[bad, row, col] = np.nan
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_spectrum(HermitianOperator(dim, with_nan))
+        hermitian_spectrum(HermitianOperator(with_nan))
     with pytest.raises(ValueError, match="not Hermitian"):
-        trace_norm(HermitianOperator(dim, with_nan))
+        trace_norm(HermitianOperator(with_nan))
