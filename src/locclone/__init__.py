@@ -10,6 +10,7 @@ from .registers import (
     SingleQubitGate,
     StateVector,
     TransversalCnot,
+    VerificationError,
     apply_circuit,
     density,
     integer_rank,
@@ -51,7 +52,6 @@ from .w_audit import (
     PairClassification,
     ScanReport,
     StructureMismatchError,
-    WStatePointError,
     atype_structure,
     blank_insufficiency,
     btype_form,

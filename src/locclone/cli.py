@@ -26,9 +26,13 @@ State labels: GHZ as "p,i,j" bits, W basis as "W1".."W8", W-class as "a,b,c"
 decimals, or "@path.json" for an amplitude file of at most 10 qubits. Cut
 lists are 1-based B-side qubit indices, e.g. "3" or "1,2".
 
-Exit status: 0 on success, 1 when a verification check fails (no circuit,
-benchmark mismatch, scan violations), 2 on invalid input. Reports go to
-stdout or --out; diagnostics go to stderr.
+Exit status: 0 on success. 2 on invalid input (ValueError, OSError): one
+"error:" line and no document. 1 when a check on a computed value fails
+(VerificationError), as for the real GHZ no-go ghz clone --states 0,0,0
+0,0,1 1,0,0: one "error:" line and no document. 1 also when the run computes
+a verdict unlike the paper's (audit drift, taxonomy split, scan violations):
+the document prints and its notes go to stderr. run_command alone maps
+notes and exceptions to exit codes. Reports go to stdout or --out.
 """
 
 from __future__ import annotations
@@ -40,14 +44,12 @@ from dataclasses import asdict
 from typing import Sequence
 
 from .ghz_cloning import (
-    CloningInconsistency,
-    NoCircuitFound,
     all_triples,
     synthesize_cloner,
     triple_clonability,
 )
 from .measures import cut_entropy, negativity
-from .registers import Bipartition, StateVector, density, load_state
+from .registers import Bipartition, StateVector, VerificationError, density, load_state
 from .report import (
     OUTPUT_FORMATS,
     RunConfig,
@@ -68,8 +70,6 @@ from .states import (
     parse_wclass_params,
 )
 from .w_audit import (
-    StructureMismatchError,
-    WStatePointError,
     all_audit_records,
     all_pair_classifications,
     blank_insufficiency,
@@ -142,7 +142,7 @@ def _distinct_ghz_labels(texts: Sequence[str], role: str, advice: str) -> list[G
     return labels
 
 
-def _cmd_ghz_clone(args: argparse.Namespace) -> int:
+def _cmd_ghz_clone(args: argparse.Namespace) -> Sequence[str]:
     members = sorted(_distinct_ghz_labels(args.states, "clone", "distinct states"))
     blank = parse_ghz_label(args.blank)
     circuit = synthesize_cloner(members, blank)
@@ -156,14 +156,14 @@ def _cmd_ghz_clone(args: argparse.Namespace) -> int:
         for row in fidelities:
             text_lines.append(f"fidelity {row['state']} {row['fidelity']:.6g}")
         _write("\n".join(text_lines) + "\n", args.out)
-        return 0
+        return ()
     rows = [dict(row, blank=str(blank), circuit=lines) for row in fidelities]
     document = {"blank": str(blank), "circuit": lines, "fidelities": fidelities}
     _emit(args, document, [("ghz_clone", rows)])
-    return 0
+    return ()
 
 
-def _cmd_ghz_triples(args: argparse.Namespace) -> int:
+def _cmd_ghz_triples(args: argparse.Namespace) -> Sequence[str]:
     if args.all:
         items = [(triple, triple_clonability(triple)) for triple in all_triples()]
     else:
@@ -172,20 +172,20 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> int:
         items = [(members, triple_clonability(members))]
     rows = [triple_row(members, verdict) for members, verdict in items]
     _emit(args, rows, [("ghz_triples", rows)])
-    return 0
+    return ()
 
 
-def _cmd_w_classify(args: argparse.Namespace) -> int:
+def _cmd_w_classify(args: argparse.Namespace) -> Sequence[str]:
     if args.all:
         items = all_pair_classifications()
     else:
         items = (classify_pair(*_parse_pair(args.pair)),)
     rows = [asdict(item) for item in items]
     _emit(args, rows, [("w_classifications", rows)])
-    return 0
+    return ()
 
 
-def _cmd_w_audit(args: argparse.Namespace) -> int:
+def _cmd_w_audit(args: argparse.Namespace) -> Sequence[str]:
     blank = parse_w_index(args.blank)
     if args.pair:
         records = [negativity_audit(*_parse_pair(args.pair), blank)]
@@ -193,23 +193,18 @@ def _cmd_w_audit(args: argparse.Namespace) -> int:
         records = list(all_audit_records(blank))
     rows = [asdict(record) for record in records]
     _emit(args, rows, [("pairs", rows)])
-    notes = reference_mismatches(records)
-    for note in notes:
-        print(note, file=sys.stderr)
-    return 1 if notes else 0
+    return reference_mismatches(records)
 
 
-def _cmd_w_lemma(args: argparse.Namespace) -> int:
+def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
     config = RunConfig(step=args.step, exclusion_radius=args.radius)
     scan = lemma_scan(config.step, config.exclusion_radius)
     sections = scan_sections(scan)
     _emit(args, scan_document(sections), sections)
-    for params, entropy in scan.violations:
-        print(f"violation at ({params}): min cut entropy {entropy!r}", file=sys.stderr)
-    return 1 if scan.violations else 0
+    return [f"violation at ({params}): min cut entropy {e!r}" for params, e in scan.violations]
 
 
-def _cmd_w_blank_check(args: argparse.Namespace) -> int:
+def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
     params = parse_wclass_params(args.params)
     cert = blank_insufficiency(params)
     row = {
@@ -222,10 +217,10 @@ def _cmd_w_blank_check(args: argparse.Namespace) -> int:
         "required_bits": float(cert.required_bits),
     }
     _emit(args, [row], [("blank_check", [row])])
-    return 0
+    return ()
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
+def _cmd_measure(args: argparse.Namespace) -> Sequence[str]:
     state = _load_state(args.state)
     cut = _parse_cut(args.cut, state.n_qubits)
     if args.quantity == "entropy":
@@ -237,15 +232,13 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     else:
         row = {key: float(value)}
         _emit(args, row, [(args.quantity, [row])])
-    return 0
+    return ()
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> Sequence[str]:
     bundle = build_report(RunConfig(step=args.step, exclusion_radius=args.radius))
     _write(emit_report(bundle, args.format), args.out)
-    for note in bundle.notes:
-        print(note, file=sys.stderr)
-    return 1 if bundle.notes else 0
+    return bundle.notes
 
 
 @functools.cache
@@ -259,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument(
         "--step", type=float, default=0.02, metavar="FLOAT",
-        help="simplex grid step, 0.002 to 0.1 (default 0.02)",
+        help="simplex grid step, 0.002 to 1/3 (default 0.02)",
     )
     scan.add_argument(
         "--radius", type=float, default=0.05, metavar="FLOAT",
@@ -343,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str]) -> int:
-    """Parse argv and run one subcommand, mapping failures to exit codes.
+    """Parse argv, run one subcommand and print its notes, mapping the outcome to an exit code.
 
     The parser is built on the first call and reused for the rest of the
     process: parse_args returns a fresh Namespace and leaves the parser as
@@ -354,13 +347,16 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
-        return int(args.handler(args))
-    except (NoCircuitFound, CloningInconsistency, StructureMismatchError) as exc:
+        notes = args.handler(args)
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (WStatePointError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for note in notes:
+        print(note, file=sys.stderr)
+    return 1 if notes else 0
 
 
 def main() -> None:

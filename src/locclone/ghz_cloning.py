@@ -32,6 +32,7 @@ from .registers import (
     SingleQubitGate,
     StateVector,
     TransversalCnot,
+    VerificationError,
     apply_circuit,
     integer_rank,
     qubit_cut_matrix,
@@ -41,11 +42,11 @@ from .states import GHZ_LABELS, GhzLabel, ghz_signs
 BLANK_DEFAULT = GhzLabel(0, 0, 0)
 
 
-class NoCircuitFound(Exception):
+class NoCircuitFound(VerificationError):
     """No local circuit clones the set, or the closed-form one failed verification."""
 
 
-class CloningInconsistency(Exception):
+class CloningInconsistency(VerificationError):
     """The closed-form verdict and the Bell-triple witness disagree; one of them is wrong."""
 
 

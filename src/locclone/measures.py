@@ -13,6 +13,7 @@ from .registers import (
     DensityMatrix,
     HermitianOperator,
     StateVector,
+    VerificationError,
     partial_transpose,
     schmidt_coefficients,
     trace_norm,
@@ -33,14 +34,14 @@ class CutEntropyResult:
 def entropy_bits(probabilities: np.ndarray | list[float]) -> np.ndarray:
     """Shannon entropy in bits over the last axis; one distribution gives a 0-d array.
 
-    Every probability must lie in [-ZERO_CLAMP, 1 + ZERO_CLAMP], which also
-    rejects NaN and +/-inf; negatives that small are rounding noise and count
-    as 0, as does an entropy within ZERO_CLAMP of 0.
+    Every probability must lie in [-ZERO_CLAMP, 1 + ZERO_CLAMP], or
+    VerificationError is raised, also for NaN and +/-inf; negatives that small
+    are rounding noise and count as 0, as does an entropy within ZERO_CLAMP of 0.
     """
     p = np.asarray(probabilities, dtype=float)
     in_range = (p >= -ZERO_CLAMP) & (p <= 1.0 + ZERO_CLAMP)
     if not in_range.all():
-        raise ValueError(f"probability {float(p[~in_range][0])!r} lies outside [0, 1]")
+        raise VerificationError(f"probability {float(p[~in_range][0])!r} lies outside [0, 1]")
     p = np.maximum(p, 0.0)
     # the floor only keeps log2 finite where p = 0, whose term is 0 either way
     terms = p * np.log2(np.maximum(p, 1e-300))

@@ -25,6 +25,10 @@ HERMITICITY_ATOL = 1e-12
 MAX_STATE_QUBITS = 10  # keeps a state file's density matrix within 16 MB
 
 
+class VerificationError(Exception):
+    """A check on a computed value failed: exit 1, where bad input (ValueError) exits 2."""
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state on n_qubits qubits, unit norm unless a caller keeps exact scaled amplitudes."""
@@ -206,14 +210,14 @@ def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> HermitianOperator:
 
 
 def hermitian_spectrum(op: HermitianOperator | DensityMatrix) -> np.ndarray:
-    """Real eigenvalues in descending order; rejects non-Hermitian input.
+    """Real eigenvalues, descending; VerificationError if the operator is not Hermitian.
 
     A stack (..., d, d) is checked and solved at once, one spectrum per matrix.
     """
     entries = op.entries
     adjoint = np.swapaxes(entries, -1, -2).conj()
     if not float(np.max(np.abs(entries - adjoint))) <= HERMITICITY_ATOL:  # or NaN
-        raise ValueError("operator is not Hermitian within tolerance")
+        raise VerificationError("operator is not Hermitian within tolerance")
     # LAPACK can miss by 2e-3 when entries' squares underflow (a 1e-161 amplitude in a
     # 4-qubit mixture); zeroing entries below 1.5e-154 moves eigenvalues < 1e-150
     return np.linalg.eigvalsh(np.where(np.abs(entries) < 1.5e-154, 0.0, entries))[..., ::-1]

@@ -55,6 +55,7 @@ from .registers import (
     DensityMatrix,
     HermitianOperator,
     StateVector,
+    VerificationError,
     density,
     integer_rank,
     mix,
@@ -87,12 +88,8 @@ FORM_I = "I"
 FORM_II = "II"
 
 
-class StructureMismatchError(Exception):
+class StructureMismatchError(VerificationError):
     """A pair failed the structural checks its category promises."""
-
-
-class WStatePointError(Exception):
-    """The equal-weight three-term point itself was passed where it cannot be."""
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,7 @@ def btype_form(m: int, n: int, k: int) -> BTypeForm:
     """
     h_m, h_n, g, span = _cut_gram(m, n, k)
     if span != 3:
-        raise ValueError(f"pair ({m},{n}) does not span 3 at k={k}; not a B-type witness")
+        raise StructureMismatchError(f"pair ({m},{n}) spans {span} at k={k}, not 3 as a B witness")
     heavy, light = abs(g[h_m, h_n]) == 2, abs(g[1 - h_m, 1 - h_n]) == 1
     if heavy != light:
         return BTypeForm(FORM_I, 2.0 / 3.0) if heavy else BTypeForm(FORM_II, 1.0 / 3.0)
@@ -361,7 +358,7 @@ def blank_insufficiency(params: WClassParams) -> InsufficiencyCertificate:
         params.d,
     )
     if deviation < 1e-9:
-        raise WStatePointError("the equal-weight three-term point needs the full threshold")
+        raise ValueError("the equal-weight three-term point needs the full threshold")
     cut_index, entropy = wclass_min_cut_entropy(params)
     if entropy >= W_CUT_ENTROPY_BITS:
         raise StructureMismatchError(

@@ -1,6 +1,7 @@
 """Exit codes and output of the command-line front end."""
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 from locclone import cli, ghz_cloning, report
 from locclone.cli import run_command
-from locclone.registers import make_pure
+from locclone.registers import VerificationError, make_pure
 from locclone.report import RunConfig, build_report
 from locclone.w_audit import all_audit_records
 
@@ -431,6 +432,9 @@ _FAILURES = [
      "pair members must be integers 1..8, got '\u0661,\u0663'"),
     (["measure", "entropy", "--state", "W1", "--cut", "\u0661"], 2,
      "cut must be comma-separated qubit numbers, got '\u0661'"),
+    # the equal-weight point is bad input, not a failed check
+    (["w", "blank-check", "--params", "0.3333333333,0.3333333333,0.3333333334"], 2,
+     "the equal-weight three-term point needs the full threshold"),
 ]
 
 
@@ -444,6 +448,25 @@ def test_failure_exits_with_one_error_line(capsys, tmp_path, argv, code, message
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (message(tmp_path) if callable(message) else message) in err
+
+
+def test_every_src_exception_is_a_verification_error():
+    """run_command maps VerificationError to exit 1 and ValueError or OSError to 2.
+
+    Any other exception type defined in src/ would escape both arms, so every
+    one must derive from VerificationError.
+    """
+    package = Path(cli.__file__).parent
+    modules = [importlib.import_module(f"locclone.{path.stem}")
+               for path in sorted(package.glob("*.py")) if not path.stem.startswith("__")]
+    defined = {
+        name: obj for module in modules for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert {"VerificationError", "NoCircuitFound", "CloningInconsistency",
+            "StructureMismatchError"} <= set(defined)
+    assert [name for name, obj in defined.items() if not issubclass(obj, VerificationError)] == []
 
 
 @pytest.mark.parametrize("states", [

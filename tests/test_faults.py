@@ -1,0 +1,107 @@
+"""Fault injection: every verdict the CLI reports can fail, and then it exits 1.
+
+Each fault breaks one part of the analysis in process and runs the commands
+that report on it. A failed check on a computed value aborts: exit 1, one
+"error:" line naming the verdict, and nothing on stdout. A verdict unlike the
+paper's is a note: exit 1, the whole document on stdout, and the note on
+stderr. Exit 0 would hide the fault and exit 2 would blame the input, so
+neither may happen.
+"""
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from locclone import cli, ghz_cloning, report, w_audit
+from locclone.registers import HermitianOperator
+
+
+def wrong_phase_correction(patch):
+    patch.setattr(ghz_cloning, "_phase_corrections", lambda members: (1, 0, 0))
+
+
+def hidden_bell_witness(patch):
+    patch.setattr(ghz_cloning, "bell_triple_cut", lambda members: None)
+
+
+def audit_drift(patch):
+    reference_in, reference_out = report.REFERENCE_NEGATIVITIES["C"]
+    patch.setitem(report.REFERENCE_NEGATIVITIES, "C", (reference_in, reference_out + 1e-2))
+
+
+def c_pairs_classified_as_b(patch):
+    classify = w_audit.classify_pair
+
+    def as_b(m, n):
+        cls = classify(m, n)
+        if cls.category != w_audit.CATEGORY_C:
+            return cls
+        return dataclasses.replace(cls, category=w_audit.CATEGORY_B, witness_k=1, span_dim=3)
+
+    patch.setattr(w_audit, "classify_pair", as_b)
+
+
+def non_hermitian_output_transpose(patch):
+    transpose = w_audit.partial_transpose
+
+    def skewed(rho, cut):
+        entries = transpose(rho, cut).entries
+        return HermitianOperator(entries + 1e-6j * np.eye(len(entries)))
+
+    patch.setattr(w_audit, "partial_transpose", skewed)
+
+
+def lowered_scan_threshold(patch):
+    patch.setattr(w_audit, "W_CUT_ENTROPY_BITS", 0.5)
+
+
+REPORT = ["report", "--step", "0.1"]
+REPORT_HEAD = "tool version 0.1.0"
+
+# (fault, argv, first stdout line or "" for an abort, text of one stderr line)
+CASES = [
+    (wrong_phase_correction, ["ghz", "clone", "--states", "0,0,0", "0,0,1"], "",
+     "error: closed-form circuit for {(0,0,0), (0,0,1)} fails verification: "
+     "worst fidelity 0.5, not 1"),
+    (wrong_phase_correction, REPORT, "",
+     "error: closed-form circuit for {(0,0,0), (0,0,1)} fails verification"),
+    (hidden_bell_witness, ["ghz", "triples", "--states", "0,0,0", "0,0,1", "1,0,0"], "",
+     "error: {(0,0,0), (0,0,1), (1,0,0)}: clonable=False in closed form, "
+     "yet the Bell-triple witness cut is None"),
+    (hidden_bell_witness, REPORT, "", "yet the Bell-triple witness cut is None"),
+    (audit_drift, REPORT, REPORT_HEAD, "audit (1,3) C: negativities"),
+    (c_pairs_classified_as_b, ["w", "audit", "--pair", "1,3"], "",
+     "error: pair (1,3) spans 4 at k=1, not 3 as a B witness"),
+    (c_pairs_classified_as_b, REPORT, "", "error: pair (1,3) spans 4 at k=1, not 3"),
+    (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",
+     "error: operator is not Hermitian within tolerance"),
+    (non_hermitian_output_transpose, REPORT, "",
+     "error: operator is not Hermitian within tolerance"),
+    (lowered_scan_threshold, ["w", "lemma", "--step", "0.1"], "== scan ==",
+     "violation at (0.2,0.2,0.4): min cut entropy 0.5827831343002603"),
+    (lowered_scan_threshold, REPORT, REPORT_HEAD, "simplex scan recorded 34 violation(s)"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, argv, head, verdict", CASES,
+    ids=[f"{fault.__name__}-{argv[0] if argv == REPORT else '-'.join(argv[:2])}"
+         for fault, argv, *_ in CASES],
+)
+def test_fault_exits_1_naming_its_verdict(capsys, monkeypatch, fault, argv, head, verdict):
+    fault(monkeypatch)
+    code = cli.run_command(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    lines = err.splitlines()
+    assert any(verdict in line for line in lines)
+    if not head:  # an aborted check
+        assert (out, len(lines)) == ("", 1)
+        assert lines[0].startswith("error: ")
+        return
+    assert out.splitlines()[0] == head
+    assert not any(line.startswith("error: ") for line in lines)
+    if argv == REPORT:  # the document's notes section carries every note
+        assert out.endswith("".join(f"{line}\n" for line in lines))

@@ -20,6 +20,7 @@ from locclone.measures import (
 from locclone.registers import (
     Bipartition,
     DensityMatrix,
+    VerificationError,
     density,
     make_pure,
     mix,
@@ -58,13 +59,13 @@ def test_entropy_bits_basics():
     assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
     assert entropy_bits([1.0, 0.0]) == 0.0
     assert entropy_bits([1.0, -1e-13]) == 0.0  # rounding noise is dropped
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         entropy_bits([1.1, -0.1])
     for above_one in ([2.0], [0.5, 1.5]):  # the formula alone gives -2 and -0.377 bits
-        with pytest.raises(ValueError):
+        with pytest.raises(VerificationError):
             entropy_bits(above_one)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(VerificationError):
             entropy_bits([bad, 1.0])
 
 

@@ -19,6 +19,7 @@ from locclone.registers import (
     SingleQubitGate,
     StateVector,
     TransversalCnot,
+    VerificationError,
     apply_circuit,
     cut_matrix,
     density,
@@ -243,9 +244,9 @@ def test_partial_transpose_product_stays_positive():
 def test_hermitian_spectrum_sorted_and_checked():
     op = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.allclose(hermitian_spectrum(op), [1, -1])
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         hermitian_spectrum(HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex)))
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         hermitian_spectrum(HermitianOperator(np.array([[0, 1], [1, np.nan]], dtype=complex)))
 
 
@@ -459,11 +460,11 @@ def test_stacked_spectrum_refuses_one_bad_block(n_blocks, dim, data):
     row, col = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
     skewed = stack.copy()
     skewed[bad, row, (row + 1) % dim] += 1e-6  # breaks the symmetry of one entry pair
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(VerificationError, match="not Hermitian"):
         hermitian_spectrum(HermitianOperator(skewed))
     with_nan = stack.copy()
     with_nan[bad, row, col] = np.nan
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(VerificationError, match="not Hermitian"):
         hermitian_spectrum(HermitianOperator(with_nan))
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(VerificationError, match="not Hermitian"):
         trace_norm(HermitianOperator(with_nan))

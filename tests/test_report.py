@@ -38,7 +38,7 @@ def test_runconfig_defaults():
     "kwargs",
     [
         {"step": 0.0},
-        {"step": 0.11},
+        {"step": 0.34},  # above 1/3
         {"exclusion_radius": -0.01},
         {"exclusion_radius": float("nan")},
         {"exclusion_radius": float("inf")},

@@ -26,7 +26,6 @@ from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class, w_sig
 from locclone.w_audit import (
     PairClassification,
     StructureMismatchError,
-    WStatePointError,
     all_audit_records,
     all_pair_classifications,
     atype_structure,
@@ -105,7 +104,7 @@ def test_btype_forms():
 
 def test_btype_form_rejects_wrong_span():
     # (1,2) spans 2 at its witness, never 3
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureMismatchError, match="spans 2 at k=2, not 3"):
         btype_form(1, 2, 2)
 
 
@@ -462,7 +461,7 @@ def test_blank_insufficiency_certificate():
 
 
 def test_blank_insufficiency_rejects_the_w_point():
-    with pytest.raises(WStatePointError):
+    with pytest.raises(ValueError):
         blank_insufficiency(WClassParams(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
 
 
