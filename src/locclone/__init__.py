@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .registers import (
     Bipartition,
     DensityMatrix,
-    HermitianOperator,
     SingleQubitGate,
     StateVector,
     TransversalCnot,
@@ -15,7 +14,6 @@ from .registers import (
     density,
     integer_rank,
     make_pure,
-    mix,
     partial_transpose,
     schmidt_coefficients,
     trace_norm,
@@ -48,7 +46,6 @@ from .ghz_cloning import (
 )
 from .w_audit import (
     AuditRecord,
-    InsufficiencyCertificate,
     PairClassification,
     ScanReport,
     StructureMismatchError,

@@ -23,7 +23,7 @@ bare value to 7 digits) are their own; their csv has a header row and full
 precision.
 
 State labels: GHZ as "p,i,j" bits, W basis as "W1".."W8", W-class as "a,b,c"
-decimals, or "@path.json" for an amplitude file of at most 10 qubits. Cut
+ASCII decimals, or "@path.json" for an amplitude file of at most 10 qubits. Cut
 lists are 1-based B-side qubit indices, e.g. "3" or "1,2".
 
 Exit status: 0 on success. 2 on invalid input (ValueError, OSError): one
@@ -48,7 +48,7 @@ from .ghz_cloning import (
     synthesize_cloner,
     triple_clonability,
 )
-from .measures import cut_entropy, negativity
+from .measures import W_CUT_ENTROPY_BITS, cut_entropy, negativity
 from .registers import Bipartition, StateVector, VerificationError, density, load_state
 from .report import (
     OUTPUT_FORMATS,
@@ -64,6 +64,7 @@ from .report import (
 )
 from .states import (
     GhzLabel,
+    parse_decimal,
     parse_ghz_label,
     parse_state_label,
     parse_w_index,
@@ -99,6 +100,14 @@ def _ascii_number(token: str) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"not an ASCII number: {token!r}")
     return int(token)
+
+
+def _scan_knob(text: str) -> float:
+    """--step or --radius: an ASCII decimal, where nan and inf reach check_scan_inputs."""
+    try:
+        return parse_decimal(text)
+    except ValueError:  # argparse words the message and exits 2
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -197,8 +206,7 @@ def _cmd_w_audit(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
-    config = RunConfig(step=args.step, exclusion_radius=args.radius)
-    scan = lemma_scan(config.step, config.exclusion_radius)
+    scan = lemma_scan(args.step, args.radius)
     sections = scan_sections(scan)
     _emit(args, scan_document(sections), sections)
     return [f"violation at ({params}): min cut entropy {e!r}" for params, e in scan.violations]
@@ -206,15 +214,15 @@ def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
 
 def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
     params = parse_wclass_params(args.params)
-    cert = blank_insufficiency(params)
+    cut_index, entropy = blank_insufficiency(params)
     row = {
         "a": float(params.a),
         "b": float(params.b),
         "c": float(params.c),
         "d": float(params.d),
-        "cut_index": cert.cut_index,
-        "blank_entropy_bits": float(cert.blank_entropy_bits),
-        "required_bits": float(cert.required_bits),
+        "cut_index": cut_index,
+        "blank_entropy_bits": entropy,
+        "required_bits": W_CUT_ENTROPY_BITS,
     }
     _emit(args, [row], [("blank_check", [row])])
     return ()
@@ -251,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write the report to PATH")
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument(
-        "--step", type=float, default=0.02, metavar="FLOAT",
+        "--step", type=_scan_knob, default=0.02, metavar="FLOAT",
         help="simplex grid step, 0.002 to 1/3 (default 0.02)",
     )
     scan.add_argument(
-        "--radius", type=float, default=0.05, metavar="FLOAT",
+        "--radius", type=_scan_knob, default=0.05, metavar="FLOAT",
         help="L1 exclusion radius around the equal-weight point (default 0.05)",
     )
 

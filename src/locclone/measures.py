@@ -11,7 +11,6 @@ import numpy as np
 from .registers import (
     Bipartition,
     DensityMatrix,
-    HermitianOperator,
     StateVector,
     VerificationError,
     partial_transpose,
@@ -69,7 +68,7 @@ def negativity(dm: DensityMatrix, cut: Bipartition) -> float:
     return transpose_negativity(partial_transpose(dm, cut))
 
 
-def transpose_negativity(flipped: HermitianOperator) -> float:
+def transpose_negativity(flipped: np.ndarray) -> float:
     """negativity from a partial transpose already taken, or from a stack of its diagonal blocks."""
     value = trace_norm(flipped) - 1.0
     return 0.0 if abs(value) < ZERO_CLAMP else value

@@ -44,17 +44,6 @@ class DensityMatrix:
     n_qubits: int
     entries: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian operator that need not be positive (partial transposes land here)."""
-
-    entries: np.ndarray
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -129,22 +118,6 @@ def density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, np.outer(amps, amps.conj()))
 
 
-def mix(weights: Sequence[float], parts: Sequence[DensityMatrix]) -> DensityMatrix:
-    """Convex mixture of density matrices."""
-    if len(weights) != len(parts) or not parts:
-        raise ValueError("weights and density matrices must pair up nonempty")
-    w = np.asarray(weights, dtype=float)
-    if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):  # NaN and inf fail
-        raise ValueError("weights must be nonnegative and sum to 1")
-    n = parts[0].n_qubits
-    if any(p.n_qubits != n for p in parts):
-        raise ValueError("mixed density matrices must share the register size")
-    total = np.zeros((parts[0].dim, parts[0].dim), dtype=complex)
-    for wi, p in zip(w, parts):
-        total += wi * p.entries
-    return DensityMatrix(n, total)
-
-
 def _apply_single(amps: np.ndarray, matrix: np.ndarray, target: int, n: int) -> np.ndarray:
     t = amps.reshape(1 << target, 2, 1 << (n - target - 1))
     return np.matmul(np.asarray(matrix, dtype=complex), t).reshape(-1)
@@ -196,8 +169,8 @@ def partial_trace(dm: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(keep, t.reshape(1 << keep, 1 << keep))
 
 
-def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> HermitianOperator:
-    """Transpose the B-side indices of the cut."""
+def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> np.ndarray:
+    """dm's entries with the cut's B-side indices transposed: Hermitian, maybe not positive."""
     n = dm.n_qubits
     if cut.n_qubits != n:
         raise ValueError("cut register size does not match the density matrix")
@@ -205,27 +178,28 @@ def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> HermitianOperator:
     perm = list(range(2 * n))
     for q in cut.side_b:
         perm[q], perm[q + n] = perm[q + n], perm[q]
-    out = t.transpose(perm).reshape(dm.dim, dm.dim)
-    return HermitianOperator(out)
+    return t.transpose(perm).reshape(dm.entries.shape)
 
 
-def hermitian_spectrum(op: HermitianOperator | DensityMatrix) -> np.ndarray:
-    """Real eigenvalues, descending; VerificationError if the operator is not Hermitian.
+def hermitian_spectrum(entries: np.ndarray) -> np.ndarray:
+    """Real eigenvalues, descending; VerificationError if the matrix is not Hermitian.
 
     A stack (..., d, d) is checked and solved at once, one spectrum per matrix.
     """
-    entries = op.entries
-    adjoint = np.swapaxes(entries, -1, -2).conj()
-    if not float(np.max(np.abs(entries - adjoint))) <= HERMITICITY_ATOL:  # or NaN
-        raise VerificationError("operator is not Hermitian within tolerance")
+    asymmetry = float(np.max(np.abs(entries - np.swapaxes(entries, -1, -2).conj())))
+    if not asymmetry <= HERMITICITY_ATOL:  # or NaN
+        raise VerificationError(
+            f"operator is not Hermitian: largest |A - A^H| entry {asymmetry!r} "
+            f"exceeds {HERMITICITY_ATOL}"
+        )
     # LAPACK can miss by 2e-3 when entries' squares underflow (a 1e-161 amplitude in a
     # 4-qubit mixture); zeroing entries below 1.5e-154 moves eigenvalues < 1e-150
     return np.linalg.eigvalsh(np.where(np.abs(entries) < 1.5e-154, 0.0, entries))[..., ::-1]
 
 
-def trace_norm(op: HermitianOperator | DensityMatrix) -> float:
+def trace_norm(entries: np.ndarray) -> float:
     """Sum of |eigenvalue|; for a stack of blocks, of the block-diagonal matrix they form."""
-    return float(np.abs(hermitian_spectrum(op)).sum())
+    return float(np.abs(hermitian_spectrum(entries)).sum())
 
 
 def cut_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:

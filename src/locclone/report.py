@@ -68,21 +68,14 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class GhzPairResult:
-    members: tuple[GhzLabel, GhzLabel]
-    fidelity: float  # worse of the two clone fidelities
-
-
-@dataclass(frozen=True)
 class ReportBundle:
-    version: str
     config: RunConfig
-    ghz_pairs: tuple[GhzPairResult, ...] = ()
-    ghz_triples: tuple[tuple[tuple[GhzLabel, ...], TripleVerdict], ...] = ()
-    w_classifications: tuple[PairClassification, ...] = ()
-    pairs: tuple[AuditRecord, ...] = ()
-    scan: ScanReport | None = None
-    notes: tuple[str, ...] = ()
+    ghz_pairs: tuple[tuple[tuple[GhzLabel, GhzLabel], float], ...]  # worse clone fidelity
+    ghz_triples: tuple[tuple[tuple[GhzLabel, ...], TripleVerdict], ...]
+    w_classifications: tuple[PairClassification, ...]
+    pairs: tuple[AuditRecord, ...]
+    scan: ScanReport
+    notes: tuple[str, ...]
 
 
 def format_cut(cut: Bipartition) -> str:
@@ -105,14 +98,6 @@ def circuit_lines(circuit: CloningCircuit) -> list[str]:
     return [gate_line(gate) for gate in circuit.layers]
 
 
-def ghz_pair_row(result: GhzPairResult) -> dict:
-    return {
-        "member_1": str(result.members[0]),
-        "member_2": str(result.members[1]),
-        "fidelity": float(result.fidelity),
-    }
-
-
 def triple_row(members: Sequence[GhzLabel], verdict: TripleVerdict) -> dict:
     return {
         "member_1": str(members[0]),
@@ -124,10 +109,8 @@ def triple_row(members: Sequence[GhzLabel], verdict: TripleVerdict) -> dict:
     }
 
 
-def scan_sections(scan: ScanReport | None) -> list[tuple[str, list[dict]]]:
+def scan_sections(scan: ScanReport) -> list[tuple[str, list[dict]]]:
     """The scan's summary row and violation rows, as the report lays them out."""
-    if scan is None:
-        return [("scan", []), ("scan_violations", [])]
     summary = {
         "step": float(scan.step),
         "exclusion_radius": float(scan.exclusion_radius),
@@ -148,10 +131,10 @@ def scan_sections(scan: ScanReport | None) -> list[tuple[str, list[dict]]]:
     return [("scan", [summary]), ("scan_violations", violations)]
 
 
-def scan_document(sections: Sequence[tuple[str, list[dict]]]) -> dict | None:
+def scan_document(sections: Sequence[tuple[str, list[dict]]]) -> dict:
     """The scan's json value: its summary row with the violation rows inside."""
     (_, summary), (_, violations) = sections
-    return dict(summary[0], violations=violations) if summary else None
+    return dict(summary[0], violations=violations)
 
 
 def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
@@ -190,7 +173,7 @@ def build_report(config: RunConfig) -> ReportBundle:
     verdict unlike the paper's (taxonomy split, audit drift, scan) becomes a note."""
     notes: list[str] = []
     pair_results = tuple(
-        GhzPairResult(pair, float(min(f for _, f in synthesize_cloner(pair).fidelities)))
+        (pair, float(min(f for _, f in synthesize_cloner(pair).fidelities)))
         for pair in all_pairs()
     )
     triples = tuple((triple, triple_clonability(triple)) for triple in all_triples())
@@ -209,7 +192,6 @@ def build_report(config: RunConfig) -> ReportBundle:
         notes.append(f"simplex scan recorded {len(scan.violations)} violation(s)")
 
     return ReportBundle(
-        version=__version__,
         config=config,
         ghz_pairs=pair_results,
         ghz_triples=triples,
@@ -218,14 +200,6 @@ def build_report(config: RunConfig) -> ReportBundle:
         scan=scan,
         notes=tuple(notes),
     )
-
-
-def config_row(config: RunConfig) -> dict:
-    return {
-        "match_tol": MATCH_TOL,
-        "step": config.step,
-        "exclusion_radius": config.exclusion_radius,
-    }
 
 
 def json_text(payload: object) -> str:
@@ -326,15 +300,18 @@ def render(
 def _bundle_view(bundle: ReportBundle) -> tuple[dict, list[tuple[str, list[dict]]]]:
     """The bundle's json document and its sections, sharing one build of the rows."""
     rows = {
-        "ghz_pairs": [ghz_pair_row(r) for r in bundle.ghz_pairs],
+        "ghz_pairs": [
+            {"member_1": str(a), "member_2": str(b), "fidelity": fidelity}
+            for (a, b), fidelity in bundle.ghz_pairs
+        ],
         "ghz_triples": [triple_row(members, v) for members, v in bundle.ghz_triples],
         "w_classifications": [asdict(c) for c in bundle.w_classifications],
         "pairs": [asdict(r) for r in bundle.pairs],
     }
     scan = scan_sections(bundle.scan)
     document = {
-        "version": bundle.version,
-        "config": config_row(bundle.config),
+        "version": __version__,
+        "config": {"match_tol": MATCH_TOL, **asdict(bundle.config)},
         **rows,
         "scan": scan_document(scan),
         "notes": list(bundle.notes),
@@ -347,8 +324,8 @@ def emit_report(bundle: ReportBundle, output_format: str) -> str:
     document, sections = _bundle_view(bundle)
     config = document["config"]
     if output_format == "csv":
-        head = [f"version,{bundle.version}\n", csv_text([config], list(config))]
+        head = [f"version,{__version__}\n", csv_text([config], list(config))]
     else:
         settings = " ".join(f"{key}={_table_cell(value)}" for key, value in config.items())
-        head = [f"tool version {bundle.version}\nconfig {settings}\n"]
+        head = [f"tool version {__version__}\nconfig {settings}\n"]
     return render(document, sections, output_format, head)

@@ -139,11 +139,19 @@ def parse_w_index(text: str) -> int:
     raise ValueError(f"W basis label must be W1..W8, got {text!r}")
 
 
+def parse_decimal(text: str) -> float:
+    """A float written in ASCII without '_'; float() alone also reads other scripts' digits."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal: {text!r}")
+    return float(text)
+
+
 def parse_wclass_params(text: str) -> WClassParams:
-    parts = [piece.strip() for piece in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"W-class parameters must be 'a,b,c', got {text!r}")
-    return WClassParams(*(float(piece) for piece in parts))
+    return WClassParams(*(parse_decimal(piece) for piece in parts))
 
 
 def parse_state_label(text: str) -> StateVector:

@@ -53,12 +53,10 @@ from .measures import (
 from .registers import (
     Bipartition,
     DensityMatrix,
-    HermitianOperator,
     StateVector,
     VerificationError,
     density,
     integer_rank,
-    mix,
     partial_transpose,
     qubit_cut_matrix,
 )
@@ -143,14 +141,6 @@ class AuditRecord:
     negativity_in: float
     negativity_out: float
     blank: int
-
-
-@dataclass(frozen=True)
-class InsufficiencyCertificate:
-    params: WClassParams
-    cut_index: int
-    blank_entropy_bits: float
-    required_bits: float
 
 
 @dataclass(frozen=True)
@@ -316,15 +306,18 @@ def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
     mixture of W_m (x) W_m and W_n (x) W_n keeps each register's Z(x)Z(x)Z parity,
     so its negativity comes from four 16x16 parity sectors (_output_negativity).
     Runs for any distinct pair; A-type records carry no form and get no
-    reference comparison.
+    reference comparison. A failed check names the pair and the cut.
     """
     m, n, k = cls.m, cls.n, cls.witness_k
     assert k is not None
     form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None
     states = (w_basis(m), w_basis(n))
-    pair = mix([0.5, 0.5], [density(state) for state in states])
-    negativity_in = input_negativity(pair, density(w_basis(blank)), k)
-    negativity_out = _output_negativity(states, k)
+    pair = DensityMatrix(3, (density(states[0]).entries + density(states[1]).entries) / 2)
+    try:
+        negativity_in = input_negativity(pair, density(w_basis(blank)), k)
+        negativity_out = _output_negativity(states, k)
+    except VerificationError as exc:
+        raise type(exc)(f"pair ({m},{n}) at k={k}: {exc}") from None
     return AuditRecord(m, n, cls.category, k, form, negativity_in, negativity_out, blank)
 
 
@@ -338,19 +331,19 @@ def _output_negativity(states: Sequence[StateVector], k: int) -> float:
     # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
     clones = np.stack([np.outer(s.amplitudes.real, s.amplitudes.real).ravel() for s in states])
     rho_out = DensityMatrix(6, clones.T @ clones / len(states))
-    flipped = partial_transpose(rho_out, Bipartition(6, frozenset({k - 1, k + 2}))).entries
+    flipped = partial_transpose(rho_out, Bipartition(6, frozenset({k - 1, k + 2})))
     blocks = flipped[_SECTORS[:, :, None], _SECTORS[:, None, :]]
     inside, total = np.count_nonzero(blocks), np.count_nonzero(flipped)
     if inside < total:
         raise StructureMismatchError(
             f"{total - inside} of {total} nonzero entries of the output's partial transpose "
-            f"at k={k} lie outside the register parity sectors"
+            "lie outside the register parity sectors"
         )
-    return transpose_negativity(HermitianOperator(blocks))
+    return transpose_negativity(blocks)
 
 
-def blank_insufficiency(params: WClassParams) -> InsufficiencyCertificate:
-    """Certificate naming a cut whose entropy falls short of the required bits."""
+def blank_insufficiency(params: WClassParams) -> tuple[int, float]:
+    """A cut whose entropy falls short of W_CUT_ENTROPY_BITS, and that entropy in bits."""
     deviation = max(
         abs(params.a - 1.0 / 3.0),
         abs(params.b - 1.0 / 3.0),
@@ -364,7 +357,7 @@ def blank_insufficiency(params: WClassParams) -> InsufficiencyCertificate:
         raise StructureMismatchError(
             f"no deficient cut at {params}; min entropy {entropy!r}"
         )
-    return InsufficiencyCertificate(params, cut_index, entropy, W_CUT_ENTROPY_BITS)
+    return cut_index, entropy
 
 
 def _grid_top(step: float) -> int:

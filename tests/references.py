@@ -1,10 +1,11 @@
 """Slow, plainly written references that the tests check the program's fast routes against.
 
 The package calls none of these. Each takes the direct route: a tensor
-product of two states, a gate embedded as a full 2^n x 2^n operator, the
-cloner's mixtures as complex 64x64 matrices, the Bell-triple witness from
-partial traces, and a state-file writer. Tests hold the gate kernels, the
-integer witness, the parity-sector audit and the state-file reader to them.
+product of two states, a weighted sum of density matrices, a gate embedded
+as a full 2^n x 2^n operator, the cloner's mixtures as complex 64x64
+matrices, the Bell-triple witness from partial traces, and a state-file
+writer. Tests hold the gate kernels, the integer witness, the parity-sector
+audit and the state-file reader to them.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from locclone.registers import (
     DensityMatrix,
     StateVector,
     density,
-    mix,
     partial_trace,
     schmidt_coefficients,
 )
@@ -30,6 +30,11 @@ from locclone.states import w_basis
 def tensor(u: StateVector, v: StateVector) -> StateVector:
     """Tensor product with u's qubits more significant than v's."""
     return StateVector(u.n_qubits + v.n_qubits, np.outer(u.amplitudes, v.amplitudes).ravel())
+
+
+def mix(weights: Sequence[float], parts: Sequence[DensityMatrix]) -> DensityMatrix:
+    """Convex mixture of density matrices on one register size."""
+    return DensityMatrix(parts[0].n_qubits, sum(w * p.entries for w, p in zip(weights, parts)))
 
 
 def embed_operator(matrix: np.ndarray, n_qubits: int, targets: Sequence[int]) -> np.ndarray:

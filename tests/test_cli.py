@@ -435,6 +435,12 @@ _FAILURES = [
     # the equal-weight point is bad input, not a failed check
     (["w", "blank-check", "--params", "0.3333333333,0.3333333333,0.3333333334"], 2,
      "the equal-weight three-term point needs the full threshold"),
+    # decimals too are ASCII only: float() reads these as 0.1, 0.2, 0.3 and 0.1
+    (["w", "blank-check", "--params", "\u0660.\u0661,\u0660.\u0662,\u0660.\u0663"], 2,
+     "not an ASCII decimal: '\u0660.\u0661'"),
+    (["measure", "entropy", "--state", "\u0660.\u0661,\u0660.\u0662,\u0660.\u0663",
+      "--cut", "1"], 2, "not an ASCII decimal: '\u0660.\u0661'"),
+    (["w", "blank-check", "--params", "0.1_0,0.2,0.3"], 2, "not an ASCII decimal: '0.1_0'"),
 ]
 
 
@@ -448,6 +454,23 @@ def test_failure_exits_with_one_error_line(capsys, tmp_path, argv, code, message
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (message(tmp_path) if callable(message) else message) in err
+
+
+@pytest.mark.parametrize("command", [["w", "lemma"], ["report"]])
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "\u0660.\u0661"), ("--radius", "\u0660.\u0661"), ("--step", "0.0_5"),
+])
+def test_scan_knobs_take_ascii_decimals_only(capsys, command, flag, value):
+    code, out, err = run(capsys, *command, flag, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid float value: {value!r}\n")
+
+
+def test_report_table_matches_the_golden_file(capsys):
+    """Tables round to 6 significant digits, so the last bits of LAPACK cannot move them."""
+    code, out, err = run(capsys, "report", "--step", "0.1", "--format", "table")
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / "report_step_0.1.txt").read_text("utf-8")
 
 
 def test_every_src_exception_is_a_verification_error():

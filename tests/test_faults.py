@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from locclone import cli, ghz_cloning, report, w_audit
-from locclone.registers import HermitianOperator
 
 
 def wrong_phase_correction(patch):
@@ -47,8 +46,8 @@ def non_hermitian_output_transpose(patch):
     transpose = w_audit.partial_transpose
 
     def skewed(rho, cut):
-        entries = transpose(rho, cut).entries
-        return HermitianOperator(entries + 1e-6j * np.eye(len(entries)))
+        entries = transpose(rho, cut)
+        return entries + 1e-6j * np.eye(len(entries))
 
     patch.setattr(w_audit, "partial_transpose", skewed)
 
@@ -76,9 +75,9 @@ CASES = [
      "error: pair (1,3) spans 4 at k=1, not 3 as a B witness"),
     (c_pairs_classified_as_b, REPORT, "", "error: pair (1,3) spans 4 at k=1, not 3"),
     (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",
-     "error: operator is not Hermitian within tolerance"),
+     "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (non_hermitian_output_transpose, REPORT, "",
-     "error: operator is not Hermitian within tolerance"),
+     "error: pair (1,2) at k=2: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (lowered_scan_threshold, ["w", "lemma", "--step", "0.1"], "== scan ==",
      "violation at (0.2,0.2,0.4): min cut entropy 0.5827831343002603"),
     (lowered_scan_threshold, REPORT, REPORT_HEAD, "simplex scan recorded 34 violation(s)"),

@@ -23,12 +23,11 @@ from locclone.registers import (
     VerificationError,
     density,
     make_pure,
-    mix,
     schmidt_coefficients,
 )
 from locclone.states import GHZ_LABELS, WClassParams, ghz, w_basis, w_class
 
-from references import embed_operator, tensor
+from references import embed_operator, mix, tensor
 
 
 def random_state(rng, n):

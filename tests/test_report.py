@@ -24,7 +24,12 @@ from locclone.report import (
     table_text,
 )
 from locclone.states import GhzLabel
-from locclone.w_audit import AuditRecord
+from locclone.w_audit import AuditRecord, lemma_scan
+
+
+def empty_bundle() -> ReportBundle:
+    """A bundle with no rows, around the four-point scan at step 1/4."""
+    return ReportBundle(RunConfig(step=0.25), (), (), (), (), lemma_scan(0.25, 0.05), ())
 
 
 def test_runconfig_defaults():
@@ -66,24 +71,25 @@ def test_gate_line_shapes():
 
 
 def test_empty_bundle_emits_in_every_format():
-    bundle = ReportBundle(version="0.1.0", config=RunConfig())
+    bundle = empty_bundle()
     for output_format in ("table", "json", "csv"):
         text = emit_report(bundle, output_format)
         assert text
         assert text.endswith("\n")
     payload = json.loads(emit_report(bundle, "json"))
     assert payload["ghz_pairs"] == []
+    assert payload["scan"]["points_tested"] == 4
     assert payload["notes"] == []
 
 
 def test_emit_report_rejects_unknown_format():
-    bundle = ReportBundle(version="0.1.0", config=RunConfig())
+    bundle = empty_bundle()
     with pytest.raises(ValueError):
         emit_report(bundle, "xml")
 
 
 def test_bundle_document_key_order():
-    bundle = ReportBundle(version="0.1.0", config=RunConfig())
+    bundle = empty_bundle()
     assert list(json.loads(emit_report(bundle, "json"))) == [
         "version",
         "config",
@@ -133,7 +139,6 @@ def test_build_report_sections():
     assert len(bundle.ghz_triples) == 56
     assert len(bundle.w_classifications) == 28
     assert len(bundle.pairs) == 28
-    assert bundle.scan is not None
     assert bundle.scan.points_tested == 1140
     assert bundle.notes == ()
 

@@ -17,7 +17,6 @@ from locclone.registers import (
     DensityMatrix,
     density,
     integer_rank,
-    mix,
     partial_trace,
     partial_transpose,
     trace_norm,
@@ -39,7 +38,7 @@ from locclone.w_audit import (
 )
 
 import references
-from references import cloner_io
+from references import cloner_io, mix
 
 # Hand-checked catalog: category and witness cut for every W-basis pair.
 GOLDEN = {
@@ -386,7 +385,7 @@ def test_output_partial_transpose_lies_in_the_parity_sectors_at_every_cut():
     pairs = itertools.combinations(range(1, 9), 2)
     for (m, n), k in itertools.product(pairs, (1, 2, 3)):
         _, rho_out, cut = cloner_io(m, n, k)
-        assert not partial_transpose(rho_out, cut).entries[outside].any(), (m, n, k)
+        assert not partial_transpose(rho_out, cut)[outside].any(), (m, n, k)
         value = w_audit._output_negativity((w_basis(m), w_basis(n)), k)
         assert abs(value - negativity(rho_out, cut)) <= 1e-12, (m, n, k)
 
@@ -402,7 +401,7 @@ def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
     monkeypatch.setattr(w_audit, "w_basis", with_mutant)
     monkeypatch.setattr(references, "w_basis", with_mutant)
     _, rho_out, cut = cloner_io(1, 6, 3)  # the mutant's output too, at the pair's witness cut
-    flipped = partial_transpose(rho_out, cut).entries
+    flipped = partial_transpose(rho_out, cut)
     sector = _sector_of_each_index()
     dropped = np.count_nonzero(flipped[sector[:, None] != sector[None, :]])
     assert dropped > 0
@@ -453,11 +452,10 @@ def test_input_trace_norm_factors_at_the_lab_cut(pair, blank, k):
 
 
 def test_blank_insufficiency_certificate():
-    cert = blank_insufficiency(WClassParams(0.5, 0.2, 0.2))
-    assert cert.cut_index == 1
-    assert cert.blank_entropy_bits == pytest.approx(0.6538875642054612, abs=1e-12)
-    assert cert.required_bits == W_CUT_ENTROPY_BITS
-    assert cert.blank_entropy_bits < cert.required_bits
+    cut_index, entropy = blank_insufficiency(WClassParams(0.5, 0.2, 0.2))
+    assert cut_index == 1
+    assert entropy == pytest.approx(0.6538875642054612, abs=1e-12)
+    assert entropy < W_CUT_ENTROPY_BITS
 
 
 def test_blank_insufficiency_rejects_the_w_point():
@@ -471,8 +469,9 @@ def test_blank_insufficiency_random_points():
     for _ in range(50):
         a, b, c, _ = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
         params = WClassParams(a * scale + floor, b * scale + floor, c * scale + floor)
-        cert = blank_insufficiency(params)
-        assert cert.blank_entropy_bits < W_CUT_ENTROPY_BITS
+        cut_index, entropy = blank_insufficiency(params)
+        assert (cut_index, entropy) == wclass_min_cut_entropy(params)
+        assert entropy < W_CUT_ENTROPY_BITS
 
 
 def test_lemma_scan_coarse_grid():
