@@ -57,4 +57,4 @@ from .w_audit import (
     lemma_scan,
     negativity_audit,
 )
-from .report import ReportBundle, RunConfig, build_report, emit_report
+from .report import build_report, emit_report

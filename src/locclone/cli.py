@@ -10,7 +10,7 @@ Subcommands and the flags each one reads:
     w blank-check --params a,b,c                     insufficient-cut certificate
     measure entropy --state LABEL --cut LIST         cut entropy in bits
     measure negativity --state LABEL --cut LIST      negativity across the cut
-    report [--step S] [--radius R]                   full bundle in one document
+    report [--step S] [--radius R]                   every analysis in one document
 
 Every subcommand also takes --format table|json|csv and --out PATH; any
 other flag is an error on a subcommand that does not read it. Every format
@@ -26,13 +26,15 @@ State labels: GHZ as "p,i,j" bits, W basis as "W1".."W8", W-class as "a,b,c"
 ASCII decimals, or "@path.json" for an amplitude file of at most 10 qubits. Cut
 lists are 1-based B-side qubit indices, e.g. "3" or "1,2".
 
-Exit status: 0 on success. 2 on invalid input (ValueError, OSError): one
-"error:" line and no document. 1 when a check on a computed value fails
-(VerificationError), as for the real GHZ no-go ghz clone --states 0,0,0
-0,0,1 1,0,0: one "error:" line and no document. 1 also when the run computes
-a verdict unlike the paper's (audit drift, taxonomy split, scan violations):
-the document prints and its notes go to stderr. run_command alone maps
-notes and exceptions to exit codes. Reports go to stdout or --out.
+Exit status: 0 on success and for --help. 2 on invalid input (ValueError,
+OSError), usage errors such as an unknown flag or a missing subcommand
+included: one "error:" line and no document. 1 when a check on a computed
+value fails (VerificationError), as for the real GHZ no-go ghz clone
+--states 0,0,0 0,0,1 1,0,0: one "error:" line and no document. 1 also when
+the run computes a verdict unlike the paper's (audit drift, taxonomy split,
+scan violations): the document prints and its notes go to stderr.
+run_command alone maps notes and exceptions to exit codes. Reports go to
+stdout or --out.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import argparse
 import functools
 import sys
 from dataclasses import asdict
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .ghz_cloning import (
     all_triples,
@@ -52,7 +54,6 @@ from .measures import W_CUT_ENTROPY_BITS, cut_entropy, negativity
 from .registers import Bipartition, StateVector, VerificationError, density, load_state
 from .report import (
     OUTPUT_FORMATS,
-    RunConfig,
     build_report,
     circuit_lines,
     emit_report,
@@ -106,7 +107,7 @@ def _scan_knob(text: str) -> float:
     """--step or --radius: an ASCII decimal, where nan and inf reach check_scan_inputs."""
     try:
         return parse_decimal(text)
-    except ValueError:  # argparse words the message and exits 2
+    except ValueError:  # argparse words the message as it does for its own types
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
@@ -207,8 +208,8 @@ def _cmd_w_audit(args: argparse.Namespace) -> Sequence[str]:
 
 def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
     scan = lemma_scan(args.step, args.radius)
-    sections = scan_sections(scan)
-    _emit(args, scan_document(sections), sections)
+    document = scan_document(scan)
+    _emit(args, document, scan_sections(document))
     return [f"violation at ({params}): min cut entropy {e!r}" for params, e in scan.violations]
 
 
@@ -244,9 +245,16 @@ def _cmd_measure(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cmd_report(args: argparse.Namespace) -> Sequence[str]:
-    bundle = build_report(RunConfig(step=args.step, exclusion_radius=args.radius))
-    _write(emit_report(bundle, args.format), args.out)
-    return bundle.notes
+    document = build_report(args.step, args.radius)
+    _write(emit_report(document, args.format), args.out)
+    return document["notes"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so run_command words them."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
 
 
 @functools.cache
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="L1 exclusion radius around the equal-weight point (default 0.05)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="locclone",
         description="Local cloning analyses for three-qubit GHZ and W states.",
     )
@@ -352,10 +360,9 @@ def run_command(argv: Sequence[str]) -> int:
     """
     try:
         args = build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        return 0 if not exc.code else 2
-    try:
         notes = args.handler(args)
+    except SystemExit:  # --help printed its text; usage errors raise ValueError
+        return 0
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,12 @@
-"""Assemble every analysis into one deterministic report.
+"""Assemble every analysis into one deterministic report document.
 
 build_report runs the GHZ pair/triple survey, the W pair taxonomy with
-negativity audits, and the parameter-simplex scan under a single RunConfig.
-render is the one output path of every command: a json document, or named
-sections of rows as aligned text tables or csv. emit_report feeds it the
-bundle. Rendering the same bundle twice gives identical bytes; json and csv
-keep full float precision while tables round to 6 significant digits.
+negativity audits, and the parameter-simplex scan into the report's json
+document. render is the one output path of every command: a json document,
+or named sections of rows as aligned text tables or csv. emit_report reads
+its sections from the document. Rendering the same document twice gives
+identical bytes; json and csv keep full float precision while tables round
+to 6 significant digits.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -30,7 +31,6 @@ from .states import GhzLabel
 from .w_audit import (
     CATEGORY_B,
     AuditRecord,
-    PairClassification,
     ScanReport,
     all_pair_classifications,
     audit_classified,
@@ -54,28 +54,6 @@ MATCH_TOL = 1e-3
 # The paper's split of the 28 W pairs by category. A full report flags any
 # other split as a regression guard on the taxonomy.
 REFERENCE_TAXONOMY: dict[str, int] = {"A": 6, "B": 10, "C": 12}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The simplex-scan knobs of a report; defaults give the reference run."""
-
-    step: float = 0.02
-    exclusion_radius: float = 0.05
-
-    def __post_init__(self) -> None:
-        check_scan_inputs(self.step, self.exclusion_radius)
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    config: RunConfig
-    ghz_pairs: tuple[tuple[tuple[GhzLabel, GhzLabel], float], ...]  # worse clone fidelity
-    ghz_triples: tuple[tuple[tuple[GhzLabel, ...], TripleVerdict], ...]
-    w_classifications: tuple[PairClassification, ...]
-    pairs: tuple[AuditRecord, ...]
-    scan: ScanReport
-    notes: tuple[str, ...]
 
 
 def format_cut(cut: Bipartition) -> str:
@@ -109,32 +87,25 @@ def triple_row(members: Sequence[GhzLabel], verdict: TripleVerdict) -> dict:
     }
 
 
-def scan_sections(scan: ScanReport) -> list[tuple[str, list[dict]]]:
-    """The scan's summary row and violation rows, as the report lays them out."""
-    summary = {
+def scan_document(scan: ScanReport) -> dict:
+    """The scan's json value: its summary fields with the violation rows inside."""
+    return {
         "step": float(scan.step),
         "exclusion_radius": float(scan.exclusion_radius),
         "points_tested": scan.points_tested,
         "violation_count": len(scan.violations),
         "grid_max_entropy_bits": float(scan.grid_max_entropy_bits),
+        "violations": [
+            {**{key: float(getattr(params, key)) for key in "abcd"}, "entropy_bits": float(entropy)}
+            for params, entropy in scan.violations
+        ],
     }
-    violations = [
-        {
-            "a": float(params.a),
-            "b": float(params.b),
-            "c": float(params.c),
-            "d": float(params.d),
-            "entropy_bits": float(entropy),
-        }
-        for params, entropy in scan.violations
-    ]
-    return [("scan", [summary]), ("scan_violations", violations)]
 
 
-def scan_document(sections: Sequence[tuple[str, list[dict]]]) -> dict:
-    """The scan's json value: its summary row with the violation rows inside."""
-    (_, summary), (_, violations) = sections
-    return dict(summary[0], violations=violations)
+def scan_sections(document: Mapping[str, object]) -> list[tuple[str, list[dict]]]:
+    """A scan document as its summary row and violation rows, as the report lays them out."""
+    summary = {key: value for key, value in document.items() if key != "violations"}
+    return [("scan", [summary]), ("scan_violations", document["violations"])]
 
 
 def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
@@ -168,15 +139,17 @@ def _split_text(split: Mapping[str, int]) -> str:
     return " / ".join(f"{count} {category}" for category, count in split.items())
 
 
-def build_report(config: RunConfig) -> ReportBundle:
-    """Run every analysis. A failed check raises VerificationError and aborts; a
+def build_report(step: float, exclusion_radius: float) -> dict:
+    """Run every analysis into the report's json document. Bad scan knobs raise
+    ValueError before any analysis; a failed check raises VerificationError; a
     verdict unlike the paper's (taxonomy split, audit drift, scan) becomes a note."""
+    check_scan_inputs(step, exclusion_radius)
     notes: list[str] = []
-    pair_results = tuple(
-        (pair, float(min(f for _, f in synthesize_cloner(pair).fidelities)))
-        for pair in all_pairs()
-    )
-    triples = tuple((triple, triple_clonability(triple)) for triple in all_triples())
+    ghz_pairs = []
+    for a, b in all_pairs():  # each row carries the pair's worse clone fidelity
+        fidelity = float(min(f for _, f in synthesize_cloner((a, b)).fidelities))
+        ghz_pairs.append({"member_1": str(a), "member_2": str(b), "fidelity": fidelity})
+    triples = [triple_row(triple, triple_clonability(triple)) for triple in all_triples()]
     classifications = all_pair_classifications()
     split = {key: sum(c.category == key for c in classifications) for key in REFERENCE_TAXONOMY}
     if split != REFERENCE_TAXONOMY:
@@ -187,19 +160,20 @@ def build_report(config: RunConfig) -> ReportBundle:
     records = tuple(audit_classified(c) for c in classifications)
     notes.extend(reference_mismatches(records))
 
-    scan = lemma_scan(config.step, config.exclusion_radius)
+    scan = lemma_scan(step, exclusion_radius)
     if scan.violations:
         notes.append(f"simplex scan recorded {len(scan.violations)} violation(s)")
 
-    return ReportBundle(
-        config=config,
-        ghz_pairs=pair_results,
-        ghz_triples=triples,
-        w_classifications=classifications,
-        pairs=records,
-        scan=scan,
-        notes=tuple(notes),
-    )
+    return {
+        "version": __version__,
+        "config": {"match_tol": MATCH_TOL, "step": step, "exclusion_radius": exclusion_radius},
+        "ghz_pairs": ghz_pairs,
+        "ghz_triples": triples,
+        "w_classifications": [asdict(c) for c in classifications],
+        "pairs": [asdict(r) for r in records],
+        "scan": scan_document(scan),
+        "notes": notes,
+    }
 
 
 def json_text(payload: object) -> str:
@@ -274,19 +248,17 @@ def render(
     document: object,
     sections: Sequence[tuple[str, Sequence[Mapping[str, object]]]],
     output_format: str,
-    head: Sequence[str] = (),
 ) -> str:
     """One command's output: its json document, or its sections as table or csv.
 
     Table and csv put each section under its name, except a lone section,
-    which prints bare. head holds finished text blocks that go before the
-    sections; blocks are separated by one blank line.
+    which prints bare; sections are separated by one blank line.
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
     if output_format == "json":
         return json_text(document)
-    blocks = list(head)
+    blocks = []
     for name, rows in sections:
         columns = SECTION_COLUMNS[name]
         if output_format == "csv":
@@ -297,35 +269,20 @@ def render(
     return "\n".join(blocks)
 
 
-def _bundle_view(bundle: ReportBundle) -> tuple[dict, list[tuple[str, list[dict]]]]:
-    """The bundle's json document and its sections, sharing one build of the rows."""
-    rows = {
-        "ghz_pairs": [
-            {"member_1": str(a), "member_2": str(b), "fidelity": fidelity}
-            for (a, b), fidelity in bundle.ghz_pairs
-        ],
-        "ghz_triples": [triple_row(members, v) for members, v in bundle.ghz_triples],
-        "w_classifications": [asdict(c) for c in bundle.w_classifications],
-        "pairs": [asdict(r) for r in bundle.pairs],
-    }
-    scan = scan_sections(bundle.scan)
-    document = {
-        "version": __version__,
-        "config": {"match_tol": MATCH_TOL, **asdict(bundle.config)},
-        **rows,
-        "scan": scan_document(scan),
-        "notes": list(bundle.notes),
-    }
-    notes = ("notes", [{"note": note} for note in bundle.notes])
-    return document, [*rows.items(), *scan, notes]
-
-
-def emit_report(bundle: ReportBundle, output_format: str) -> str:
-    document, sections = _bundle_view(bundle)
-    config = document["config"]
+def emit_report(document: Mapping[str, object], output_format: str) -> str:
+    """The document as json, or as its version and config head, then its row
+    lists, its scan's two sections and its notes as table or csv."""
+    row_lists = ("ghz_pairs", "ghz_triples", "w_classifications", "pairs")
+    sections = [(name, document[name]) for name in row_lists]
+    sections += scan_sections(document["scan"])
+    sections.append(("notes", [{"note": note} for note in document["notes"]]))
+    body = render(document, sections, output_format)
+    if output_format == "json":
+        return body
+    version, config = document["version"], document["config"]
     if output_format == "csv":
-        head = [f"version,{__version__}\n", csv_text([config], list(config))]
+        head = [f"version,{version}\n", csv_text([config], list(config))]
     else:
         settings = " ".join(f"{key}={_table_cell(value)}" for key, value in config.items())
-        head = [f"tool version {__version__}\nconfig {settings}\n"]
-    return render(document, sections, output_format, head)
+        head = [f"tool version {version}\nconfig {settings}\n"]
+    return "\n".join([*head, body])

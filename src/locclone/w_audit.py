@@ -37,7 +37,7 @@ follow exactly from its entries p, q (diagonal) and r (off-diagonal) as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -151,7 +151,7 @@ class ScanReport:
     # largest minimum cut entropy outside the exclusion ball, at its first grid point
     grid_max_entropy_bits: float
     grid_max_point: WClassParams
-    violations: tuple[tuple[WClassParams, float], ...] = field(default_factory=tuple)
+    violations: tuple[tuple[WClassParams, float], ...]
 
 
 def _validate_indices(m: int, n: int) -> None:

@@ -26,7 +26,6 @@ from locclone.measures import (
 from locclone.registers import Bipartition, density, make_pure, schmidt_coefficients
 from locclone.report import (
     REFERENCE_NEGATIVITIES,
-    RunConfig,
     build_report,
     emit_report,
 )
@@ -254,9 +253,8 @@ def test_measure_spot_checks():
 
 
 def test_full_report_is_deterministic():
-    config = RunConfig()
-    first = emit_report(build_report(config), "json")
-    second = emit_report(build_report(config), "json")
+    first = emit_report(build_report(0.02, 0.05), "json")
+    second = emit_report(build_report(0.02, 0.05), "json")
     _criterion(
         "two full report builds emit byte-identical documents",
         first == second and len(first) > 0,

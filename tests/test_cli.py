@@ -1,7 +1,9 @@
 """Exit codes and output of the command-line front end."""
 from __future__ import annotations
 
+import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ import pytest
 from locclone import cli, ghz_cloning, report
 from locclone.cli import run_command
 from locclone.registers import VerificationError, make_pure
-from locclone.report import RunConfig, build_report
+from locclone.report import build_report
 from locclone.w_audit import all_audit_records
 
 from references import save_state
@@ -282,8 +284,8 @@ def test_reused_parser_answers_like_a_fresh_one(capsys):
     assert "blank 0,1,1" in clone_blank[1]
     assert "blank 0,0,0" in clone_default[1]
     assert (neg[1], entropy[1]) == ("0.942809\n", "0.9182958\n")
-    assert bad_format[0] == 2 and bad_format[1] == ""
-    assert "usage: locclone report" in bad_format[2]
+    assert _one_line_error(*bad_format)
+    assert bad_format[2].startswith("error: argument --format: invalid choice: 'xml'")
     assert " 1140 " in lemma_fine[1] and " 19600 " in lemma[1]
 
 
@@ -441,6 +443,11 @@ _FAILURES = [
     (["measure", "entropy", "--state", "\u0660.\u0661,\u0660.\u0662,\u0660.\u0663",
       "--cut", "1"], 2, "not an ASCII decimal: '\u0660.\u0661'"),
     (["w", "blank-check", "--params", "0.1_0,0.2,0.3"], 2, "not an ASCII decimal: '0.1_0'"),
+    # usage errors: one error line, with no usage block before it
+    (["w", "lemma", "--step", "abc"], 2, "argument --step: invalid float value: 'abc'"),
+    (["w", "classify", "--all", "--bogus"], 2, "unrecognized arguments: --bogus"),
+    ([], 2, "the following arguments are required: command"),
+    (["report", "--format", "xml"], 2, "argument --format: invalid choice: 'xml'"),
 ]
 
 
@@ -463,7 +470,7 @@ def test_failure_exits_with_one_error_line(capsys, tmp_path, argv, code, message
 def test_scan_knobs_take_ascii_decimals_only(capsys, command, flag, value):
     code, out, err = run(capsys, *command, flag, value)
     assert (code, out) == (2, "")
-    assert err.endswith(f"error: argument {flag}: invalid float value: {value!r}\n")
+    assert err == f"error: argument {flag}: invalid float value: {value!r}\n"
 
 
 def test_report_table_matches_the_golden_file(capsys):
@@ -471,6 +478,45 @@ def test_report_table_matches_the_golden_file(capsys):
     code, out, err = run(capsys, "report", "--step", "0.1", "--format", "table")
     assert (code, err) == (0, "")
     assert out == (Path(__file__).parent / "golden" / "report_step_0.1.txt").read_text("utf-8")
+
+
+def _csv_cell(value):
+    """A json value as csv spells it: floats by repr, lists joined by "; "."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return "; ".join(value)
+    return str(value)
+
+
+def test_report_csv_is_a_view_of_its_json(capsys):
+    """Each csv section holds the json document's rows cell by cell, in its key order."""
+    document = json.loads(run(capsys, "report", "--step", "0.1", "--format", "json")[1])
+    code, out, err = run(capsys, "report", "--step", "0.1", "--format", "csv")
+    assert (code, err) == (0, "")
+    scan = document["scan"]
+    expected = {
+        "config": [document["config"]],
+        **{name: document[name] for name in ("ghz_pairs", "ghz_triples", "w_classifications",
+                                             "pairs")},
+        "scan": [{key: value for key, value in scan.items() if key != "violations"}],
+        "scan_violations": scan["violations"],
+        "notes": [{"note": note} for note in document["notes"]],
+    }
+    version, config, *sections = out.split("\n\n")
+    assert version == f"version,{document['version']}"
+    titles = [section.partition("\n")[0] for section in sections]
+    assert titles == [f"[{name}]" for name in list(expected)[1:]]
+    bodies = [config] + [section.partition("\n")[2] for section in sections]
+    for (name, rows), body in zip(expected.items(), bodies):
+        header, *cells = csv.reader(io.StringIO(body))
+        assert all(list(row) == header for row in rows), name
+        assert cells == [[_csv_cell(value) for value in row.values()] for row in rows], name
+    assert len(expected["ghz_triples"]) == 56 and expected["scan"][0]["points_tested"] == 120
 
 
 def test_every_src_exception_is_a_verification_error():
@@ -611,7 +657,7 @@ def test_each_clone_is_simulated_once(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 3
     calls.clear()
-    build_report(RunConfig(step=0.1))
+    build_report(0.1, 0.05)
     assert len(calls) == 2 * 28 + 3 * 32  # 28 pairs and 32 clonable triples
 
 

@@ -2,17 +2,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
 import pytest
 
-from locclone import w_audit
+from locclone import __version__, cli, report, w_audit
 from locclone.ghz_cloning import synthesize_cloner
 from locclone.registers import Bipartition, GATE_X, SingleQubitGate, TransversalCnot
 from locclone.report import (
+    MATCH_TOL,
     REFERENCE_NEGATIVITIES,
-    ReportBundle,
-    RunConfig,
     build_report,
     circuit_lines,
     csv_text,
@@ -21,22 +19,32 @@ from locclone.report import (
     gate_line,
     json_text,
     reference_mismatches,
+    scan_document,
     table_text,
 )
 from locclone.states import GhzLabel
 from locclone.w_audit import AuditRecord, lemma_scan
 
 
-def empty_bundle() -> ReportBundle:
-    """A bundle with no rows, around the four-point scan at step 1/4."""
-    return ReportBundle(RunConfig(step=0.25), (), (), (), (), lemma_scan(0.25, 0.05), ())
+def empty_document() -> dict:
+    """A report document with no rows, around the four-point scan at step 1/4."""
+    return {
+        "version": __version__,
+        "config": {"match_tol": MATCH_TOL, "step": 0.25, "exclusion_radius": 0.05},
+        "ghz_pairs": [],
+        "ghz_triples": [],
+        "w_classifications": [],
+        "pairs": [],
+        "scan": scan_document(lemma_scan(0.25, 0.05)),
+        "notes": [],
+    }
 
 
 def test_runconfig_defaults():
-    config = RunConfig()
-    assert [field.name for field in fields(RunConfig)] == ["step", "exclusion_radius"]
-    assert config.step == 0.02
-    assert config.exclusion_radius == 0.05
+    """The scan knobs' one set of defaults is the parser's, for both commands that read them."""
+    for argv in (["report"], ["w", "lemma"]):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.step, args.radius) == (0.02, 0.05)
 
 
 @pytest.mark.parametrize(
@@ -52,9 +60,14 @@ def test_runconfig_defaults():
         {"step": float("nan")},
     ],
 )
-def test_runconfig_rejections(kwargs):
+def test_runconfig_rejections(monkeypatch, kwargs):
+    """build_report refuses bad scan knobs before it runs any analysis."""
+    def no_analysis(*args):
+        raise AssertionError("an analysis ran before the knobs were checked")
+
+    monkeypatch.setattr(report, "synthesize_cloner", no_analysis)
     with pytest.raises(ValueError):
-        RunConfig(**kwargs)
+        build_report(**{"step": 0.02, "exclusion_radius": 0.05, **kwargs})
 
 
 def test_format_cut():
@@ -71,26 +84,25 @@ def test_gate_line_shapes():
 
 
 def test_empty_bundle_emits_in_every_format():
-    bundle = empty_bundle()
+    document = empty_document()
     for output_format in ("table", "json", "csv"):
-        text = emit_report(bundle, output_format)
+        text = emit_report(document, output_format)
         assert text
         assert text.endswith("\n")
-    payload = json.loads(emit_report(bundle, "json"))
+    payload = json.loads(emit_report(document, "json"))
     assert payload["ghz_pairs"] == []
     assert payload["scan"]["points_tested"] == 4
     assert payload["notes"] == []
 
 
 def test_emit_report_rejects_unknown_format():
-    bundle = empty_bundle()
     with pytest.raises(ValueError):
-        emit_report(bundle, "xml")
+        emit_report(empty_document(), "xml")
 
 
 def test_bundle_document_key_order():
-    bundle = empty_bundle()
-    assert list(json.loads(emit_report(bundle, "json"))) == [
+    document = build_report(0.25, 0.05)
+    assert list(json.loads(emit_report(document, "json"))) == [
         "version",
         "config",
         "ghz_pairs",
@@ -133,14 +145,13 @@ def test_reference_mismatch_skips_nonstandard_records():
 
 
 def test_build_report_sections():
-    config = RunConfig(step=0.05)
-    bundle = build_report(config)
-    assert len(bundle.ghz_pairs) == 28
-    assert len(bundle.ghz_triples) == 56
-    assert len(bundle.w_classifications) == 28
-    assert len(bundle.pairs) == 28
-    assert bundle.scan.points_tested == 1140
-    assert bundle.notes == ()
+    document = build_report(0.05, 0.05)
+    assert len(document["ghz_pairs"]) == 28
+    assert len(document["ghz_triples"]) == 56
+    assert len(document["w_classifications"]) == 28
+    assert len(document["pairs"]) == 28
+    assert document["scan"]["points_tested"] == 1140
+    assert document["notes"] == []
 
 
 def test_build_report_classifies_each_pair_once(monkeypatch):
@@ -152,17 +163,16 @@ def test_build_report_classifies_each_pair_once(monkeypatch):
         return real(m, n)
 
     monkeypatch.setattr(w_audit, "classify_pair", counting)
-    bundle = build_report(RunConfig(step=0.1))
+    document = build_report(0.1, 0.05)
     assert len(calls) == len(set(calls)) == 28
-    assert [(r.m, r.n, r.category, r.witness_k) for r in bundle.pairs] == [
-        (c.m, c.n, c.category, c.witness_k) for c in bundle.w_classifications
+    keys = ("m", "n", "category", "witness_k")
+    assert [[r[key] for key in keys] for r in document["pairs"]] == [
+        [c[key] for key in keys] for c in document["w_classifications"]
     ]
 
 
 def test_build_report_json_round_trip():
-    config = RunConfig(step=0.05)
-    bundle = build_report(config)
-    payload = json.loads(emit_report(bundle, "json"))
+    payload = json.loads(emit_report(build_report(0.05, 0.05), "json"))
     assert payload["version"] == "0.1.0"
     assert len(payload["pairs"]) == 28
     assert payload["config"]["step"] == 0.05
@@ -173,10 +183,9 @@ def test_build_report_json_round_trip():
 
 
 def test_emit_report_identical_for_same_bundle():
-    config = RunConfig(step=0.05)
-    bundle = build_report(config)
+    document = build_report(0.05, 0.05)
     for output_format in ("table", "json", "csv"):
-        assert emit_report(bundle, output_format) == emit_report(bundle, output_format)
+        assert emit_report(document, output_format) == emit_report(document, output_format)
 
 
 def test_circuit_lines_match_gate_order():
@@ -188,17 +197,18 @@ def test_circuit_lines_match_gate_order():
 
 
 def test_scan_section_carries_the_grid_margin():
-    bundle = build_report(RunConfig())
-    scan = json.loads(emit_report(bundle, "json"))["scan"]
+    document = build_report(0.02, 0.05)
+    margin = document["scan"]["grid_max_entropy_bits"]
+    scan = json.loads(emit_report(document, "json"))["scan"]
     assert list(scan) == [
         "step", "exclusion_radius", "points_tested", "violation_count",
         "grid_max_entropy_bits", "violations",
     ]
-    assert scan["grid_max_entropy_bits"] == bundle.scan.grid_max_entropy_bits
+    assert scan["grid_max_entropy_bits"] == margin
     assert scan["grid_max_entropy_bits"] == pytest.approx(0.9043814577, abs=1e-10)
-    csv_lines = emit_report(bundle, "csv").split("[scan]\n", 1)[1].splitlines()
+    csv_lines = emit_report(document, "csv").split("[scan]\n", 1)[1].splitlines()
     assert csv_lines[0].endswith(",violation_count,grid_max_entropy_bits")
-    assert csv_lines[1].endswith(f",0,{bundle.scan.grid_max_entropy_bits!r}")
-    table = emit_report(bundle, "table").split("== scan ==\n", 1)[1].splitlines()
+    assert csv_lines[1].endswith(f",0,{margin!r}")
+    table = emit_report(document, "table").split("== scan ==\n", 1)[1].splitlines()
     assert table[0].endswith("violation_count  grid_max_entropy_bits")
     assert table[1].endswith("0                0.904381")
