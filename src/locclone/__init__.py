@@ -1,60 +1,14 @@
-"""Local-cloning verification toolkit for three-qubit GHZ and W states."""
-from __future__ import annotations
+"""Local-cloning verification toolkit for three-qubit GHZ and W states.
+
+Importing the package loads none of its modules; import the one you need:
+
+* registers: state vectors, density matrices, gates, partial trace and transpose;
+* states: the GHZ and W bases, W-class parameters and label parsing;
+* measures: cut entropy, negativity and the W-class closed-form spectra;
+* ghz_cloning: GHZ cloning circuits and the Bell-triple witness;
+* w_audit: the W pair taxonomy, negativity audits and the simplex scan;
+* report: the report document and its table, json and csv forms;
+* cli: the command line, which imports each analysis only for the commands that run it.
+"""
 
 __version__ = "0.1.0"
-
-from .registers import (
-    Bipartition,
-    DensityMatrix,
-    SingleQubitGate,
-    StateVector,
-    TransversalCnot,
-    VerificationError,
-    apply_circuit,
-    density,
-    integer_rank,
-    make_pure,
-    partial_transpose,
-    schmidt_coefficients,
-    trace_norm,
-)
-from .states import (
-    GHZ_LABELS,
-    GhzLabel,
-    WClassParams,
-    ghz,
-    w_basis,
-    w_class,
-)
-from .measures import (
-    W_CUT_ENTROPY_BITS,
-    CutEntropyResult,
-    cut_entropy,
-    negativity,
-    wclass_cut_spectra,
-    wclass_min_cut_entropy,
-)
-from .ghz_cloning import (
-    CloningCircuit,
-    CloningInconsistency,
-    NoCircuitFound,
-    TripleVerdict,
-    bell_triple_cut,
-    synthesize_cloner,
-    triple_clonability,
-    verify_cloner,
-)
-from .w_audit import (
-    AuditRecord,
-    PairClassification,
-    ScanReport,
-    StructureMismatchError,
-    atype_structure,
-    blank_insufficiency,
-    btype_form,
-    classify_pair,
-    ctype_structure,
-    lemma_scan,
-    negativity_audit,
-)
-from .report import build_report, emit_report

@@ -35,6 +35,10 @@ the run computes a verdict unlike the paper's (audit drift, taxonomy split,
 scan violations): the document prints and its notes go to stderr.
 run_command alone maps notes and exceptions to exit codes. Reports go to
 stdout or --out.
+
+Each handler imports the analysis modules (ghz_cloning, w_audit, measures)
+it runs when it runs, so a fresh process answering one query pays to import
+only those.
 """
 
 from __future__ import annotations
@@ -42,15 +46,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
 from typing import NoReturn, Sequence
 
-from .ghz_cloning import (
-    all_triples,
-    synthesize_cloner,
-    triple_clonability,
-)
-from .measures import W_CUT_ENTROPY_BITS, cut_entropy, negativity
 from .registers import Bipartition, StateVector, VerificationError, density, load_state
 from .report import (
     OUTPUT_FORMATS,
@@ -70,14 +67,6 @@ from .states import (
     parse_state_label,
     parse_w_index,
     parse_wclass_params,
-)
-from .w_audit import (
-    all_audit_records,
-    all_pair_classifications,
-    blank_insufficiency,
-    classify_pair,
-    lemma_scan,
-    negativity_audit,
 )
 
 
@@ -153,6 +142,8 @@ def _distinct_ghz_labels(texts: Sequence[str], role: str, advice: str) -> list[G
 
 
 def _cmd_ghz_clone(args: argparse.Namespace) -> Sequence[str]:
+    from .ghz_cloning import synthesize_cloner
+
     members = sorted(_distinct_ghz_labels(args.states, "clone", "distinct states"))
     blank = parse_ghz_label(args.blank)
     circuit = synthesize_cloner(members, blank)
@@ -174,6 +165,8 @@ def _cmd_ghz_clone(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cmd_ghz_triples(args: argparse.Namespace) -> Sequence[str]:
+    from .ghz_cloning import all_triples, triple_clonability
+
     if args.all:
         items = [(triple, triple_clonability(triple)) for triple in all_triples()]
     else:
@@ -186,27 +179,33 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cmd_w_classify(args: argparse.Namespace) -> Sequence[str]:
+    from .w_audit import all_pair_classifications, classify_pair
+
     if args.all:
         items = all_pair_classifications()
     else:
         items = (classify_pair(*_parse_pair(args.pair)),)
-    rows = [asdict(item) for item in items]
+    rows = [item._asdict() for item in items]
     _emit(args, rows, [("w_classifications", rows)])
     return ()
 
 
 def _cmd_w_audit(args: argparse.Namespace) -> Sequence[str]:
+    from .w_audit import all_audit_records, negativity_audit
+
     blank = parse_w_index(args.blank)
     if args.pair:
         records = [negativity_audit(*_parse_pair(args.pair), blank)]
     else:
         records = list(all_audit_records(blank))
-    rows = [asdict(record) for record in records]
+    rows = [record._asdict() for record in records]
     _emit(args, rows, [("pairs", rows)])
     return reference_mismatches(records)
 
 
 def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
+    from .w_audit import lemma_scan
+
     scan = lemma_scan(args.step, args.radius)
     document = scan_document(scan)
     _emit(args, document, scan_sections(document))
@@ -214,6 +213,9 @@ def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
+    from .measures import W_CUT_ENTROPY_BITS
+    from .w_audit import blank_insufficiency
+
     params = parse_wclass_params(args.params)
     cut_index, entropy = blank_insufficiency(params)
     row = {
@@ -230,6 +232,8 @@ def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cmd_measure(args: argparse.Namespace) -> Sequence[str]:
+    from .measures import cut_entropy, negativity
+
     state = _load_state(args.state)
     cut = _parse_cut(args.cut, state.n_qubits)
     if args.quantity == "entropy":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class CloningInconsistency(VerificationError):
     """The closed-form verdict and the Bell-triple witness disagree; one of them is wrong."""
 
 
-@dataclass(frozen=True)
-class CloningCircuit:
+class CloningCircuit(NamedTuple):
     """Gate layers (applied in order) over the original+clone register.
 
     fidelities holds each member's clone fidelity from the verification that
@@ -65,6 +64,13 @@ class CloningCircuit:
 
 @dataclass(frozen=True)
 class TripleVerdict:
+    """A GHZ triple's Bell-triple witness cut if refused, else its verified circuit.
+
+    A dataclass, not a NamedTuple like the other plain records: bench/workloads.py
+    tells a verdict from a clone result, a (circuit, fidelities) tuple, by
+    isinstance(output, tuple).
+    """
+
     clonable: bool
     witness_cut: Bipartition | None
     circuit: CloningCircuit | None

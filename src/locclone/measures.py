@@ -4,7 +4,7 @@ entropy_bits is the one Shannon-entropy formula, for one state or a scan chunk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .states import WClassParams
 ZERO_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class CutEntropyResult:
+class CutEntropyResult(NamedTuple):
     cut: Bipartition
     entropy_bits: float
 

@@ -15,8 +15,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,20 +30,28 @@ class VerificationError(Exception):
     """A check on a computed value failed: exit 1, where bad input (ValueError) exits 2."""
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """Pure state on n_qubits qubits, unit norm unless a caller keeps exact scaled amplitudes."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(NamedTuple):
     """Unit-trace positive semidefinite operator on n_qubits qubits."""
 
     n_qubits: int
     entries: np.ndarray
+
+
+def _qubit_index(q: object) -> int:
+    """q as an int: numpy ints pass, while a bool, 1.5 or "1" raises ValueError."""
+    if not isinstance(q, (bool, np.bool_)):
+        try:
+            return operator.index(q)
+        except TypeError:
+            pass
+    raise ValueError(f"qubit index {q!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class Bipartition:
     side_b: frozenset[int]
 
     def __post_init__(self) -> None:
-        side_b = frozenset(int(q) for q in self.side_b)
+        side_b = frozenset(_qubit_index(q) for q in self.side_b)
         object.__setattr__(self, "side_b", side_b)
         if any(q < 0 or q >= self.n_qubits for q in side_b):
             raise ValueError(f"side_b {sorted(side_b)} out of range for {self.n_qubits} qubits")
@@ -65,8 +74,7 @@ class Bipartition:
         return tuple(q for q in range(self.n_qubits) if q not in self.side_b)
 
 
-@dataclass(frozen=True)
-class SingleQubitGate:
+class SingleQubitGate(NamedTuple):
     """One 2x2 unitary acting on a single qubit of the register."""
 
     target: int
@@ -153,7 +161,7 @@ def apply_circuit(state: StateVector, layers: Sequence[LocalGate]) -> StateVecto
 def partial_trace(dm: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     """Trace out the listed qubits, keeping the rest in ascending order."""
     n = dm.n_qubits
-    gone = sorted({int(q) for q in discard})
+    gone = sorted({_qubit_index(q) for q in discard})
     if not gone:
         raise ValueError("nothing to trace out")
     if any(q < 0 or q >= n for q in gone):

@@ -6,7 +6,9 @@ document. render is the one output path of every command: a json document,
 or named sections of rows as aligned text tables or csv. emit_report reads
 its sections from the document. Rendering the same document twice gives
 identical bytes; json and csv keep full float precision while tables round
-to 6 significant digits.
+to 6 significant digits. build_report and reference_mismatches import the
+analyses when called, so a command that only renders loads neither
+ghz_cloning nor w_audit.
 """
 
 from __future__ import annotations
@@ -14,29 +16,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
-from .ghz_cloning import (
-    CloningCircuit,
-    TripleVerdict,
-    all_pairs,
-    all_triples,
-    synthesize_cloner,
-    triple_clonability,
-)
 from .registers import Bipartition, SingleQubitGate, TransversalCnot
-from .states import GhzLabel
-from .w_audit import (
-    CATEGORY_B,
-    AuditRecord,
-    ScanReport,
-    all_pair_classifications,
-    audit_classified,
-    check_scan_inputs,
-    lemma_scan,
-)
+
+if TYPE_CHECKING:
+    from .ghz_cloning import CloningCircuit, TripleVerdict
+    from .states import GhzLabel
+    from .w_audit import AuditRecord, ScanReport
 
 OUTPUT_FORMATS = ("table", "json", "csv")
 
@@ -114,6 +102,8 @@ def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
     Only records with the first basis state as blank are compared; the
     benchmarks presuppose that choice.
     """
+    from .w_audit import CATEGORY_B
+
     notes = []
     for record in records:
         if record.blank != 1:
@@ -143,6 +133,14 @@ def build_report(step: float, exclusion_radius: float) -> dict:
     """Run every analysis into the report's json document. Bad scan knobs raise
     ValueError before any analysis; a failed check raises VerificationError; a
     verdict unlike the paper's (taxonomy split, audit drift, scan) becomes a note."""
+    from .ghz_cloning import all_pairs, all_triples, synthesize_cloner, triple_clonability
+    from .w_audit import (
+        all_pair_classifications,
+        audit_classified,
+        check_scan_inputs,
+        lemma_scan,
+    )
+
     check_scan_inputs(step, exclusion_radius)
     notes: list[str] = []
     ghz_pairs = []
@@ -169,8 +167,8 @@ def build_report(step: float, exclusion_radius: float) -> dict:
         "config": {"match_tol": MATCH_TOL, "step": step, "exclusion_radius": exclusion_radius},
         "ghz_pairs": ghz_pairs,
         "ghz_triples": triples,
-        "w_classifications": [asdict(c) for c in classifications],
-        "pairs": [asdict(r) for r in records],
+        "w_classifications": [c._asdict() for c in classifications],
+        "pairs": [r._asdict() for r in records],
         "scan": scan_document(scan),
         "notes": notes,
     }

@@ -28,7 +28,7 @@ _SQRT_THIRD = 1.0 / math.sqrt(3.0)
 
 @dataclass(frozen=True, order=True)
 class GhzLabel:
-    """Label (p, i, j) of a GHZ basis state; each component is a bit."""
+    """Label (p, i, j) of a GHZ basis state; each component is the int 0 or 1."""
 
     p: int
     i: int
@@ -37,7 +37,8 @@ class GhzLabel:
     def __post_init__(self) -> None:
         for name in ("p", "i", "j"):
             bit = getattr(self, name)
-            if bit not in (0, 1):
+            # 1.0 and True equal a bit, yet print as "1.0" and "True"
+            if type(bit) is not int or bit not in (0, 1):
                 raise ValueError(f"label component {name}={bit!r} is not a bit")
 
     def __str__(self) -> str:

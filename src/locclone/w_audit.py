@@ -37,8 +37,7 @@ follow exactly from its entries p, q (diagonal) and r (off-diagonal) as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +89,7 @@ class StructureMismatchError(VerificationError):
     """A pair failed the structural checks its category promises."""
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     m: int
     n: int
     category: str
@@ -99,14 +97,12 @@ class PairClassification:
     span_dim: int
 
 
-@dataclass(frozen=True)
-class BTypeForm:
+class BTypeForm(NamedTuple):
     form: str
     shared_direction_weight: float
 
 
-@dataclass(frozen=True)
-class AtypeReport:
+class AtypeReport(NamedTuple):
     """Measured structure of an A-type pair at its witness cut."""
 
     m: int
@@ -118,8 +114,7 @@ class AtypeReport:
     partner_overlap: float   # max |<b_m|b_n>| over B partners of those directions: 0
 
 
-@dataclass(frozen=True)
-class CtypeReport:
+class CtypeReport(NamedTuple):
     """Measured structure of a C-type pair at its noncommuting witness cut."""
 
     m: int
@@ -131,8 +126,7 @@ class CtypeReport:
     b_basis_residual: float       # |<alpha0|alpha1>| = 0
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     m: int
     n: int
     category: str
@@ -143,8 +137,7 @@ class AuditRecord:
     blank: int
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     step: float
     exclusion_radius: float
     points_tested: int

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +110,7 @@ def test_audit_all_pairs_json_is_every_record(capsys):
     assert err == ""
     rows = json.loads(out)
     assert len(rows) == 28
-    assert rows == [asdict(record) for record in all_audit_records(4)]
+    assert rows == [record._asdict() for record in all_audit_records(4)]
 
 
 def test_audit_repeated_member(capsys):
@@ -661,11 +660,44 @@ def test_each_clone_is_simulated_once(capsys, monkeypatch):
     assert len(calls) == 2 * 28 + 3 * 32  # 28 pairs and 32 clonable triples
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    argv = ["ghz", "clone", "--states", "0,0,0", "0,1,1", "--format", "json"]
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with this checkout's src first on its import path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run([sys.executable, "-m", "locclone", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60, check=False)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["ghz", "clone", "--states", "0,0,0", "0,1,1", "--format", "json"]
+    done = _fresh_python("-m", "locclone", *argv)
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+def _cold_modules(script: str, *argv: str) -> set[str]:
+    """The locclone submodules a new interpreter holds after running script with argv."""
+    listing = "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('locclone.')))"
+    done = _fresh_python("-c", script + listing, *argv)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_import_locclone_loads_no_submodule():
+    assert _cold_modules("import locclone") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (["ghz", "clone", "--states", "0,0,0", "0,1,1"], {"ghz_cloning"}, {"w_audit", "measures"}),
+        (["w", "audit", "--pair", "1,6"], {"w_audit", "measures"}, {"ghz_cloning"}),
+        (["w", "blank-check", "--params", "0.2,0.3,0.1"], {"w_audit", "measures"}, {"ghz_cloning"}),
+    ],
+)
+def test_a_cold_command_imports_only_the_analyses_it_runs(tmp_path, argv, loaded, absent):
+    """Each fresh process pays to import what it loads, so a query loads only its analysis."""
+    script = "import sys\nfrom locclone.cli import run_command\nassert run_command(sys.argv[1:]) == 0"
+    modules = _cold_modules(script, *argv, "--out", str(tmp_path / "out"))
+    assert {f"locclone.{name}" for name in loaded} <= modules
+    assert not modules & {f"locclone.{name}" for name in absent}

@@ -9,8 +9,6 @@ neither may happen.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -37,7 +35,7 @@ def c_pairs_classified_as_b(patch):
         cls = classify(m, n)
         if cls.category != w_audit.CATEGORY_C:
             return cls
-        return dataclasses.replace(cls, category=w_audit.CATEGORY_B, witness_k=1, span_dim=3)
+        return cls._replace(category=w_audit.CATEGORY_B, witness_k=1, span_dim=3)
 
     patch.setattr(w_audit, "classify_pair", as_b)
 

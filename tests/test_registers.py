@@ -342,6 +342,16 @@ def test_bipartition_validation():
         Bipartition(3, frozenset({3}))
 
 
+@pytest.mark.parametrize("qubit", [1.5, 1.0, True, np.True_, "1"], ids=repr)
+def test_qubit_indices_refuse_non_integers(qubit):
+    """int() would read each of these as qubit 1; numpy ints still pass."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        Bipartition(3, {qubit})
+    with pytest.raises(ValueError, match="is not an integer"):
+        partial_trace(density(ghz(GhzLabel(0, 0, 0))), [qubit])
+    assert Bipartition(3, {np.int64(1)}).side_b == frozenset({1})
+
+
 _entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from locclone import __version__, cli, report, w_audit
+from locclone import __version__, cli, ghz_cloning, report, w_audit
 from locclone.ghz_cloning import synthesize_cloner
 from locclone.registers import Bipartition, GATE_X, SingleQubitGate, TransversalCnot
 from locclone.report import (
@@ -65,7 +65,7 @@ def test_runconfig_rejections(monkeypatch, kwargs):
     def no_analysis(*args):
         raise AssertionError("an analysis ran before the knobs were checked")
 
-    monkeypatch.setattr(report, "synthesize_cloner", no_analysis)
+    monkeypatch.setattr(ghz_cloning, "synthesize_cloner", no_analysis)
     with pytest.raises(ValueError):
         build_report(**{"step": 0.02, "exclusion_radius": 0.05, **kwargs})
 

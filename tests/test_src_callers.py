@@ -4,7 +4,7 @@ A helper that only tests call belongs in tests/references.py, not in the
 package. The census walks the syntax trees of src/locclone and bench/: a
 top-level def or class counts as used when an ast.Name or ast.Attribute node
 names it outside its own body, in a src/ module other than __init__ (which
-only re-exports) or in a bench/ script. Imports and docstrings are not such
+holds only the version) or in a bench/ script. Imports and docstrings are not such
 nodes, so a re-export or a mention in prose does not count.
 """
 from __future__ import annotations

@@ -27,6 +27,9 @@ def test_ghz_label_validation_and_str():
     assert str(GhzLabel(1, 0, 1)) == "1,0,1"
     with pytest.raises(ValueError):
         GhzLabel(2, 0, 0)
+    for bit in (1.0, True, np.int64(1), "1"):  # 1.0 and True would print as "1.0" and "True"
+        with pytest.raises(ValueError, match="is not a bit"):
+            GhzLabel(bit, 0, 0)
     assert len(GHZ_LABELS) == 8
     assert GHZ_LABELS[0] == GhzLabel(0, 0, 0)
 
