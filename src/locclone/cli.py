@@ -22,9 +22,10 @@ csv alike. The table forms of ghz clone (a circuit listing) and measure (the
 bare value to 7 digits) are their own; their csv has a header row and full
 precision.
 
-State labels: GHZ as "p,i,j" bits, W basis as "W1".."W8", W-class as "a,b,c"
-ASCII decimals, or "@path.json" for an amplitude file of at most 10 qubits. Cut
-lists are 1-based B-side qubit indices, e.g. "3" or "1,2".
+State labels, read by states.parse_state_label: GHZ as "p,i,j" bits, W basis
+as "W1".."W8", W-class as "a,b,c" ASCII decimals, or "@path.json" for an
+amplitude file of at most 10 qubits. Cut lists are 1-based B-side qubit
+indices, e.g. "3" or "1,2".
 
 Exit status: 0 on success and for --help. 2 on invalid input (ValueError,
 OSError), usage errors such as an unknown flag or a missing subcommand
@@ -48,10 +49,11 @@ import functools
 import sys
 from typing import NoReturn, Sequence
 
-from .registers import Bipartition, StateVector, VerificationError, density, load_state
+from .registers import Bipartition, VerificationError, density
 from .report import (
     OUTPUT_FORMATS,
     build_report,
+    cell_text,
     circuit_lines,
     emit_report,
     reference_mismatches,
@@ -127,12 +129,6 @@ def _parse_cut(text: str, n_qubits: int) -> Bipartition:
     return Bipartition(n_qubits, frozenset(qubit - 1 for qubit in qubits))
 
 
-def _load_state(label: str) -> StateVector:
-    if label.startswith("@"):
-        return load_state(label[1:])
-    return parse_state_label(label)
-
-
 def _distinct_ghz_labels(texts: Sequence[str], role: str, advice: str) -> list[GhzLabel]:
     labels = [parse_ghz_label(text) for text in texts]
     for i, label in enumerate(labels):
@@ -155,7 +151,7 @@ def _cmd_ghz_clone(args: argparse.Namespace) -> Sequence[str]:
     if args.format == "table":  # a circuit listing, not rows
         text_lines = [f"blank {blank}"] + lines
         for row in fidelities:
-            text_lines.append(f"fidelity {row['state']} {row['fidelity']:.6g}")
+            text_lines.append(f"fidelity {row['state']} {cell_text(row['fidelity'], 'table')}")
         _write("\n".join(text_lines) + "\n", args.out)
         return ()
     rows = [dict(row, blank=str(blank), circuit=lines) for row in fidelities]
@@ -234,7 +230,7 @@ def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
 def _cmd_measure(args: argparse.Namespace) -> Sequence[str]:
     from .measures import cut_entropy, negativity
 
-    state = _load_state(args.state)
+    state = parse_state_label(args.state)
     cut = _parse_cut(args.cut, state.n_qubits)
     if args.quantity == "entropy":
         key, value = "entropy_bits", cut_entropy(state, cut).entropy_bits

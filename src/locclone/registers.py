@@ -44,14 +44,15 @@ class DensityMatrix(NamedTuple):
     entries: np.ndarray
 
 
-def _qubit_index(q: object) -> int:
-    """q as an int: numpy ints pass, while a bool, 1.5 or "1" raises ValueError."""
-    if not isinstance(q, (bool, np.bool_)):
+def integer_index(value: object, what: str) -> int:
+    """An index as a plain int: numpy ints pass, while a bool, 1.0 or "1" raises
+    ValueError naming what. Qubit, W basis and cut indices all go through it."""
+    if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(q)
+            return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"qubit index {q!r} is not an integer")
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class Bipartition:
     side_b: frozenset[int]
 
     def __post_init__(self) -> None:
-        side_b = frozenset(_qubit_index(q) for q in self.side_b)
+        side_b = frozenset(integer_index(q, "qubit index") for q in self.side_b)
         object.__setattr__(self, "side_b", side_b)
         if any(q < 0 or q >= self.n_qubits for q in side_b):
             raise ValueError(f"side_b {sorted(side_b)} out of range for {self.n_qubits} qubits")
@@ -161,7 +162,7 @@ def apply_circuit(state: StateVector, layers: Sequence[LocalGate]) -> StateVecto
 def partial_trace(dm: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     """Trace out the listed qubits, keeping the rest in ascending order."""
     n = dm.n_qubits
-    gone = sorted({_qubit_index(q) for q in discard})
+    gone = sorted({integer_index(q, "qubit index") for q in discard})
     if not gone:
         raise ValueError("nothing to trace out")
     if any(q < 0 or q >= n for q in gone):

@@ -3,8 +3,9 @@
 build_report runs the GHZ pair/triple survey, the W pair taxonomy with
 negativity audits, and the parameter-simplex scan into the report's json
 document. render is the one output path of every command: a json document,
-or named sections of rows as aligned text tables or csv. emit_report reads
-its sections from the document. Rendering the same document twice gives
+or named sections of rows as aligned text tables or csv, whose columns are
+the rows' keys and whose cells cell_text spells. emit_report reads its
+sections from the document. Rendering the same document twice gives
 identical bytes; json and csv keep full float precision while tables round
 to 6 significant digits. build_report and reference_mismatches import the
 analyses when called, so a command that only renders loads neither
@@ -29,9 +30,11 @@ if TYPE_CHECKING:
 OUTPUT_FORMATS = ("table", "json", "csv")
 
 # Benchmark (N_in, N_out) per audited pair family (B form I, B form II, C),
-# with the first basis state as blank. w audit and the full report flag any
-# record further than MATCH_TOL from its family's benchmark; the benchmarks
-# are rounded to 5 decimals, well inside MATCH_TOL.
+# for any W-basis blank: every W-basis state has Schmidt weights 2/3 and 1/3 at
+# every cut (w_audit._cut_gram checks it exactly), so all eight blanks give the
+# same input factor. w audit and the full report flag any record further than
+# MATCH_TOL from its family's benchmark; the benchmarks are rounded to 5
+# decimals, well inside MATCH_TOL.
 REFERENCE_NEGATIVITIES: dict[str, tuple[float, float]] = {
     "I": (1.89097, 2.14597),
     "II": (2.23802, 2.49298),
@@ -97,17 +100,12 @@ def scan_sections(document: Mapping[str, object]) -> list[tuple[str, list[dict]]
 
 
 def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
-    """Notes for audited records straying from their family benchmark.
-
-    Only records with the first basis state as blank are compared; the
-    benchmarks presuppose that choice.
-    """
+    """Notes for audited records straying from their family benchmark, whatever
+    their blank; A pairs have no benchmark and are not compared."""
     from .w_audit import CATEGORY_B
 
     notes = []
     for record in records:
-        if record.blank != 1:
-            continue
         key = record.form if record.category == CATEGORY_B else record.category
         reference = REFERENCE_NEGATIVITIES.get(key or "")
         if reference is None:
@@ -134,14 +132,9 @@ def build_report(step: float, exclusion_radius: float) -> dict:
     ValueError before any analysis; a failed check raises VerificationError; a
     verdict unlike the paper's (taxonomy split, audit drift, scan) becomes a note."""
     from .ghz_cloning import all_pairs, all_triples, synthesize_cloner, triple_clonability
-    from .w_audit import (
-        all_pair_classifications,
-        audit_classified,
-        check_scan_inputs,
-        lemma_scan,
-    )
+    from .w_audit import all_pair_classifications, audit_classified, lemma_scan
 
-    check_scan_inputs(step, exclusion_radius)
+    scan = lemma_scan(step, exclusion_radius)  # first, as it checks the knobs
     notes: list[str] = []
     ghz_pairs = []
     for a, b in all_pairs():  # each row carries the pair's worse clone fidelity
@@ -157,8 +150,6 @@ def build_report(step: float, exclusion_radius: float) -> dict:
         )
     records = tuple(audit_classified(c) for c in classifications)
     notes.extend(reference_mismatches(records))
-
-    scan = lemma_scan(step, exclusion_radius)
     if scan.violations:
         notes.append(f"simplex scan recorded {len(scan.violations)} violation(s)")
 
@@ -179,13 +170,29 @@ def json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_cell(value: object) -> str:
+# How table and csv spell None, False and True, and a float; both join a list with "; ".
+_CELL_STYLES = {
+    "table": ("-", ("no", "yes"), lambda value: format(value, ".6g")),
+    "csv": ("", ("false", "true"), repr),
+}
+
+# The csv header of the two sections a healthy run leaves empty. Every other
+# section takes its columns from its first row, in the row's key order.
+FIXED_CSV_HEADERS = {
+    "scan_violations": ("a", "b", "c", "d", "entropy_bits"),
+    "notes": ("note",),
+}
+
+
+def cell_text(value: object, output_format: str) -> str:
+    """One json value as a table or csv cell; tables round floats to 6 significant digits."""
+    none, bools, number = _CELL_STYLES[output_format]
     if value is None:
-        return ""
+        return none
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return bools[value]
     if isinstance(value, float):
-        return repr(value)
+        return number(value)
     if isinstance(value, list):
         return "; ".join(str(item) for item in value)
     return str(value)
@@ -196,24 +203,12 @@ def csv_text(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> st
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        writer.writerow([cell_text(row.get(col), "csv") for col in columns])
     return buffer.getvalue()
 
 
-def _table_cell(value: object) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    if isinstance(value, list):
-        return "; ".join(str(item) for item in value)
-    return str(value)
-
-
 def table_text(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> str:
-    cells = [[_table_cell(row.get(col)) for col in columns] for row in rows]
+    cells = [[cell_text(row.get(col), "table") for col in columns] for row in rows]
     widths = [
         max(len(name), *(len(line[i]) for line in cells)) if cells else len(name)
         for i, name in enumerate(columns)
@@ -224,24 +219,6 @@ def table_text(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> 
     return "\n".join(lines) + "\n"
 
 
-# Table and csv column order of every section any command prints.
-SECTION_COLUMNS = {
-    "ghz_clone": ("state", "fidelity", "blank", "circuit"),
-    "ghz_pairs": ("member_1", "member_2", "fidelity"),
-    "ghz_triples": ("member_1", "member_2", "member_3", "clonable", "witness_cut", "circuit"),
-    "w_classifications": ("m", "n", "category", "witness_k", "span_dim"),
-    "pairs": ("m", "n", "category", "witness_k", "form", "negativity_in", "negativity_out", "blank"),
-    "scan": (
-        "step", "exclusion_radius", "points_tested", "violation_count", "grid_max_entropy_bits",
-    ),
-    "scan_violations": ("a", "b", "c", "d", "entropy_bits"),
-    "blank_check": ("a", "b", "c", "d", "cut_index", "blank_entropy_bits", "required_bits"),
-    "entropy": ("entropy_bits",),
-    "negativity": ("negativity",),
-    "notes": ("note",),
-}
-
-
 def render(
     document: object,
     sections: Sequence[tuple[str, Sequence[Mapping[str, object]]]],
@@ -250,7 +227,9 @@ def render(
     """One command's output: its json document, or its sections as table or csv.
 
     Table and csv put each section under its name, except a lone section,
-    which prints bare; sections are separated by one blank line.
+    which prints bare; sections are separated by one blank line. A section's
+    columns are its first row's keys; an empty section prints "(none)" in the
+    table and, in csv, its FIXED_CSV_HEADERS header or nothing below its title.
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
@@ -258,9 +237,9 @@ def render(
         return json_text(document)
     blocks = []
     for name, rows in sections:
-        columns = SECTION_COLUMNS[name]
+        columns = list(rows[0]) if rows else FIXED_CSV_HEADERS.get(name)
         if output_format == "csv":
-            title, body = f"[{name}]\n", csv_text(rows, columns)
+            title, body = f"[{name}]\n", csv_text(rows, columns) if columns else ""
         else:
             title, body = f"== {name} ==\n", table_text(rows, columns) if rows else "(none)\n"
         blocks.append(body if len(sections) == 1 else title + body)
@@ -281,6 +260,6 @@ def emit_report(document: Mapping[str, object], output_format: str) -> str:
     if output_format == "csv":
         head = [f"version,{version}\n", csv_text([config], list(config))]
     else:
-        settings = " ".join(f"{key}={_table_cell(value)}" for key, value in config.items())
+        settings = " ".join(f"{key}={cell_text(value, 'table')}" for key, value in config.items())
         head = [f"tool version {version}\nconfig {settings}\n"]
     return "\n".join([*head, body])

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .registers import StateVector
+from .registers import StateVector, integer_index, load_state
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -78,6 +78,7 @@ _W_TERMS: dict[int, tuple[tuple[str, int], ...]] = {
 
 def w_signs(n: int) -> np.ndarray:
     """Integer amplitudes of W basis state n times sqrt(3): three entries of +/-1."""
+    n = integer_index(n, "W basis index")
     if n not in _W_TERMS:
         raise ValueError(f"W basis index must be 1..8, got {n!r}")
     signs = np.zeros(8, dtype=np.int64)
@@ -156,7 +157,10 @@ def parse_wclass_params(text: str) -> WClassParams:
 
 
 def parse_state_label(text: str) -> StateVector:
-    """Resolve a CLI state label: 'p,i,j' bits, 'W1'..'W8', or 'a,b,c' decimals."""
+    """Resolve a CLI state label: 'p,i,j' bits, 'W1'..'W8', 'a,b,c' decimals, or
+    '@path.json' for an amplitude file (registers.load_state)."""
+    if text.startswith("@"):
+        return load_state(text[1:])
     t = text.strip()
     if t.upper().startswith("W"):
         return w_basis(parse_w_index(t))

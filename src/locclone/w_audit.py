@@ -55,6 +55,7 @@ from .registers import (
     StateVector,
     VerificationError,
     density,
+    integer_index,
     integer_rank,
     partial_transpose,
     qubit_cut_matrix,
@@ -147,23 +148,18 @@ class ScanReport(NamedTuple):
     violations: tuple[tuple[WClassParams, float], ...]
 
 
-def _validate_indices(m: int, n: int) -> None:
-    for label, value in (("m", m), ("n", n)):
-        if value not in range(1, 9):
-            raise ValueError(f"W basis index {label}={value!r} must be 1..8")
-    if m == n:
-        raise ValueError("pair members must differ")
-
-
 def classify_pair(m: int, n: int) -> PairClassification:
     """Category A/B/C of a W-basis pair with its witness cut.
 
     The witness for A and B is the largest k attaining the minimal span (one
     pair attains its minimum at every k and is cataloged under k=3); for C it
     is the smallest k whose reductions do not commute, that is whose Gram
-    matrix G is nonzero (see the module docstring).
+    matrix G is nonzero (see the module docstring). Indices follow
+    registers.integer_index, and w_signs checks their range.
     """
-    _validate_indices(m, n)
+    m, n = integer_index(m, "W basis index"), integer_index(n, "W basis index")
+    if m == n:
+        raise ValueError("pair members must differ")
     cuts = {k: _cut_gram(m, n, k) for k in (1, 2, 3)}
     span = min(dim for *_, dim in cuts.values())
     if span <= 3:
@@ -188,8 +184,8 @@ def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, np.ndarray, int]:
     is the overlap of column i of M_m with column j of M_n. The span of the two
     reductions' supports is the rank of [M_m | M_n].
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"qubit index k={k!r} must be 1..3")
+    if integer_index(k, "cut index k") not in (1, 2, 3):
+        raise ValueError(f"cut index k={k!r} must be 1..3")
     pair = np.hstack([qubit_cut_matrix(w_signs(x), k - 1) for x in (m, n)])
     gram = pair.T @ pair  # [[M_m^T M_m, G], [G^T, M_n^T M_n]]
     heavy = []
@@ -241,7 +237,8 @@ def atype_structure(m: int, n: int, k: int) -> AtypeReport:
         )
     if h_m == h_n:
         raise StructureMismatchError(f"pair ({m},{n}) at k={k}: B partners are not opposite")
-    return AtypeReport(m, n, k, (2.0 / 3.0, 1.0 / 3.0), (2.0 / 3.0, 1.0 / 3.0), 1.0, 0.0)
+    weights = (2.0 / 3.0, 1.0 / 3.0)
+    return AtypeReport(cls.m, cls.n, cls.witness_k, weights, weights, 1.0, 0.0)
 
 
 def ctype_structure(m: int, n: int) -> CtypeReport:
@@ -265,7 +262,7 @@ def ctype_structure(m: int, n: int) -> CtypeReport:
             f"pair ({m},{n}) at k={k}: canonical C structure fails (G = {g.tolist()})"
         )
     return CtypeReport(
-        m, n, k,
+        cls.m, cls.n, k,
         overlap_magnitude=float(abs(g[l_m, l_m]) / np.sqrt(2.0)),
         sign_residual=0.0,
         cross_overlap=0.0,
@@ -301,6 +298,7 @@ def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
     Runs for any distinct pair; A-type records carry no form and get no
     reference comparison. A failed check names the pair and the cut.
     """
+    blank = integer_index(blank, "blank W basis index")
     m, n, k = cls.m, cls.n, cls.witness_k
     assert k is not None
     form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None

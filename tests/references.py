@@ -68,7 +68,7 @@ def cloner_io(
     registers; lab A holds the other four qubits. Both are full complex 64x64
     matrices.
     """
-    w_audit._validate_indices(m, n)
+    w_audit.classify_pair(m, n)  # refuses indices that are not two distinct W basis indices
     if k not in (1, 2, 3):
         raise ValueError(f"qubit index k={k!r} must be 1..3")
     pair, state_blank = (w_basis(m), w_basis(n)), w_basis(blank)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locclone import cli, ghz_cloning, report
+from locclone import cli, ghz_cloning, report, w_audit
 from locclone.cli import run_command
 from locclone.registers import VerificationError, make_pure
 from locclone.report import build_report
@@ -516,6 +516,19 @@ def test_report_csv_is_a_view_of_its_json(capsys):
         assert all(list(row) == header for row in rows), name
         assert cells == [[_csv_cell(value) for value in row.values()] for row in rows], name
     assert len(expected["ghz_triples"]) == 56 and expected["scan"][0]["points_tested"] == 120
+
+
+def test_fixed_csv_headers_match_the_rows_they_head(capsys, monkeypatch):
+    """scan_violations and notes keep a fixed csv header for a healthy run, which
+    leaves them empty; filled by faults, their rows' keys must give that header."""
+    monkeypatch.setattr(w_audit, "W_CUT_ENTROPY_BITS", 0.5)
+    monkeypatch.setitem(report.REFERENCE_TAXONOMY, "A", 7)
+    code, out, err = run(capsys, "report", "--step", "0.1", "--format", "csv")
+    assert code == 1 and err
+    blocks = dict(block.partition("\n")[::2] for block in out.split("\n\n"))
+    for name, header in report.FIXED_CSV_HEADERS.items():
+        first, *rows = csv.reader(io.StringIO(blocks[f"[{name}]"]))
+        assert first == list(header) and rows, name
 
 
 def test_every_src_exception_is_a_verification_error():

@@ -56,6 +56,7 @@ def lowered_scan_threshold(patch):
 
 REPORT = ["report", "--step", "0.1"]
 REPORT_HEAD = "tool version 0.1.0"
+W_AUDIT_HEAD = "m  n  category  witness_k  form  negativity_in  negativity_out  blank"
 
 # (fault, argv, first stdout line or "" for an abort, text of one stderr line)
 CASES = [
@@ -69,6 +70,8 @@ CASES = [
      "yet the Bell-triple witness cut is None"),
     (hidden_bell_witness, REPORT, "", "yet the Bell-triple witness cut is None"),
     (audit_drift, REPORT, REPORT_HEAD, "audit (1,3) C: negativities"),
+    # every W-basis blank gives the benchmarks' input factor, so W4 is compared too
+    (audit_drift, ["w", "audit", "--blank", "W4"], W_AUDIT_HEAD, "audit (1,3) C: negativities"),
     (c_pairs_classified_as_b, ["w", "audit", "--pair", "1,3"], "",
      "error: pair (1,3) spans 4 at k=1, not 3 as a B witness"),
     (c_pairs_classified_as_b, REPORT, "", "error: pair (1,3) spans 4 at k=1, not 3"),

@@ -138,10 +138,14 @@ def test_reference_mismatch_flags_drift():
 
 
 def test_reference_mismatch_skips_nonstandard_records():
+    """A pairs have no benchmark; a blank other than W1 is standard, as every
+    W-basis blank gives the same input factor, so its drift is flagged."""
     ref_in, ref_out = REFERENCE_NEGATIVITIES["C"]
     off_blank = AuditRecord(1, 3, "C", 1, None, ref_in + 1.0, ref_out, 2)
     atype = AuditRecord(1, 2, "A", 2, None, 0.1, 0.2, 1)
-    assert reference_mismatches([off_blank, atype]) == []
+    assert reference_mismatches([atype]) == []
+    notes = reference_mismatches([off_blank, atype])
+    assert len(notes) == 1 and notes[0].startswith("audit (1,3) C: negativities")
 
 
 def test_build_report_sections():

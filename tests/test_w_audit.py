@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from locclone.registers import (
     partial_transpose,
     trace_norm,
 )
+from locclone.report import json_text
 from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class, w_signs
 from locclone.w_audit import (
     PairClassification,
@@ -416,6 +418,32 @@ def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
 def test_negativity_audit_rejects_bad_input(m, n, blank):
     with pytest.raises(ValueError):
         negativity_audit(m, n, blank)
+
+
+INTEGER_RULE_CASES = [
+    (classify_pair, (True, 6)),
+    (classify_pair, (1.0, 6)),
+    (negativity_audit, (1, 6, True)),
+    (negativity_audit, (1, 6, 4.0)),
+    (btype_form, (1, 6, 3.0)),
+]
+
+
+@pytest.mark.parametrize("function, args", INTEGER_RULE_CASES,
+                         ids=[f"{f.__name__}{args}" for f, args in INTEGER_RULE_CASES])
+def test_indices_refuse_bools_and_floats(function, args):
+    with pytest.raises(ValueError, match="is not an integer"):
+        function(*args)
+
+
+def test_numpy_integer_indices_give_records_of_plain_ints():
+    one, six, three, four = (np.int64(x) for x in (1, 6, 3, 4))
+    assert btype_form(one, six, three) == btype_form(1, 6, 3)
+    cls = classify_pair(one, six)
+    record = negativity_audit(one, six, four)
+    assert (cls, record) == (classify_pair(1, 6), negativity_audit(1, 6, 4))
+    assert all(type(x) is int for x in (*cls[:2], *record[:2], record.blank))
+    assert json.loads(json_text(record._asdict()))["blank"] == 4
 
 
 @st.composite
