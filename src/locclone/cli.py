@@ -39,7 +39,8 @@ stdout or --out.
 
 Each handler imports the analysis modules (ghz_cloning, w_audit, measures)
 it runs when it runs, so a fresh process answering one query pays to import
-only those.
+only those. At import cli loads only exact and report, so the ghz commands
+run without numpy; the w and measure handlers load it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ import functools
 import sys
 from typing import NoReturn, Sequence
 
-from .registers import Bipartition, VerificationError, density
+from .exact import Bipartition, GhzLabel, VerificationError
+from .exact import parse_decimal, parse_ghz_label, parse_w_index
 from .report import (
     OUTPUT_FORMATS,
     build_report,
@@ -61,14 +63,6 @@ from .report import (
     scan_document,
     scan_sections,
     triple_row,
-)
-from .states import (
-    GhzLabel,
-    parse_decimal,
-    parse_ghz_label,
-    parse_state_label,
-    parse_w_index,
-    parse_wclass_params,
 )
 
 
@@ -210,6 +204,7 @@ def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
 
 def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
     from .measures import W_CUT_ENTROPY_BITS
+    from .states import parse_wclass_params
     from .w_audit import blank_insufficiency
 
     params = parse_wclass_params(args.params)
@@ -229,6 +224,8 @@ def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
 
 def _cmd_measure(args: argparse.Namespace) -> Sequence[str]:
     from .measures import cut_entropy, negativity
+    from .registers import density
+    from .states import parse_state_label
 
     state = parse_state_label(args.state)
     cut = _parse_cut(args.cut, state.n_qubits)

@@ -10,9 +10,11 @@ solution over the members. If a pair shares (i, j), a reverse transversal
 CNOT copies p but resets the clone bits to (0, 0), and bit flips restore them.
 Every other set is refused without simulation; for a triple that is the no-go
 case of three Bell states across one cut, which triple_clonability checks.
-Every circuit returned is verified by direct simulation first. Both checks
-run on the integer amplitudes sqrt(2) * ghz (ghz_signs), so each is exact:
-the witness needs no tolerance and a verified fidelity is exactly 1.0.
+Every circuit returned is verified by direct simulation first. Each gate
+sends a ket to one ket times a power of i, so apply_monomial holds a state as
+its few nonzero kets and their quarter turns. Both checks run in plain ints
+on the amplitudes sqrt(2) * ghz (ghz_signs), so each is exact, the witness
+needs no tolerance, a verified fidelity is exactly 1.0 and no numpy loads.
 """
 from __future__ import annotations
 
@@ -20,24 +22,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .registers import (
-    Bipartition,
-    GATE_S,
-    GATE_SDG,
-    GATE_X,
-    GATE_Z,
-    LocalGate,
-    SingleQubitGate,
-    StateVector,
-    TransversalCnot,
-    VerificationError,
-    apply_circuit,
-    integer_rank,
-    qubit_cut_matrix,
-)
-from .states import GHZ_LABELS, GhzLabel, ghz_signs
+from .exact import GHZ_LABELS, Bipartition, GhzLabel, LocalGate, SingleQubitGate, TransversalCnot
+from .exact import VerificationError, gate_action, ghz_signs, integer_rank
 
 BLANK_DEFAULT = GhzLabel(0, 0, 0)
 
@@ -91,16 +77,16 @@ def _blank_pre_rotation(blank: GhzLabel) -> tuple[LocalGate, ...]:
     """Local clone-register gates mapping ghz(blank) to ghz(0,0,0)."""
     gates: list[LocalGate] = []
     if blank.p:
-        gates.append(SingleQubitGate(3, GATE_Z, "Z"))
+        gates.append(SingleQubitGate(3, "Z"))
     if blank.i:
-        gates.append(SingleQubitGate(4, GATE_X, "X"))
+        gates.append(SingleQubitGate(4, "X"))
     if blank.j:
-        gates.append(SingleQubitGate(5, GATE_X, "X"))
+        gates.append(SingleQubitGate(5, "X"))
     return tuple(gates)
 
 
 # quarter-turn exponent -> correction gate diag(1, i^t) on a clone qubit
-_PHASE_GATES = {1: ("S", GATE_S), 2: ("Z", GATE_Z), 3: ("Sdg", GATE_SDG)}
+_PHASE_GATES = {1: "S", 2: "Z", 3: "Sdg"}
 
 
 def _phase_corrections(members: Sequence[GhzLabel]) -> tuple[int, int, int] | None:
@@ -123,13 +109,35 @@ def _phase_corrections(members: Sequence[GhzLabel]) -> tuple[int, int, int] | No
     return None
 
 
-def _phase_gate_layer(exponents: tuple[int, int, int]) -> tuple[LocalGate, ...]:
-    gates: list[LocalGate] = []
-    for offset, t in enumerate(exponents):
-        if t:
-            name, matrix = _PHASE_GATES[t]
-            gates.append(SingleQubitGate(3 + offset, matrix, name))
-    return tuple(gates)
+def apply_monomial(state: dict[int, int], layers: Sequence[LocalGate], n: int) -> dict[int, int]:
+    """Apply gates in listed order to a state held as {basis index: quarter turns t}.
+
+    The amplitude is i^t at each listed index and 0 elsewhere. A named gate sends
+    each ket to one ket times i^t (exact.gate_action), and a transversal layer
+    XORs one half of the index into the other, so the state keeps its size.
+    """
+    half = n // 2
+    for gate in layers:
+        if isinstance(gate, SingleQubitGate):
+            flip, turns = gate_action(gate, n)
+            bit = 1 << (n - 1 - gate.target)
+            state = {k ^ (bit * flip): (t + turns) % 4 if k & bit else t for k, t in state.items()}
+        elif isinstance(gate, TransversalCnot):
+            if n % 2:
+                raise ValueError("transversal CNOT needs equal original and clone halves")
+            low = (1 << half) - 1  # the clone half; forward: |a,b> -> |a,a^b>, reverse: |a^b,b>
+            if gate.direction == "forward":
+                state = {k ^ (k >> half): t for k, t in state.items()}
+            else:
+                state = {k ^ ((k & low) << half): t for k, t in state.items()}
+        else:
+            raise TypeError(f"unsupported gate {gate!r}")
+    return state
+
+
+def _product_kets(u: Sequence[int], v: Sequence[int]) -> dict[int, int]:
+    """u (x) v for sign vectors of two 3-qubit states; a sign x*y = 1 - t is i^t."""
+    return {(a << 3) | b: 1 - x * y for a, x in enumerate(u) if x for b, y in enumerate(v) if y}
 
 
 def verify_cloner(
@@ -137,21 +145,24 @@ def verify_cloner(
 ) -> Mapping[GhzLabel, float]:
     """Fidelity of the circuit output with ghz(s) (x) ghz(s) for each member.
 
-    The circuit runs on the Gaussian-integer amplitudes ghz_signs(s) (x)
-    ghz_signs(blank), and the fidelity is |<u|v>|^2 / (<u|u><v|v>) against
-    u = ghz_signs(s) (x) ghz_signs(s). Every term is a small integer, so the
-    value is exact: 1.0 for a cloner, 0.5 for a wrong quarter turn.
+    The circuit runs on ghz_signs(s) (x) ghz_signs(blank), whose amplitudes are
+    powers of i (apply_monomial), and the fidelity is |<u|v>|^2 / (<u|u><v|v>)
+    against u = ghz_signs(s) (x) ghz_signs(s). The overlap is a Gaussian integer
+    and each norm a ket count, so the value is exact: 1.0 for a cloner, 0.5 for
+    a wrong quarter turn.
     """
     blank_signs = ghz_signs(circuit.blank)
     fidelities: dict[GhzLabel, float] = {}
     for label in states:
         source = ghz_signs(label)
-        start = StateVector(6, np.outer(source, blank_signs).ravel())
-        produced = apply_circuit(start, circuit.layers).amplitudes
-        target = np.outer(source, source).ravel()
-        overlap = np.vdot(target, produced)
-        norms = np.vdot(target, target).real * np.vdot(produced, produced).real
-        fidelities[label] = float((overlap.real**2 + overlap.imag**2) / norms)
+        produced = apply_monomial(_product_kets(source, blank_signs), circuit.layers, 6)
+        target = _product_kets(source, source)
+        turns = [0, 0, 0, 0]  # overlap terms i^(t_v - t_u), counted by power
+        for k, t in produced.items():
+            if k in target:
+                turns[(t - target[k]) % 4] += 1
+        re, im = turns[0] - turns[2], turns[1] - turns[3]
+        fidelities[label] = (re * re + im * im) / (len(target) * len(produced))
     return fidelities
 
 
@@ -162,7 +173,8 @@ def _cloning_layers(members: Sequence[GhzLabel]) -> tuple[LocalGate, ...] | None
         exponents = _phase_corrections(members)
         if exponents is None:
             return None
-        return (TransversalCnot("forward"),) + _phase_gate_layer(exponents)
+        phases = (SingleQubitGate(3 + q, _PHASE_GATES[t]) for q, t in enumerate(exponents) if t)
+        return (TransversalCnot("forward"), *phases)
     if len(members) != 2:
         return None
     # a pair sharing (i, j): the reverse layer copies p, then X gates restore the bits
@@ -194,22 +206,27 @@ def synthesize_cloner(
     return CloningCircuit(layers, blank, tuple(fidelities.items()))
 
 
-def _bell_like_across(signs: np.ndarray, qubit: int) -> bool:
+def _bell_like_across(signs: Sequence[Sequence[int]], qubit: int) -> bool:
     """Three orthogonal maximally entangled states confined to a 2x2 subspace?
 
-    signs stacks the integer amplitudes sqrt(2) * psi of the three states; the
+    signs lists the integer amplitudes sqrt(2) * psi of the three states; the
     cut puts qubit (0-based) on side B. With M each state's cut matrix, the
-    states are orthogonal when their Gram matrix is diagonal, their joint A-side
-    support is the rank of [M1 | M2 | M3], and a state is maximally entangled
-    when M^T M is the identity. Side B is one qubit, so its joint support is
-    2-dimensional whenever any state is entangled and needs no check.
+    states are orthogonal when their pairwise dot products vanish, their joint
+    A-side support is the rank of [M1 | M2 | M3], and a state is maximally
+    entangled when M^T M is the identity. Side B is one qubit, so its joint
+    support is 2-dimensional whenever any state is entangled and needs no check.
     """
-    if np.triu(signs @ signs.T, 1).any():
+    def dot(u: Sequence[int], v: Sequence[int]) -> int:
+        return sum(x * y for x, y in zip(u, v))
+
+    if any(dot(u, v) for u, v in itertools.combinations(signs, 2)):
         return False
-    mats = [qubit_cut_matrix(s, qubit) for s in signs]
-    if integer_rank(np.hstack(mats)) != 2:
+    bit = 4 >> qubit
+    # each state's cut matrix as its two columns, for qubit value 0 and 1
+    mats = [[[s[k] for k in range(8) if (k & bit) == b] for b in (0, bit)] for s in signs]
+    if integer_rank(column for m in mats for column in m) != 2:
         return False
-    return all(np.array_equal(m.T @ m, np.eye(2, dtype=m.dtype)) for m in mats)
+    return all(dot(c0, c0) == dot(c1, c1) == 1 and dot(c0, c1) == 0 for c0, c1 in mats)
 
 
 def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:
@@ -221,7 +238,7 @@ def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:
     members = _normalize_members(triple)
     if len(members) != 3:
         raise ValueError("the Bell-triple criterion applies to triples")
-    signs = np.stack([ghz_signs(label) for label in members])
+    signs = [ghz_signs(label) for label in members]
     for qubit in range(3):
         if _bell_like_across(signs, qubit):
             return Bipartition(3, frozenset({qubit}))

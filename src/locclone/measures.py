@@ -8,15 +8,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .registers import (
-    Bipartition,
-    DensityMatrix,
-    StateVector,
-    VerificationError,
-    partial_transpose,
-    schmidt_coefficients,
-    trace_norm,
-)
+from .exact import Bipartition, VerificationError
+from .registers import DensityMatrix, StateVector, partial_transpose, schmidt_coefficients
+from .registers import trace_norm
 from .states import WClassParams
 
 # Entropies and negativities closer to 0 than this are rounding noise and read

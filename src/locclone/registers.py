@@ -8,26 +8,30 @@ Conventions used throughout the package:
   first, as the more significant half of the joint index.
 * Bipartitions name the B side; qubit indices are 0-based here (user-facing
   labels are 1-based and translated at the CLI boundary).
-* Circuits build no 2^n x 2^n operator: a gate is one matmul, a CNOT layer one gather.
-* Ranks are exact: integer_rank eliminates over Python ints, and callers deciding a
-  yes-or-no claim pass scaled integer amplitudes, so no rank needs a tolerance.
+* The numpy-free names (VerificationError, integer_index, Bipartition, the gate
+  records and integer_rank) live in exact, which the GHZ half runs on alone;
+  this module holds what needs numpy, for the W half, measure and the benchmark.
 """
 from __future__ import annotations
 
 import json
-import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .exact import (
+    Bipartition,
+    LocalGate,
+    SingleQubitGate,
+    TransversalCnot,
+    VerificationError,
+    gate_action,
+    integer_index,
+)
+
 NORM_ATOL = 1e-9
 HERMITICITY_ATOL = 1e-12
 MAX_STATE_QUBITS = 10  # keeps a state file's density matrix within 16 MB
-
-
-class VerificationError(Exception):
-    """A check on a computed value failed: exit 1, where bad input (ValueError) exits 2."""
 
 
 class StateVector(NamedTuple):
@@ -42,68 +46,6 @@ class DensityMatrix(NamedTuple):
 
     n_qubits: int
     entries: np.ndarray
-
-
-def integer_index(value: object, what: str) -> int:
-    """An index as a plain int: numpy ints pass, while a bool, 1.0 or "1" raises
-    ValueError naming what. Qubit, W basis and cut indices all go through it."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} {value!r} is not an integer")
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Cut of an n-qubit register; side_b lists the qubits on the B side (0-based)."""
-
-    n_qubits: int
-    side_b: frozenset[int]
-
-    def __post_init__(self) -> None:
-        side_b = frozenset(integer_index(q, "qubit index") for q in self.side_b)
-        object.__setattr__(self, "side_b", side_b)
-        if any(q < 0 or q >= self.n_qubits for q in side_b):
-            raise ValueError(f"side_b {sorted(side_b)} out of range for {self.n_qubits} qubits")
-        if not side_b or len(side_b) == self.n_qubits:
-            raise ValueError("side_b must be a nonempty proper subset of the register")
-
-    @property
-    def side_a(self) -> tuple[int, ...]:
-        return tuple(q for q in range(self.n_qubits) if q not in self.side_b)
-
-
-class SingleQubitGate(NamedTuple):
-    """One 2x2 unitary acting on a single qubit of the register."""
-
-    target: int
-    matrix: np.ndarray
-    name: str = "U"
-
-
-@dataclass(frozen=True)
-class TransversalCnot:
-    """Qubit-wise CNOT between the two equal halves of a joint register.
-
-    direction "forward" controls on the first (original) half and targets the
-    second (clone) half; "reverse" swaps the roles.
-    """
-
-    direction: str
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("forward", "reverse"):
-            raise ValueError(f"unknown transversal direction {self.direction!r}")
-
-
-LocalGate = SingleQubitGate | TransversalCnot
-
-GATE_X = np.array([[0, 1], [1, 0]], dtype=complex)
-GATE_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-GATE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-GATE_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 
 
 def make_pure(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
@@ -133,19 +75,22 @@ def _apply_single(amps: np.ndarray, matrix: np.ndarray, target: int, n: int) -> 
 
 
 def apply_circuit(state: StateVector, layers: Sequence[LocalGate]) -> StateVector:
-    """Apply gates in listed order; transversal layers need an even register.
+    """Apply gates in listed order on dense amplitudes; transversal layers need an even register.
 
-    A gate on qubit t is one matmul on the (2^t, 2, 2^(n-t-1)) view of the amplitudes.
-    The map is linear, so scaled integer amplitudes stay exact under the X, Z, S, Sdg
-    and CNOT gates.
+    The dense reference for ghz_cloning.apply_monomial: the benchmark re-simulates
+    every circuit it gets with it, and deleting it waits for the benchmark's own copy
+    (ROADMAP item 7). A gate on qubit t is one matmul of its 2x2 matrix
+    M[b xor flip, b] = i^(turns*b), from exact.gate_action, on the (2^t, 2, 2^(n-t-1))
+    view of the amplitudes.
     """
     amps = state.amplitudes
     n = state.n_qubits
     for gate in layers:
         if isinstance(gate, SingleQubitGate):
-            if not 0 <= gate.target < n:
-                raise ValueError(f"gate target {gate.target} out of range for {n} qubits")
-            amps = _apply_single(amps, gate.matrix, gate.target, n)
+            flip, turns = gate_action(gate, n)
+            matrix = np.zeros((2, 2), dtype=complex)
+            matrix[flip, 0], matrix[1 - flip, 1] = 1, 1j**turns
+            amps = _apply_single(amps, matrix, gate.target, n)
         elif isinstance(gate, TransversalCnot):
             if n % 2:
                 raise ValueError("transversal CNOT needs equal original and clone halves")
@@ -232,29 +177,6 @@ def qubit_cut_matrix(amplitudes: np.ndarray, qubit: int) -> np.ndarray:
     (integer ones included) and without building a Bipartition.
     """
     return amplitudes.reshape(1 << qubit, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
-
-
-def integer_rank(matrix: np.ndarray) -> int:
-    """Exact rank of an integer matrix, by fraction-free elimination over Python ints.
-
-    Float input is refused: the answer is exact only because the entries are.
-    """
-    if matrix.dtype.kind not in "iu" or matrix.ndim != 2:
-        raise TypeError(f"integer_rank needs a 2-D integer matrix, not {matrix.ndim}-D {matrix.dtype}")
-    rows = matrix.tolist()
-    rank = 0
-    for col in range(matrix.shape[1]):
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rank += 1
-        # cross-multiplying clears column col from every other row and keeps them integer
-        rows = [
-            [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)] if row[col] else row
-            for row in rows
-        ]
-    return rank
 
 
 def state_from_json(obj: object) -> StateVector:

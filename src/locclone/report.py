@@ -20,11 +20,11 @@ import json
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
-from .registers import Bipartition, SingleQubitGate, TransversalCnot
+from .exact import Bipartition, SingleQubitGate, TransversalCnot
 
 if TYPE_CHECKING:
+    from .exact import GhzLabel
     from .ghz_cloning import CloningCircuit, TripleVerdict
-    from .states import GhzLabel
     from .w_audit import AuditRecord, ScanReport
 
 OUTPUT_FORMATS = ("table", "json", "csv")

@@ -10,57 +10,28 @@ Three families:
 
 Qubits are numbered 1..3 in user-facing labels and 0..2 internally. The
 basis states also come as integer sign vectors (ghz_signs = sqrt(2) * ghz,
-w_signs = sqrt(3) * w_basis) for the checks that decide exact claims.
+w_signs = sqrt(3) * w_basis) for the checks that decide exact claims. The
+GHZ labels, their signs and the label parsers are exact's, on plain ints.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .registers import StateVector, integer_index, load_state
+# the GHZ labels live in exact, for the numpy-free GHZ half; states names them with the W basis
+from .exact import GHZ_LABELS, GhzLabel, ghz_signs, integer_index, parse_decimal, parse_ghz_label
+from .exact import parse_w_index
+from .registers import StateVector, load_state
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
 
 
-@dataclass(frozen=True, order=True)
-class GhzLabel:
-    """Label (p, i, j) of a GHZ basis state; each component is the int 0 or 1."""
-
-    p: int
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        for name in ("p", "i", "j"):
-            bit = getattr(self, name)
-            # 1.0 and True equal a bit, yet print as "1.0" and "True"
-            if type(bit) is not int or bit not in (0, 1):
-                raise ValueError(f"label component {name}={bit!r} is not a bit")
-
-    def __str__(self) -> str:
-        return f"{self.p},{self.i},{self.j}"
-
-
-GHZ_LABELS: tuple[GhzLabel, ...] = tuple(
-    GhzLabel(p, i, j) for p, i, j in product((0, 1), repeat=3)
-)
-
-
-def ghz_signs(label: GhzLabel) -> np.ndarray:
-    """Integer amplitudes of ghz(label) times sqrt(2): one +1 and one (-1)^p."""
-    signs = np.zeros(8, dtype=np.int64)
-    signs[(label.i << 1) | label.j] = 1
-    signs[4 | ((1 - label.i) << 1) | (1 - label.j)] = 1 - 2 * label.p
-    return signs
-
-
 def ghz(label: GhzLabel) -> StateVector:
     """GHZ basis state (|0 i j> + (-1)^p |1 i~ j~>)/sqrt(2)."""
-    return StateVector(3, (ghz_signs(label) * _SQRT_HALF).astype(complex))
+    return StateVector(3, (np.array(ghz_signs(label)) * _SQRT_HALF).astype(complex))
 
 
 # Basis kets per W state, as (bitstring, sign); every amplitude is sign/sqrt(3).
@@ -125,28 +96,6 @@ def w_class(params: WClassParams) -> StateVector:
     amps[0b100] = math.sqrt(params.c)
     amps[0b000] = math.sqrt(params.d)
     return StateVector(3, amps)
-
-
-def parse_ghz_label(text: str) -> GhzLabel:
-    parts = [piece.strip() for piece in text.split(",")]
-    if len(parts) != 3 or any(piece not in ("0", "1") for piece in parts):
-        raise ValueError(f"GHZ label must be three bits 'p,i,j', got {text!r}")
-    return GhzLabel(*(int(piece) for piece in parts))
-
-
-def parse_w_index(text: str) -> int:
-    t = text.strip().upper()
-    if len(t) == 2 and t[0] == "W" and t[1] in "12345678":
-        return int(t[1])
-    raise ValueError(f"W basis label must be W1..W8, got {text!r}")
-
-
-def parse_decimal(text: str) -> float:
-    """A float written in ASCII without '_'; float() alone also reads other scripts' digits."""
-    text = text.strip()
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII decimal: {text!r}")
-    return float(text)
 
 
 def parse_wclass_params(text: str) -> WClassParams:

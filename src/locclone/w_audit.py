@@ -49,17 +49,8 @@ from .measures import (
     wclass_cut_spectra,
     wclass_min_cut_entropy,
 )
-from .registers import (
-    Bipartition,
-    DensityMatrix,
-    StateVector,
-    VerificationError,
-    density,
-    integer_index,
-    integer_rank,
-    partial_transpose,
-    qubit_cut_matrix,
-)
+from .exact import Bipartition, VerificationError, integer_index, integer_rank
+from .registers import DensityMatrix, StateVector, density, partial_transpose, qubit_cut_matrix
 from .states import WClassParams, w_basis, w_signs
 
 SPECTRUM_TOL = 1e-10
@@ -196,7 +187,7 @@ def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, np.ndarray, int]:
                 f"W{x} at k={k}: M^T M = {own} is not diagonal with entries 1, 2"
             )
         heavy.append(0 if own[0][0] == 2 else 1)
-    return heavy[0], heavy[1], gram[:2, 2:], integer_rank(pair)
+    return heavy[0], heavy[1], gram[:2, 2:], integer_rank(pair.tolist())
 
 
 def btype_form(m: int, n: int, k: int) -> BTypeForm:

@@ -1,11 +1,11 @@
 """Slow, plainly written references that the tests check the program's fast routes against.
 
-The package calls none of these. Each takes the direct route: a tensor
-product of two states, a weighted sum of density matrices, a gate embedded
-as a full 2^n x 2^n operator, the cloner's mixtures as complex 64x64
-matrices, the Bell-triple witness from partial traces, and a state-file
-writer. Tests hold the gate kernels, the integer witness, the parity-sector
-audit and the state-file reader to them.
+The package calls none of these. Each takes the direct route: the gates'
+2x2 matrices written out, a tensor product of two states, a weighted sum of
+density matrices, a gate embedded as a full 2^n x 2^n operator, the cloner's
+mixtures as complex 64x64 matrices, the Bell-triple witness from partial
+traces, and a state-file writer. Tests hold both circuit simulators, the
+integer witness, the parity-sector audit and the state-file reader to them.
 """
 from __future__ import annotations
 
@@ -25,6 +25,12 @@ from locclone.registers import (
     schmidt_coefficients,
 )
 from locclone.states import w_basis
+
+GATE_X = np.array([[0, 1], [1, 0]], dtype=complex)
+GATE_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+GATE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+GATE_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
+GATE_MATRICES = {"X": GATE_X, "Z": GATE_Z, "S": GATE_S, "Sdg": GATE_SDG}
 
 
 def tensor(u: StateVector, v: StateVector) -> StateVector:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locclone import cli, ghz_cloning, report, w_audit
+from locclone import cli, ghz_cloning, registers, report, w_audit
 from locclone.cli import run_command
 from locclone.registers import VerificationError, make_pure
 from locclone.report import build_report
@@ -377,7 +377,7 @@ def test_measure_rejects_malformed_state_file(capsys, monkeypatch, tmp_path, con
     def no_density(state):
         raise AssertionError(f"density of a {state.n_qubits}-qubit state was built")
 
-    monkeypatch.setattr(cli, "density", no_density)
+    monkeypatch.setattr(registers, "density", no_density)
     path = tmp_path / "state.json"
     path.write_text(content)
     argv = ["measure", "negativity", "--state", f"@{path}", "--cut", "1"]
@@ -658,13 +658,13 @@ def test_report_out_writes_what_stdout_gets(capsys, tmp_path):
 
 def test_each_clone_is_simulated_once(capsys, monkeypatch):
     calls = []
-    original = ghz_cloning.apply_circuit
+    original = ghz_cloning.apply_monomial
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(ghz_cloning, "apply_circuit", counting)
+    monkeypatch.setattr(ghz_cloning, "apply_monomial", counting)
     code, _, _ = run(capsys, "ghz", "clone", "--states", "0,0,0", "1,0,1", "0,1,0")
     assert code == 0
     assert len(calls) == 3
@@ -689,8 +689,9 @@ def test_python_dash_m_runs_the_cli(capsys):
 
 
 def _cold_modules(script: str, *argv: str) -> set[str]:
-    """The locclone submodules a new interpreter holds after running script with argv."""
-    listing = "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('locclone.')))"
+    """The locclone submodules, and numpy, that a new interpreter holds after running script."""
+    listing = ("\nimport sys\n"
+               "print(*(m for m in sys.modules if m.startswith('locclone.') or m == 'numpy'))")
     done = _fresh_python("-c", script + listing, *argv)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
@@ -700,17 +701,28 @@ def test_import_locclone_loads_no_submodule():
     assert _cold_modules("import locclone") == set()
 
 
+ABSENT_FROM_GHZ = {"locclone.w_audit", "locclone.measures", "numpy"}
+
+
 @pytest.mark.parametrize(
     "argv, loaded, absent",
     [
-        (["ghz", "clone", "--states", "0,0,0", "0,1,1"], {"ghz_cloning"}, {"w_audit", "measures"}),
-        (["w", "audit", "--pair", "1,6"], {"w_audit", "measures"}, {"ghz_cloning"}),
-        (["w", "blank-check", "--params", "0.2,0.3,0.1"], {"w_audit", "measures"}, {"ghz_cloning"}),
+        (["ghz", "clone", "--states", "0,0,0", "0,1,1"], {"locclone.ghz_cloning"}, ABSENT_FROM_GHZ),
+        (["w", "audit", "--pair", "1,6"], {"locclone.w_audit", "locclone.measures", "numpy"},
+         {"locclone.ghz_cloning"}),
+        (["w", "blank-check", "--params", "0.2,0.3,0.1"], {"locclone.w_audit", "locclone.measures"},
+         {"locclone.ghz_cloning"}),
+        (["ghz", "triples", "--states", "0,0,0", "0,1,1", "1,0,1"], {"locclone.ghz_cloning"},
+         ABSENT_FROM_GHZ),
     ],
 )
 def test_a_cold_command_imports_only_the_analyses_it_runs(tmp_path, argv, loaded, absent):
-    """Each fresh process pays to import what it loads, so a query loads only its analysis."""
+    """Each fresh process pays to import what it loads, so a query loads only its analysis.
+
+    The GHZ commands run on plain ints and load no numpy; w audit must load it,
+    which keeps the numpy check able to fail.
+    """
     script = "import sys\nfrom locclone.cli import run_command\nassert run_command(sys.argv[1:]) == 0"
     modules = _cold_modules(script, *argv, "--out", str(tmp_path / "out"))
-    assert {f"locclone.{name}" for name in loaded} <= modules
-    assert not modules & {f"locclone.{name}" for name in absent}
+    assert loaded <= modules
+    assert not modules & absent

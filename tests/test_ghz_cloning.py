@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locclone import ghz_cloning
+from locclone import exact, ghz_cloning
 from locclone.ghz_cloning import (
     CloningCircuit,
     CloningInconsistency,
@@ -20,14 +20,7 @@ from locclone.ghz_cloning import (
     triple_clonability,
     verify_cloner,
 )
-from locclone.registers import (
-    GATE_S,
-    GATE_Z,
-    Bipartition,
-    SingleQubitGate,
-    StateVector,
-    TransversalCnot,
-)
+from locclone.registers import Bipartition, SingleQubitGate, StateVector, TransversalCnot
 from locclone.states import GHZ_LABELS, GhzLabel, ghz, ghz_signs
 
 from references import embed_operator, reference_bell_like
@@ -75,7 +68,7 @@ def test_forward_cnot_alone_misses_the_phase():
 def test_an_extra_quarter_turn_gives_exactly_one_half():
     pair = [L(0, 0, 0), L(0, 1, 1)]
     circuit = synthesize_cloner(pair)
-    skewed = CloningCircuit(circuit.layers + (SingleQubitGate(3, GATE_S, "S"),), circuit.blank)
+    skewed = CloningCircuit(circuit.layers + (SingleQubitGate(3, "S"),), circuit.blank)
     assert set(verify_cloner(skewed, pair).values()) == {0.5}
 
 
@@ -186,13 +179,13 @@ def test_witness_matches_shared_label_pattern():
 def test_closed_form_decides_every_set_for_every_blank(monkeypatch):
     # refusals come from the rule alone: not one circuit is simulated for them
     calls = []
-    simulate = ghz_cloning.apply_circuit
+    simulate = ghz_cloning.apply_monomial
 
-    def counting(state, layers):
+    def counting(state, layers, n):
         calls.append(layers)
-        return simulate(state, layers)
+        return simulate(state, layers, n)
 
-    monkeypatch.setattr(ghz_cloning, "apply_circuit", counting)
+    monkeypatch.setattr(ghz_cloning, "apply_monomial", counting)
     verified = refused = 0
     for blank in GHZ_LABELS:
         for members in all_label_pairs() + all_label_triples():
@@ -211,7 +204,7 @@ def test_closed_form_decides_every_set_for_every_blank(monkeypatch):
 
 def test_wrong_phase_gate_fails_verification(monkeypatch):
     # a quarter turn that is really a half turn: the simulation must object
-    monkeypatch.setitem(ghz_cloning._PHASE_GATES, 1, ("S", GATE_Z))
+    monkeypatch.setitem(exact.GATES, "S", exact.GATES["Z"])
     members = r"\{\(0,0,0\), \(0,1,0\), \(1,0,1\)\}"
     with pytest.raises(NoCircuitFound, match=members + r".*worst fidelity 0\.5, not 1"):
         synthesize_cloner([L(0, 0, 0), L(1, 0, 1), L(0, 1, 0)])

@@ -14,7 +14,7 @@ import pytest
 from locclone.cli import run_command
 from locclone.ghz_cloning import synthesize_cloner, triple_clonability
 from locclone.measures import cut_entropy
-from locclone.registers import GATE_X, Bipartition, DensityMatrix, SingleQubitGate, StateVector
+from locclone.registers import Bipartition, DensityMatrix, SingleQubitGate, StateVector
 from locclone.states import GHZ_LABELS, ghz
 from locclone.w_audit import (
     CATEGORY_A,
@@ -39,7 +39,7 @@ def plain_records() -> list:
     return [
         StateVector(1, np.array([1.0, 0.0])),
         DensityMatrix(1, np.eye(2) / 2),
-        SingleQubitGate(0, GATE_X, "X"),
+        SingleQubitGate(0, "X"),
         synthesize_cloner(GHZ_LABELS[:2]),
         cut_entropy(ghz(GHZ_LABELS[0]), Bipartition(3, frozenset({2}))),
         b_pair,

@@ -1,4 +1,5 @@
-"""Register numerics: composition, circuits, reduction, transposition, spectra, exact ranks."""
+"""Register numerics: composition, both circuit simulators, reduction, transposition, spectra,
+exact ranks."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -9,21 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from locclone.exact import GATES, integer_rank
+from locclone.ghz_cloning import CloningCircuit, apply_monomial, verify_cloner
 from locclone.registers import (
-    GATE_S,
-    GATE_X,
-    GATE_Z,
     Bipartition,
     DensityMatrix,
     SingleQubitGate,
     StateVector,
     TransversalCnot,
     VerificationError,
+    _apply_single,
     apply_circuit,
     cut_matrix,
     density,
     hermitian_spectrum,
-    integer_rank,
     load_state,
     make_pure,
     partial_trace,
@@ -34,7 +34,7 @@ from locclone.registers import (
 )
 from locclone.states import GhzLabel, ghz, w_basis
 
-from references import embed_operator, mix, save_state, tensor
+from references import GATE_MATRICES, GATE_S, GATE_X, GATE_Z, embed_operator, mix, save_state, tensor
 
 RT2 = np.sqrt(2.0)
 
@@ -110,7 +110,7 @@ def test_transversal_cnot_fixes_ghz_pair():
 def test_clone_register_x_relabels_ghz():
     # X on the clone's middle qubit flips the clone's i label
     joint = tensor(ghz(GhzLabel(0, 0, 0)), ghz(GhzLabel(0, 0, 0)))
-    out = apply_circuit(joint, [SingleQubitGate(4, GATE_X, "X")])
+    out = apply_circuit(joint, [SingleQubitGate(4, "X")])
     want = tensor(ghz(GhzLabel(0, 0, 0)), ghz(GhzLabel(0, 1, 0)))
     assert abs(np.vdot(out.amplitudes, want.amplitudes)) ** 2 > 1 - 1e-12
 
@@ -120,9 +120,7 @@ def test_apply_circuit_preserves_norm():
     state = random_state(rng, 4)
     layers = []
     for _ in range(6):
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        unitary, _ = np.linalg.qr(raw)
-        layers.append(SingleQubitGate(int(rng.integers(4)), unitary))
+        layers.append(SingleQubitGate(int(rng.integers(4)), str(rng.choice(sorted(GATES)))))
         layers.append(TransversalCnot("reverse"))
     out = apply_circuit(state, layers)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
@@ -131,7 +129,7 @@ def test_apply_circuit_preserves_norm():
 def test_apply_circuit_rejects_bad_targets():
     state = make_pure([1, 0])
     with pytest.raises(ValueError):
-        apply_circuit(state, [SingleQubitGate(1, GATE_X)])
+        apply_circuit(state, [SingleQubitGate(1, "X")])
     three = make_pure([1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         apply_circuit(three, [TransversalCnot("forward")])
@@ -316,7 +314,7 @@ def test_embed_operator_matches_kron():
 def test_embed_operator_agrees_with_apply_circuit():
     rng = np.random.default_rng(12)
     state = random_state(rng, 3)
-    via_gate = apply_circuit(state, [SingleQubitGate(1, GATE_S, "S")])
+    via_gate = apply_circuit(state, [SingleQubitGate(1, "S")])
     via_embed = embed_operator(GATE_S, 3, [1]) @ state.amplitudes
     assert np.allclose(via_gate.amplitudes, via_embed, atol=1e-12)
 
@@ -388,12 +386,61 @@ def _complex_array(data, shape):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_single_qubit_gate_is_the_embedded_operator(n, data):
+    """The dense kernel apply_circuit runs, for any 2x2 unitary, not only the named gates."""
     amps = _complex_array(data, (1 << n,))
     unitary, _ = np.linalg.qr(_complex_array(data, (2, 2)))
     for target in range(n):
-        got = apply_circuit(StateVector(n, amps), [SingleQubitGate(target, unitary)])
+        got = _apply_single(amps, unitary, target, n)
         want = embed_operator(unitary, n, [target]) @ amps
-        assert np.abs(got.amplitudes - want).max() <= 1e-12
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@st.composite
+def monomial_circuits(draw):
+    """A register of 2, 4 or 6 qubits, kets with random quarter turns, and layers of gates."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8, unique=True))
+    state = {k: draw(st.integers(0, 3)) for k in support}
+    gate = st.one_of(
+        st.builds(SingleQubitGate, st.integers(0, n - 1), st.sampled_from(sorted(GATES))),
+        st.builds(TransversalCnot, st.sampled_from(["forward", "reverse"])),
+    )
+    return n, state, draw(st.lists(gate, max_size=10))
+
+
+def _dense(state, n):
+    amps = np.zeros(1 << n, dtype=complex)
+    for k, t in state.items():
+        amps[k] = 1j**t
+    return amps
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_circuits())
+def test_both_simulators_are_the_product_of_embedded_operators(case):
+    """apply_monomial and apply_circuit against the literal 2x2 and CNOT matrices."""
+    n, state, layers = case
+    want = _dense(state, n)
+    for gate in layers:
+        if isinstance(gate, SingleQubitGate):
+            want = embed_operator(GATE_MATRICES[gate.name], n, [gate.target]) @ want
+        else:
+            half = n // 2
+            for q in range(half):
+                control_target = [q, q + half] if gate.direction == "forward" else [q + half, q]
+                want = embed_operator(_CNOT, n, control_target) @ want
+    assert np.array_equal(_dense(apply_monomial(state, layers, n), n), want)
+    assert np.array_equal(apply_circuit(StateVector(n, _dense(state, n)), layers).amplitudes, want)
+
+
+def test_unknown_gate_names_are_refused_by_name():
+    gate = SingleQubitGate(3, "H")
+    with pytest.raises(ValueError, match="unknown gate 'H'"):
+        apply_monomial({0: 0}, [gate], 6)
+    with pytest.raises(ValueError, match="unknown gate 'H'"):
+        apply_circuit(StateVector(6, np.eye(64, dtype=complex)[0]), [gate])
+    with pytest.raises(ValueError, match="unknown gate 'H'"):
+        verify_cloner(CloningCircuit((gate,), GhzLabel(0, 0, 0)), [GhzLabel(0, 0, 1)])
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from locclone import __version__, cli, ghz_cloning, report, w_audit
 from locclone.ghz_cloning import synthesize_cloner
-from locclone.registers import Bipartition, GATE_X, SingleQubitGate, TransversalCnot
+from locclone.registers import Bipartition, SingleQubitGate, TransversalCnot
 from locclone.report import (
     MATCH_TOL,
     REFERENCE_NEGATIVITIES,
@@ -79,8 +79,8 @@ def test_format_cut():
 def test_gate_line_shapes():
     assert gate_line(TransversalCnot("forward")) == "CNOT orig->clone"
     assert gate_line(TransversalCnot("reverse")) == "CNOT clone->orig"
-    assert gate_line(SingleQubitGate(0, GATE_X, "X")) == "GATE X orig:1"
-    assert gate_line(SingleQubitGate(5, GATE_X, "X")) == "GATE X clone:3"
+    assert gate_line(SingleQubitGate(0, "X")) == "GATE X orig:1"
+    assert gate_line(SingleQubitGate(5, "X")) == "GATE X clone:3"
 
 
 def test_empty_bundle_emits_in_every_format():

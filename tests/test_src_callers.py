@@ -59,6 +59,6 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
 
 def test_the_census_sees_calls_across_modules_and_from_bench():
     used, defined = referenced_names(), definitions()
-    assert {"integer_rank", "_cut_gram", "partial_trace"} <= used  # registers, w_audit, bench
-    assert {("registers", "integer_rank"), ("w_audit", "_cut_gram"),
+    assert {"integer_rank", "_cut_gram", "partial_trace"} <= used  # exact, w_audit, bench
+    assert {("exact", "integer_rank"), ("w_audit", "_cut_gram"),
             ("registers", "partial_trace")} <= set(defined)

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locclone import ghz_cloning, w_audit
+from locclone.exact import integer_rank
 from locclone.measures import W_CUT_ENTROPY_BITS, negativity, wclass_min_cut_entropy
 from locclone.registers import (
     Bipartition,
     DensityMatrix,
     density,
-    integer_rank,
     partial_trace,
     partial_transpose,
     trace_norm,
