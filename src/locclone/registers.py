@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .exact import (
+    GATES,
     Bipartition,
     LocalGate,
     SingleQubitGate,
@@ -69,6 +70,16 @@ def density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, np.outer(amps, amps.conj()))
 
 
+def _gate_matrix(flip: int, turns: int) -> np.ndarray:
+    """The 2x2 matrix M[b xor flip, b] = i^(turns*b) of a gate exact.GATES defines."""
+    matrix = np.zeros((2, 2), dtype=complex)
+    matrix[flip, 0], matrix[1 - flip, 1] = 1, 1j**turns
+    return matrix
+
+
+_GATE_MATRICES = {name: _gate_matrix(*action) for name, action in GATES.items()}
+
+
 def _apply_single(amps: np.ndarray, matrix: np.ndarray, target: int, n: int) -> np.ndarray:
     t = amps.reshape(1 << target, 2, 1 << (n - target - 1))
     return np.matmul(np.asarray(matrix, dtype=complex), t).reshape(-1)
@@ -79,18 +90,16 @@ def apply_circuit(state: StateVector, layers: Sequence[LocalGate]) -> StateVecto
 
     The dense reference for ghz_cloning.apply_monomial: the benchmark re-simulates
     every circuit it gets with it, and deleting it waits for the benchmark's own copy
-    (ROADMAP item 7). A gate on qubit t is one matmul of its 2x2 matrix
-    M[b xor flip, b] = i^(turns*b), from exact.gate_action, on the (2^t, 2, 2^(n-t-1))
-    view of the amplitudes.
+    (ROADMAP item 7). A gate on qubit t, checked by exact.gate_action, is one matmul
+    of its 2x2 matrix, built once from exact.GATES, on the (2^t, 2, 2^(n-t-1)) view
+    of the amplitudes.
     """
     amps = state.amplitudes
     n = state.n_qubits
     for gate in layers:
         if isinstance(gate, SingleQubitGate):
-            flip, turns = gate_action(gate, n)
-            matrix = np.zeros((2, 2), dtype=complex)
-            matrix[flip, 0], matrix[1 - flip, 1] = 1, 1j**turns
-            amps = _apply_single(amps, matrix, gate.target, n)
+            gate_action(gate, n)
+            amps = _apply_single(amps, _GATE_MATRICES[gate.name], gate.target, n)
         elif isinstance(gate, TransversalCnot):
             if n % 2:
                 raise ValueError("transversal CNOT needs equal original and clone halves")
@@ -168,15 +177,6 @@ def cut_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
 def schmidt_coefficients(state: StateVector, cut: Bipartition) -> np.ndarray:
     """Squared Schmidt coefficients across the cut, descending, summing to 1."""
     return np.linalg.svd(cut_matrix(state, cut), compute_uv=False) ** 2
-
-
-def qubit_cut_matrix(amplitudes: np.ndarray, qubit: int) -> np.ndarray:
-    """Amplitudes as a 2^(n-1) x 2 matrix: the other qubits on rows, the given qubit on columns.
-
-    The same matrix as cut_matrix with side B {qubit}, for amplitudes of any dtype
-    (integer ones included) and without building a Bipartition.
-    """
-    return amplitudes.reshape(1 << qubit, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
 
 
 def state_from_json(obj: object) -> StateVector:

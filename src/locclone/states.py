@@ -9,9 +9,10 @@ Three families:
   with a,b,c > 0 and d = 1-(a+b+c) >= 0.
 
 Qubits are numbered 1..3 in user-facing labels and 0..2 internally. The
-basis states also come as integer sign vectors (ghz_signs = sqrt(2) * ghz,
-w_signs = sqrt(3) * w_basis) for the checks that decide exact claims. The
-GHZ labels, their signs and the label parsers are exact's, on plain ints.
+basis states also come as tuples of 8 plain ints (ghz_signs = sqrt(2) * ghz,
+w_signs = sqrt(3) * w_basis) for the checks that decide exact claims; ghz and
+w_basis wrap them in numpy. The GHZ labels, their signs and the label parsers
+are exact's, on plain ints.
 """
 from __future__ import annotations
 
@@ -47,20 +48,20 @@ _W_TERMS: dict[int, tuple[tuple[str, int], ...]] = {
 }
 
 
-def w_signs(n: int) -> np.ndarray:
-    """Integer amplitudes of W basis state n times sqrt(3): three entries of +/-1."""
+def w_signs(n: int) -> tuple[int, ...]:
+    """Integer amplitudes of W basis state n times sqrt(3), as plain ints: three entries of +/-1."""
     n = integer_index(n, "W basis index")
     if n not in _W_TERMS:
         raise ValueError(f"W basis index must be 1..8, got {n!r}")
-    signs = np.zeros(8, dtype=np.int64)
+    signs = [0] * 8
     for bits, sign in _W_TERMS[n]:
         signs[int(bits, 2)] = sign
-    return signs
+    return tuple(signs)
 
 
 def w_basis(n: int) -> StateVector:
     """W-type basis state W1..W8."""
-    return StateVector(3, (w_signs(n) * _SQRT_THIRD).astype(complex))
+    return StateVector(3, (np.array(w_signs(n)) * _SQRT_THIRD).astype(complex))
 
 
 @dataclass(frozen=True)

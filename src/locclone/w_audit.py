@@ -3,15 +3,18 @@
 Pairs (W_m, W_n) are sorted by the span of the supports of their two-qubit
 reductions Tr_k: category A has some k with span 2, category B none with 2
 but some with 3, category C span 4 for every k plus a k where the reductions
-do not commute. These decisions and the A, B and C structures are exact:
-sqrt(3) * W_m has entries 0 and +/-1, so its 4x2 cut matrix M at qubit k is
-integer and the reduction Tr_k = M M^T / 3 has the column space of M. The
-span at k is the integer rank of [M_m | M_n], and the reductions commute
-exactly when the Gram matrix G = M_m^T M_n is 0: with span 4, P = [M_m | M_n]
-is invertible and 9 times their commutator, M_m G M_n^T - M_n G^T M_m^T, is
-P [[0, G], [-G^T, 0]] P^T. The canonical forms are integer tests on the same
-G, after each M^T M is checked to be diagonal with entries {1, 2}: its columns
-are then the A-side Schmidt directions, paired with |0> and |1> on qubit k.
+do not commute. These decisions and the A, B and C structures are exact and
+run on plain ints: sqrt(3) * W_m has entries 0 and +/-1 (states.w_signs), so
+its 4x2 cut matrix M at qubit k is integer and the reduction Tr_k = M M^T / 3
+has the column space of M. Each D = M^T M is checked to be diagonal with
+entries {1, 2}: M's columns are then the A-side Schmidt directions, paired with
+|0> and |1> on qubit k, and D_m is invertible. So the span at k, the rank of
+[M_m | M_n], is 2 plus the rank of the integer 2x2 Schur complement
+S = 2 D_n - G^T (2 D_m^-1) G of the Gram matrix G = M_m^T M_n: S is twice the
+Gram matrix of M_n's columns less their projections onto M_m's column space.
+The reductions commute exactly when G is 0: with span 4, P = [M_m | M_n] is
+invertible and 9 times their commutator, M_m G M_n^T - M_n G^T M_m^T, is
+P [[0, G], [-G^T, 0]] P^T. The canonical forms are integer tests on the same G.
 No tolerance is left to tune.
 
 The audit cuts the cloner input and output mixtures between lab A (qubits
@@ -37,6 +40,7 @@ follow exactly from its entries p, q (diagonal) and r (off-diagonal) as
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -49,8 +53,8 @@ from .measures import (
     wclass_cut_spectra,
     wclass_min_cut_entropy,
 )
-from .exact import Bipartition, VerificationError, integer_index, integer_rank
-from .registers import DensityMatrix, StateVector, density, partial_transpose, qubit_cut_matrix
+from .exact import Bipartition, VerificationError, integer_index
+from .registers import DensityMatrix, StateVector, density, partial_transpose
 from .states import WClassParams, w_basis, w_signs
 
 SPECTRUM_TOL = 1e-10
@@ -68,6 +72,13 @@ _SECTORS = np.argsort(
     [2 * (bin(i >> 3).count("1") % 2) + bin(i & 7).count("1") % 2 for i in range(64)],
     kind="stable",
 ).reshape(4, 16)
+
+# Readers of the cut matrix's columns |0> and |1> at qubit k out of 8 amplitudes: the
+# other two qubits on rows in amplitude order, as registers.cut_matrix has them
+_CUT_COLUMNS = {
+    k: tuple(itemgetter(*(i for i in range(8) if (i >> (3 - k)) & 1 == b)) for b in (0, 1))
+    for k in (1, 2, 3)
+}
 
 CATEGORY_A = "A"
 CATEGORY_B = "B"
@@ -146,7 +157,7 @@ def classify_pair(m: int, n: int) -> PairClassification:
     pair attains its minimum at every k and is cataloged under k=3); for C it
     is the smallest k whose reductions do not commute, that is whose Gram
     matrix G is nonzero (see the module docstring). Indices follow
-    registers.integer_index, and w_signs checks their range.
+    exact.integer_index, and w_signs checks their range.
     """
     m, n = integer_index(m, "W basis index"), integer_index(n, "W basis index")
     if m == n:
@@ -157,7 +168,7 @@ def classify_pair(m: int, n: int) -> PairClassification:
         category = CATEGORY_A if span == 2 else CATEGORY_B
         witness = max(k for k, (*_, dim) in cuts.items() if dim == span)
         return PairClassification(m, n, category, witness, span)
-    noncommuting = [k for k, (_, _, g, _) in cuts.items() if g.any()]
+    noncommuting = [k for k, (_, _, g, _) in cuts.items() if any(map(any, g))]
     if not noncommuting:
         raise StructureMismatchError(
             f"pair ({m},{n}) spans 4 at every cut but all reductions commute"
@@ -165,7 +176,7 @@ def classify_pair(m: int, n: int) -> PairClassification:
     return PairClassification(m, n, CATEGORY_C, min(noncommuting), 4)
 
 
-def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, np.ndarray, int]:
+def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
     """Heavy columns h_m, h_n at cut k, the Gram matrix G = M_m^T M_n and the span.
 
     M is the integer 4x2 cut matrix of sqrt(3) * W at qubit k. Each state must
@@ -173,21 +184,51 @@ def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, np.ndarray, int]:
     direction paired with |b> on qubit k, of marginal weight M^T M[b, b] / 3,
     so column h (weight 2/3) is heavy and 1 - h (weight 1/3) light, and G[i, j]
     is the overlap of column i of M_m with column j of M_n. The span of the two
-    reductions' supports is the rank of [M_m | M_n].
+    reductions' supports is the rank of [M_m | M_n], from _span.
     """
     if integer_index(k, "cut index k") not in (1, 2, 3):
         raise ValueError(f"cut index k={k!r} must be 1..3")
-    pair = np.hstack([qubit_cut_matrix(w_signs(x), k - 1) for x in (m, n)])
-    gram = pair.T @ pair  # [[M_m^T M_m, G], [G^T, M_n^T M_n]]
-    heavy = []
-    for x, i in ((m, 0), (n, 2)):
-        own = gram[i:i + 2, i:i + 2].tolist()
-        if own[0][1] or sorted((own[0][0], own[1][1])) != [1, 2]:
+    (m0, m1), (n0, n1) = (_cut_columns(w_signs(x), k) for x in (m, n))
+    if m == n:
+        raise ValueError("pair members must differ")
+    heavy, diagonals = [], []
+    for x, (c0, c1) in ((m, (m0, m1)), (n, (n0, n1))):
+        d0, off, d1 = _dot(c0, c0), _dot(c0, c1), _dot(c1, c1)
+        if off or {d0, d1} != {1, 2}:
             raise StructureMismatchError(
-                f"W{x} at k={k}: M^T M = {own} is not diagonal with entries 1, 2"
+                f"W{x} at k={k}: M^T M = {[[d0, off], [off, d1]]} is not diagonal with entries 1, 2"
             )
-        heavy.append(0 if own[0][0] == 2 else 1)
-    return heavy[0], heavy[1], gram[:2, 2:], integer_rank(pair.tolist())
+        heavy.append(0 if d0 == 2 else 1)
+        diagonals.append((d0, d1))
+    gram = ((_dot(m0, n0), _dot(m0, n1)), (_dot(m1, n0), _dot(m1, n1)))
+    return heavy[0], heavy[1], gram, _span(diagonals[0], diagonals[1], gram)
+
+
+def _cut_columns(signs: Sequence[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Columns |0> and |1> of the 4x2 cut matrix of 8 amplitudes at qubit k."""
+    zero, one = _CUT_COLUMNS[k]
+    return zero(signs), one(signs)
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _span(d_m: tuple[int, int], d_n: tuple[int, int], gram: tuple[tuple[int, int], ...]) -> int:
+    """Rank of [M_m | M_n] from the diagonals of D_m = M_m^T M_m and D_n, entries 1 or 2, and G.
+
+    M_m has rank 2, so the rank is 2 + rank S for the Schur complement
+    S = 2 D_n - G^T (2 D_m^-1) G, whose weights 2 / D_m[i, i] are the integers 2
+    and 1. The symmetric 2x2 S has rank 2 if det S != 0, else 1 if it is nonzero.
+    """
+    w0, w1 = 2 // d_m[0], 2 // d_m[1]
+    (g00, g01), (g10, g11) = gram
+    s00 = 2 * d_n[0] - w0 * g00 * g00 - w1 * g10 * g10
+    s11 = 2 * d_n[1] - w0 * g01 * g01 - w1 * g11 * g11
+    s01 = w0 * g00 * g01 + w1 * g10 * g11  # -S[0, 1]; only its square enters
+    if s00 * s11 != s01 * s01:
+        return 4
+    return 3 if s00 or s01 or s11 else 2
 
 
 def btype_form(m: int, n: int, k: int) -> BTypeForm:
@@ -202,7 +243,7 @@ def btype_form(m: int, n: int, k: int) -> BTypeForm:
     h_m, h_n, g, span = _cut_gram(m, n, k)
     if span != 3:
         raise StructureMismatchError(f"pair ({m},{n}) spans {span} at k={k}, not 3 as a B witness")
-    heavy, light = abs(g[h_m, h_n]) == 2, abs(g[1 - h_m, 1 - h_n]) == 1
+    heavy, light = abs(g[h_m][h_n]) == 2, abs(g[1 - h_m][1 - h_n]) == 1
     if heavy != light:
         return BTypeForm(FORM_I, 2.0 / 3.0) if heavy else BTypeForm(FORM_II, 1.0 / 3.0)
     raise StructureMismatchError(
@@ -222,9 +263,9 @@ def atype_structure(m: int, n: int, k: int) -> AtypeReport:
     if cls.category != CATEGORY_A or cls.witness_k != k:
         raise ValueError(f"pair ({m},{n}) is {cls.category} with witness {cls.witness_k}, not A at k={k}")
     h_m, h_n, g, _ = _cut_gram(m, n, k)
-    if abs(g[h_m, h_n]) != 2 or abs(g[1 - h_m, 1 - h_n]) != 1:
+    if abs(g[h_m][h_n]) != 2 or abs(g[1 - h_m][1 - h_n]) != 1:
         raise StructureMismatchError(
-            f"pair ({m},{n}) at k={k}: A-side directions differ (G = {g.tolist()})"
+            f"pair ({m},{n}) at k={k}: A-side directions differ (G = {g})"
         )
     if h_m == h_n:
         raise StructureMismatchError(f"pair ({m},{n}) at k={k}: B partners are not opposite")
@@ -248,13 +289,13 @@ def ctype_structure(m: int, n: int) -> CtypeReport:
     assert k is not None
     h_m, h_n, g, _ = _cut_gram(m, n, k)
     l_m = 1 - h_m
-    if h_n == h_m or g[0, 1] or g[1, 0] or abs(g[l_m, l_m]) != 1 or g[l_m, l_m] + g[h_m, h_m]:
+    if h_n == h_m or g[0][1] or g[1][0] or abs(g[l_m][l_m]) != 1 or g[l_m][l_m] + g[h_m][h_m]:
         raise StructureMismatchError(
-            f"pair ({m},{n}) at k={k}: canonical C structure fails (G = {g.tolist()})"
+            f"pair ({m},{n}) at k={k}: canonical C structure fails (G = {g})"
         )
     return CtypeReport(
         cls.m, cls.n, k,
-        overlap_magnitude=float(abs(g[l_m, l_m]) / np.sqrt(2.0)),
+        overlap_magnitude=float(abs(g[l_m][l_m]) / np.sqrt(2.0)),
         sign_residual=0.0,
         cross_overlap=0.0,
         b_basis_residual=0.0,

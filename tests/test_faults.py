@@ -40,6 +40,15 @@ def c_pairs_classified_as_b(patch):
     patch.setattr(w_audit, "classify_pair", as_b)
 
 
+def swapped_schur_weights(patch):
+    # D_m's diagonal holds 1s and 2s, so passing 2 / D_m swaps the weights 2 / D_m[i, i];
+    # the split becomes 0 A / 24 B / 4 C, and the A pair (1,2) fails its B structure check
+    span = w_audit._span
+    patch.setattr(
+        w_audit, "_span", lambda d_m, d_n, gram: span(tuple(2 // d for d in d_m), d_n, gram)
+    )
+
+
 def non_hermitian_output_transpose(patch):
     transpose = w_audit.partial_transpose
 
@@ -75,6 +84,10 @@ CASES = [
     (c_pairs_classified_as_b, ["w", "audit", "--pair", "1,3"], "",
      "error: pair (1,3) spans 4 at k=1, not 3 as a B witness"),
     (c_pairs_classified_as_b, REPORT, "", "error: pair (1,3) spans 4 at k=1, not 3"),
+    (swapped_schur_weights, ["w", "audit", "--pair", "1,2"], "",
+     "error: pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
+    (swapped_schur_weights, REPORT, "",
+     "error: pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
     (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",
      "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (non_hermitian_output_transpose, REPORT, "",

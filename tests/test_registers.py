@@ -21,14 +21,12 @@ from locclone.registers import (
     VerificationError,
     _apply_single,
     apply_circuit,
-    cut_matrix,
     density,
     hermitian_spectrum,
     load_state,
     make_pure,
     partial_trace,
     partial_transpose,
-    qubit_cut_matrix,
     schmidt_coefficients,
     trace_norm,
 )
@@ -294,14 +292,6 @@ def test_integer_rank_matches_rational_elimination(n_rows, n_cols, inner, data):
     rank = integer_rank(matrix)
     assert rank == _fraction_rank(matrix.tolist())
     assert rank <= min(n_rows, n_cols, inner)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_qubit_cut_matrix_is_the_single_qubit_cut(n):
-    state = random_state(np.random.default_rng(n), n)
-    for qubit in range(n):
-        want = cut_matrix(state, Bipartition(n, frozenset({qubit})))
-        assert np.array_equal(qubit_cut_matrix(state.amplitudes, qubit), want)
 
 
 def test_embed_operator_matches_kron():

@@ -17,6 +17,8 @@ from locclone.measures import W_CUT_ENTROPY_BITS, negativity, wclass_min_cut_ent
 from locclone.registers import (
     Bipartition,
     DensityMatrix,
+    StateVector,
+    cut_matrix,
     density,
     partial_trace,
     partial_transpose,
@@ -111,29 +113,29 @@ def test_btype_form_rejects_wrong_span():
 
 def _fake_w_signs(monkeypatch, fakes):
     """Serve w_audit integer amplitudes from fakes where given, the real ones elsewhere."""
-    monkeypatch.setattr(w_audit, "w_signs", lambda x: np.array(fakes[x]) if x in fakes else w_signs(x))
+    monkeypatch.setattr(w_audit, "w_signs", lambda x: tuple(fakes[x]) if x in fakes else w_signs(x))
 
 
 def _mutate_cut_matrix(monkeypatch, state, mutate):
-    """Pass state's cut matrices through mutate, a column swap or sign flip.
+    """Pass state's cut matrix columns through mutate, a column swap or sign flip.
 
     Neither changes a column space or which Gram matrices vanish, so classify_pair
     must not change.
     """
-    real, target = w_audit.qubit_cut_matrix, w_signs(state)
+    real, target = w_audit._cut_columns, w_signs(state)
 
-    def patched(amplitudes, qubit):
-        mat = real(amplitudes, qubit)
-        return mutate(mat) if np.array_equal(amplitudes, target) else mat
+    def patched(signs, k):
+        columns = real(signs, k)
+        return mutate(columns) if signs == target else columns
 
-    monkeypatch.setattr(w_audit, "qubit_cut_matrix", patched)
+    monkeypatch.setattr(w_audit, "_cut_columns", patched)
 
 
 def test_btype_form_rejects_a_shared_direction_that_is_no_eigenvector(monkeypatch):
     # at k=3 the cut matrix rows are amplitude pairs: M_m has columns (1,1,0,0), (0,0,1,0)
     # and M_n (0,1,1,0), (1,0,0,0); they span 3 and meet in (1,1,1,0), a column of neither
     _fake_w_signs(monkeypatch, {1: [1, 0, 1, 0, 0, 1, 0, 0], 2: [0, 1, 1, 0, 1, 0, 0, 0]})
-    assert w_audit._cut_gram(1, 2, 3)[2].tolist() == [[1, 1], [1, 0]]
+    assert w_audit._cut_gram(1, 2, 3)[2] == ((1, 1), (1, 0))
     with pytest.raises(StructureMismatchError, match="no common marginal eigenvector"):
         btype_form(1, 2, 3)
 
@@ -157,6 +159,22 @@ def test_btype_form_validates_the_cut():
             btype_form(1, 6, k)
 
 
+def test_every_structure_check_refuses_a_pair_of_one_state():
+    # the input error classify_pair raises, so the command exits 2 and not 1
+    for check in (lambda: classify_pair(1, 1), lambda: btype_form(1, 1, 3),
+                  lambda: atype_structure(2, 2, 2), lambda: ctype_structure(3, 3),
+                  lambda: w_audit._cut_gram(4, 4, 1)):
+        with pytest.raises(ValueError, match="pair members must differ"):
+            check()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cut_columns_are_the_single_qubit_cut(k):
+    # amplitude i is i, so each column lists the indices it reads
+    want = cut_matrix(StateVector(3, np.arange(8)), Bipartition(3, frozenset({k - 1})))
+    assert w_audit._cut_columns(tuple(range(8)), k) == tuple(map(tuple, want.T.tolist()))
+
+
 def test_classify_pair_reads_each_cut_once(monkeypatch):
     calls = []
     real = w_audit._cut_gram
@@ -168,6 +186,28 @@ def test_classify_pair_reads_each_cut_once(monkeypatch):
     monkeypatch.setattr(w_audit, "_cut_gram", counting)
     assert classify_pair(1, 3).category == "C"
     assert calls == [(1, 3, 1), (1, 3, 2), (1, 3, 3)]
+
+
+# Every 4x2 integer matrix with M^T M diagonal with entries {1, 2}: entries 0 and +/-1,
+# one column of two nonzeros and one of one nonzero in another row
+_ONE_TWO_CUT_MATRICES = [
+    mat for mat in (np.array(e).reshape(4, 2) for e in itertools.product((-1, 0, 1), repeat=8))
+    if not (mat.T @ mat)[0, 1] and sorted(np.diag(mat.T @ mat).tolist()) == [1, 2]
+]
+
+
+def test_the_one_two_cut_matrices_are_all_there():
+    # 4 rows for the light column, 3 row pairs for the heavy one among the other
+    # three, 8 sign patterns and 2 column orders
+    assert len(_ONE_TWO_CUT_MATRICES) == 4 * 3 * 8 * 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_ONE_TWO_CUT_MATRICES), st.sampled_from(_ONE_TWO_CUT_MATRICES))
+def test_schur_span_is_the_rank_of_both_cut_matrices(m_mat, n_mat):
+    gram = tuple(map(tuple, (m_mat.T @ n_mat).tolist()))
+    diagonals = (tuple(np.diag(m_mat.T @ m_mat).tolist()), tuple(np.diag(n_mat.T @ n_mat).tolist()))
+    assert w_audit._span(*diagonals, gram) == integer_rank(np.hstack([m_mat, n_mat]))
 
 
 def _small_integer_cut_matrices():
@@ -208,13 +248,13 @@ def test_taxonomy_matches_a_float_partial_trace_reference():
             _, _, g, span = w_audit._cut_gram(m, n, k)
             assert span == spans[k], (m, n, k)
             if span == 4:
-                assert (not g.any()) == commuting[k], (m, n, k)
+                assert (g == ((0, 0), (0, 0))) == commuting[k], (m, n, k)
         cls = classify_pair(m, n)
         assert (cls.category, cls.witness_k, cls.span_dim) == expected, (m, n)
 
 
 def test_atype_structure_rejects_heavy_columns_on_one_partner(monkeypatch):
-    _mutate_cut_matrix(monkeypatch, 2, lambda mat: mat[:, ::-1])
+    _mutate_cut_matrix(monkeypatch, 2, lambda columns: columns[::-1])
     assert classify_pair(1, 2).witness_k == 2
     with pytest.raises(StructureMismatchError, match="not opposite"):
         atype_structure(1, 2, 2)
@@ -228,7 +268,7 @@ def test_atype_structure_rejects_a_pair_sharing_one_direction(monkeypatch):
 
 
 def test_ctype_structure_rejects_a_flipped_column_sign(monkeypatch):
-    _mutate_cut_matrix(monkeypatch, 3, lambda mat: mat * np.array([1, -1]))
+    _mutate_cut_matrix(monkeypatch, 3, lambda columns: (columns[0], tuple(-x for x in columns[1])))
     assert classify_pair(1, 3).category == "C"
     with pytest.raises(StructureMismatchError, match="canonical C structure"):
         ctype_structure(1, 3)
