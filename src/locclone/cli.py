@@ -37,10 +37,11 @@ scan violations): the document prints and its notes go to stderr.
 run_command alone maps notes and exceptions to exit codes. Reports go to
 stdout or --out.
 
-Each handler imports the analysis modules (ghz_cloning, w_audit, measures)
-it runs when it runs, so a fresh process answering one query pays to import
-only those. At import cli loads only exact and report, so the ghz commands
-run without numpy; the w and measure handlers load it.
+Each handler imports the analysis modules (ghz_cloning, w_audit, measures,
+wclass) it runs when it runs, so a fresh process answering one query pays to
+import only those. At import cli loads only exact and report, so the ghz
+commands and w blank-check (wclass alone) run without numpy; the other w
+handlers and measure load it.
 """
 
 from __future__ import annotations
@@ -203,9 +204,7 @@ def _cmd_w_lemma(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
-    from .measures import W_CUT_ENTROPY_BITS
-    from .states import parse_wclass_params
-    from .w_audit import blank_insufficiency
+    from .wclass import W_CUT_ENTROPY_BITS, blank_insufficiency, parse_wclass_params
 
     params = parse_wclass_params(args.params)
     cut_index, entropy = blank_insufficiency(params)

@@ -18,6 +18,10 @@ class VerificationError(Exception):
     """A check on a computed value failed: exit 1, where bad input (ValueError) exits 2."""
 
 
+class StructureMismatchError(VerificationError):
+    """A W pair or W-class blank failed the structural check its claim promises."""
+
+
 def integer_index(value: object, what: str) -> int:
     """An index as a plain int: numpy ints pass, while a bool, 1.0 or "1" raises
     ValueError naming what. Qubit, W basis and cut indices all go through it."""

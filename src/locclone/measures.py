@@ -1,6 +1,10 @@
-"""Entanglement measures: cut entropies, negativity, W-class closed forms.
+"""Entanglement measures: cut entropies, negativity, the W-class closed form over arrays.
 
-entropy_bits is the one Shannon-entropy formula, for one state or a scan chunk.
+entropy_bits is the Shannon-entropy formula over numpy arrays, for one
+state's Schmidt spectrum or a scan chunk, and wclass_cut_spectra is the
+W-class closed form over parameter arrays, which the scan runs. ZERO_CLAMP,
+W_CUT_ENTROPY_BITS and wclass_min_cut_entropy are wclass's: the one-point
+forms on plain floats, for a caller holding one WClassParams.
 """
 from __future__ import annotations
 
@@ -11,11 +15,7 @@ import numpy as np
 from .exact import Bipartition, VerificationError
 from .registers import DensityMatrix, StateVector, partial_transpose, schmidt_coefficients
 from .registers import trace_norm
-from .states import WClassParams
-
-# Entropies and negativities closer to 0 than this are rounding noise and read
-# as exactly 0, so a product state measures 0 across every cut.
-ZERO_CLAMP = 1e-12
+from .wclass import W_CUT_ENTROPY_BITS, ZERO_CLAMP, wclass_min_cut_entropy
 
 
 class CutEntropyResult(NamedTuple):
@@ -40,12 +40,6 @@ def entropy_bits(probabilities: np.ndarray | list[float]) -> np.ndarray:
     # adding whole columns sums in index order, and beats a reduction over a short axis
     total = -sum(terms[..., i] for i in range(terms.shape[-1]))
     return np.where(np.abs(total) < ZERO_CLAMP, 0.0, total)
-
-
-# Minimum cut entropy (bits) of the equal-weight three-term W state; every
-# bipartite blank that can drive a W-class cloning step must carry at least
-# this much entanglement across the matching cut.
-W_CUT_ENTROPY_BITS: float = float(entropy_bits([1.0 / 3.0, 2.0 / 3.0]))
 
 
 def cut_entropy(state: StateVector, cut: Bipartition) -> CutEntropyResult:
@@ -80,10 +74,3 @@ def wclass_cut_spectra(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
     root = np.sqrt((1.0 - 2.0 * x) ** 2 + 4.0 * x * d[:, None])
     return np.stack([(1.0 - root) / 2.0, (1.0 + root) / 2.0], axis=-1)
 
-
-def wclass_min_cut_entropy(params: WClassParams) -> tuple[int, float]:
-    """Cut index with the smallest entropy (lowest index wins ties) and its value."""
-    spectra = wclass_cut_spectra(*(np.array([x]) for x in (params.a, params.b, params.c)))
-    entropies = entropy_bits(spectra)[0]
-    cut = int(np.argmin(entropies))  # first minimum
-    return cut + 1, float(entropies[cut])

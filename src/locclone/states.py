@@ -12,19 +12,20 @@ Qubits are numbered 1..3 in user-facing labels and 0..2 internally. The
 basis states also come as tuples of 8 plain ints (ghz_signs = sqrt(2) * ghz,
 w_signs = sqrt(3) * w_basis) for the checks that decide exact claims; ghz and
 w_basis wrap them in numpy. The GHZ labels, their signs and the label parsers
-are exact's, on plain ints.
+are exact's, on plain ints. The W-class parameters (WClassParams) and their
+parser are wclass's, on plain floats; w_class builds the state from them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-# the GHZ labels live in exact, for the numpy-free GHZ half; states names them with the W basis
-from .exact import GHZ_LABELS, GhzLabel, ghz_signs, integer_index, parse_decimal, parse_ghz_label
-from .exact import parse_w_index
+# the GHZ labels live in exact and the W-class parameters in wclass, for the numpy-free
+# queries; states names them with the bases
+from .exact import GHZ_LABELS, GhzLabel, ghz_signs, integer_index, parse_ghz_label, parse_w_index
 from .registers import StateVector, load_state
+from .wclass import WClassParams, parse_wclass_params
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -64,31 +65,6 @@ def w_basis(n: int) -> StateVector:
     return StateVector(3, (np.array(w_signs(n)) * _SQRT_THIRD).astype(complex))
 
 
-@dataclass(frozen=True)
-class WClassParams:
-    """Parameters (a, b, c) of a W-class state; d is derived."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            val = getattr(self, name)
-            if not val > 0.0:
-                raise ValueError(f"parameter {name}={val!r} must be positive")
-        if self.a + self.b + self.c > 1.0 + 1e-12:
-            raise ValueError("parameters must satisfy a+b+c <= 1")
-
-    @property
-    def d(self) -> float:
-        # the clamp only absorbs float rounding when a+b+c lands just above 1
-        return max(0.0, 1.0 - (self.a + self.b + self.c))
-
-    def __str__(self) -> str:
-        return f"{self.a!r},{self.b!r},{self.c!r}"
-
-
 def w_class(params: WClassParams) -> StateVector:
     """W-class state sqrt(a)|001> + sqrt(b)|010> + sqrt(c)|100> + sqrt(d)|000>."""
     amps = np.zeros(8, dtype=complex)
@@ -97,13 +73,6 @@ def w_class(params: WClassParams) -> StateVector:
     amps[0b100] = math.sqrt(params.c)
     amps[0b000] = math.sqrt(params.d)
     return StateVector(3, amps)
-
-
-def parse_wclass_params(text: str) -> WClassParams:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"W-class parameters must be 'a,b,c', got {text!r}")
-    return WClassParams(*(parse_decimal(piece) for piece in parts))
 
 
 def parse_state_label(text: str) -> StateVector:

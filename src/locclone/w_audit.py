@@ -29,14 +29,15 @@ The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
 parameter opposite the cut, so the minimum cut entropy of every state except
 the equal-weight three-term point stays below that point's entropy and a
-product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the one
-implementation of that closed form, runs over the whole parameter grid in
+product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the
+array form of that closed form, runs over the whole parameter grid in
 numpy, in chunks of a fixed number of grid points that span grid rows, and
 the scan checks it at every grid point against the eigenvalues of the three
 one-qubit marginals. Each marginal is contracted from the state's amplitude
 tensor over the two traced qubits; being real symmetric 2x2, its eigenvalues
 follow exactly from its entries p, q (diagonal) and r (off-diagonal) as
 (p + q -/+ sqrt((p - q)^2 + 4r^2))/2, so no eigensolver runs per point.
+The one-point certificate, blank_insufficiency, is wclass's, on plain floats.
 """
 from __future__ import annotations
 
@@ -45,17 +46,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import (
-    W_CUT_ENTROPY_BITS,
-    entropy_bits,
-    negativity,
-    transpose_negativity,
-    wclass_cut_spectra,
-    wclass_min_cut_entropy,
-)
-from .exact import Bipartition, VerificationError, integer_index
+from .measures import entropy_bits, negativity, transpose_negativity, wclass_cut_spectra
+from .exact import Bipartition, StructureMismatchError, VerificationError, integer_index
 from .registers import DensityMatrix, StateVector, density, partial_transpose
-from .states import WClassParams, w_basis, w_signs
+from .states import w_basis, w_signs
+# lemma_scan reads the threshold through this module's own global; blank_insufficiency
+# keeps its w_audit name
+from .wclass import W_CUT_ENTROPY_BITS, WClassParams, blank_insufficiency
 
 SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
@@ -86,10 +83,6 @@ CATEGORY_C = "C"
 
 FORM_I = "I"
 FORM_II = "II"
-
-
-class StructureMismatchError(VerificationError):
-    """A pair failed the structural checks its category promises."""
 
 
 class PairClassification(NamedTuple):
@@ -363,24 +356,6 @@ def _output_negativity(states: Sequence[StateVector], k: int) -> float:
             "lie outside the register parity sectors"
         )
     return transpose_negativity(blocks)
-
-
-def blank_insufficiency(params: WClassParams) -> tuple[int, float]:
-    """A cut whose entropy falls short of W_CUT_ENTROPY_BITS, and that entropy in bits."""
-    deviation = max(
-        abs(params.a - 1.0 / 3.0),
-        abs(params.b - 1.0 / 3.0),
-        abs(params.c - 1.0 / 3.0),
-        params.d,
-    )
-    if deviation < 1e-9:
-        raise ValueError("the equal-weight three-term point needs the full threshold")
-    cut_index, entropy = wclass_min_cut_entropy(params)
-    if entropy >= W_CUT_ENTROPY_BITS:
-        raise StructureMismatchError(
-            f"no deficient cut at {params}; min entropy {entropy!r}"
-        )
-    return cut_index, entropy
 
 
 def _grid_top(step: float) -> int:

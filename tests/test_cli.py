@@ -710,8 +710,10 @@ ABSENT_FROM_GHZ = {"locclone.w_audit", "locclone.measures", "numpy"}
         (["ghz", "clone", "--states", "0,0,0", "0,1,1"], {"locclone.ghz_cloning"}, ABSENT_FROM_GHZ),
         (["w", "audit", "--pair", "1,6"], {"locclone.w_audit", "locclone.measures", "numpy"},
          {"locclone.ghz_cloning"}),
-        (["w", "blank-check", "--params", "0.2,0.3,0.1"], {"locclone.w_audit", "locclone.measures"},
-         {"locclone.ghz_cloning"}),
+        # the one-point certificate runs on plain floats
+        (["w", "blank-check", "--params", "0.2,0.3,0.1"], {"locclone.wclass"},
+         {"locclone.w_audit", "locclone.measures", "locclone.states", "locclone.registers",
+          "numpy", "locclone.ghz_cloning"}),
         (["ghz", "triples", "--states", "0,0,0", "0,1,1", "1,0,1"], {"locclone.ghz_cloning"},
          ABSENT_FROM_GHZ),
     ],
@@ -719,8 +721,8 @@ ABSENT_FROM_GHZ = {"locclone.w_audit", "locclone.measures", "numpy"}
 def test_a_cold_command_imports_only_the_analyses_it_runs(tmp_path, argv, loaded, absent):
     """Each fresh process pays to import what it loads, so a query loads only its analysis.
 
-    The GHZ commands run on plain ints and load no numpy; w audit must load it,
-    which keeps the numpy check able to fail.
+    The GHZ commands run on plain ints and w blank-check on plain floats, so they
+    load no numpy; w audit must load it, which keeps the numpy check able to fail.
     """
     script = "import sys\nfrom locclone.cli import run_command\nassert run_command(sys.argv[1:]) == 0"
     modules = _cold_modules(script, *argv, "--out", str(tmp_path / "out"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from locclone import cli, ghz_cloning, report, w_audit
+from locclone import cli, ghz_cloning, report, w_audit, wclass
 
 
 def wrong_phase_correction(patch):
@@ -63,6 +63,10 @@ def lowered_scan_threshold(patch):
     patch.setattr(w_audit, "W_CUT_ENTROPY_BITS", 0.5)
 
 
+def lowered_certificate_threshold(patch):
+    patch.setattr(wclass, "W_CUT_ENTROPY_BITS", 0.5)
+
+
 REPORT = ["report", "--step", "0.1"]
 REPORT_HEAD = "tool version 0.1.0"
 W_AUDIT_HEAD = "m  n  category  witness_k  form  negativity_in  negativity_out  blank"
@@ -95,6 +99,8 @@ CASES = [
     (lowered_scan_threshold, ["w", "lemma", "--step", "0.1"], "== scan ==",
      "violation at (0.2,0.2,0.4): min cut entropy 0.5827831343002603"),
     (lowered_scan_threshold, REPORT, REPORT_HEAD, "simplex scan recorded 34 violation(s)"),
+    (lowered_certificate_threshold, ["w", "blank-check", "--params", "0.5,0.2,0.2"], "",
+     "error: no deficient cut at 0.5,0.2,0.2; min entropy 0.6538875642054612"),
 ]
 
 
