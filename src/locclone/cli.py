@@ -23,9 +23,8 @@ bare value to 7 digits) are their own; their csv has a header row and full
 precision.
 
 State labels, read by states.parse_state_label: GHZ as "p,i,j" bits, W basis
-as "W1".."W8", W-class as "a,b,c" ASCII decimals, or "@path.json" for an
-amplitude file of at most 10 qubits. Cut lists are 1-based B-side qubit
-indices, e.g. "3" or "1,2".
+as "W1".."W8" and W-class as "a,b,c" ASCII decimals. Cut lists are 1-based
+B-side qubit indices, e.g. "3" or "1,2".
 
 Exit status: 0 on success and for --help. 2 on invalid input (ValueError,
 OSError), usage errors such as an unknown flag or a missing subcommand

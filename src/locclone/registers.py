@@ -14,7 +14,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,9 +29,7 @@ from .exact import (
     integer_index,
 )
 
-NORM_ATOL = 1e-9
 HERMITICITY_ATOL = 1e-12
-MAX_STATE_QUBITS = 10  # keeps a state file's density matrix within 16 MB
 
 
 class StateVector(NamedTuple):
@@ -47,22 +44,6 @@ class DensityMatrix(NamedTuple):
 
     n_qubits: int
     entries: np.ndarray
-
-
-def make_pure(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
-    """Build a StateVector, renormalizing away drift up to 1e-9."""
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
-    size = amps.size
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"amplitude count {size} is not a power of two >= 2")
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
-        raise ValueError("zero amplitude vector")
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"norm {norm!r} differs from 1 by more than {NORM_ATOL}")
-    return StateVector(size.bit_length() - 1, amps / norm)
 
 
 def density(state: StateVector) -> DensityMatrix:
@@ -177,38 +158,3 @@ def cut_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
 def schmidt_coefficients(state: StateVector, cut: Bipartition) -> np.ndarray:
     """Squared Schmidt coefficients across the cut, descending, summing to 1."""
     return np.linalg.svd(cut_matrix(state, cut), compute_uv=False) ** 2
-
-
-def state_from_json(obj: object) -> StateVector:
-    """State from a list of [re, im] pairs of finite numbers (qubit 0 most significant) only.
-
-    Registers above MAX_STATE_QUBITS are refused before any matrix is built.
-    """
-    if not isinstance(obj, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
-        for pair in obj
-    ):
-        raise ValueError("a state file must hold a list of [re, im] number pairs")
-    if len(obj) > 1 << MAX_STATE_QUBITS:
-        raise ValueError(
-            f"a state file holds at most {1 << MAX_STATE_QUBITS} amplitudes "
-            f"({MAX_STATE_QUBITS} qubits), got {len(obj)}"
-        )
-    try:
-        return make_pure([complex(re, im) for re, im in obj])
-    except OverflowError:  # an integer too large for a float
-        raise ValueError("amplitudes must be finite") from None
-
-
-def load_state(path: str) -> StateVector:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:  # nesting too deep for the parser: not a list of pairs
-            obj = None
-        except ValueError as exc:  # a JSON syntax or UTF-8 decoding error
-            raise ValueError(f"state file {path} is not UTF-8 JSON: {exc}") from None
-    try:
-        return state_from_json(obj)
-    except ValueError as exc:
-        raise ValueError(f"state file {path}: {exc}") from None

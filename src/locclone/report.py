@@ -20,7 +20,7 @@ import json
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
-from .exact import Bipartition, SingleQubitGate, TransversalCnot
+from .exact import Bipartition, SingleQubitGate, TransversalCnot, VerificationError
 
 if TYPE_CHECKING:
     from .exact import GhzLabel
@@ -130,7 +130,8 @@ def _split_text(split: Mapping[str, int]) -> str:
 def build_report(step: float, exclusion_radius: float) -> dict:
     """Run every analysis into the report's json document. Bad scan knobs raise
     ValueError before any analysis; a failed check raises VerificationError; a
-    verdict unlike the paper's (taxonomy split, audit drift, scan) becomes a note."""
+    verdict unlike the paper's (taxonomy split, audit drift, scan) becomes a note,
+    and an audit that fails under a split unlike the paper's names the split."""
     from .ghz_cloning import all_pairs, all_triples, synthesize_cloner, triple_clonability
     from .w_audit import all_pair_classifications, audit_classified, lemma_scan
 
@@ -148,7 +149,12 @@ def build_report(step: float, exclusion_radius: float) -> dict:
             f"w pair taxonomy {_split_text(split)} differs from the paper's "
             f"{_split_text(REFERENCE_TAXONOMY)}"
         )
-    records = tuple(audit_classified(c) for c in classifications)
+    try:
+        records = tuple(audit_classified(c) for c in classifications)
+    except VerificationError as exc:
+        if split != REFERENCE_TAXONOMY:  # a mis-sorted pair failed its audit: name the split
+            raise type(exc)(f"{notes[-1]}; {exc}") from None
+        raise
     notes.extend(reference_mismatches(records))
     if scan.violations:
         notes.append(f"simplex scan recorded {len(scan.violations)} violation(s)")

@@ -24,7 +24,7 @@ import numpy as np
 # the GHZ labels live in exact and the W-class parameters in wclass, for the numpy-free
 # queries; states names them with the bases
 from .exact import GHZ_LABELS, GhzLabel, ghz_signs, integer_index, parse_ghz_label, parse_w_index
-from .registers import StateVector, load_state
+from .registers import StateVector
 from .wclass import WClassParams, parse_wclass_params
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -76,10 +76,7 @@ def w_class(params: WClassParams) -> StateVector:
 
 
 def parse_state_label(text: str) -> StateVector:
-    """Resolve a CLI state label: 'p,i,j' bits, 'W1'..'W8', 'a,b,c' decimals, or
-    '@path.json' for an amplitude file (registers.load_state)."""
-    if text.startswith("@"):
-        return load_state(text[1:])
+    """Resolve a CLI state label: 'p,i,j' bits, 'W1'..'W8' or 'a,b,c' decimals."""
     t = text.strip()
     if t.upper().startswith("W"):
         return w_basis(parse_w_index(t))

@@ -1,16 +1,15 @@
 """Slow, plainly written references that the tests check the program's fast routes against.
 
 The package calls none of these. Each takes the direct route: the gates'
-2x2 matrices written out, a tensor product of two states, a weighted sum of
-density matrices, a gate embedded as a full 2^n x 2^n operator, the cloner's
-mixtures as complex 64x64 matrices, the Bell-triple witness from partial
-traces, and a state-file writer. Tests hold both circuit simulators, the
-integer witness, the parity-sector audit and the state-file reader to them.
+2x2 matrices written out, a tensor product of two states, a normalized state
+from a list of amplitudes, a weighted sum of density matrices, a gate embedded
+as a full 2^n x 2^n operator, the cloner's mixtures as complex 64x64 matrices
+and the Bell-triple witness from partial traces. Tests hold both circuit
+simulators, the integer witness and the parity-sector audit to them.
 """
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Sequence
 
 import numpy as np
@@ -58,10 +57,10 @@ def embed_operator(matrix: np.ndarray, n_qubits: int, targets: Sequence[int]) ->
     return t.reshape(1 << n_qubits, 1 << n_qubits)
 
 
-def save_state(state: StateVector, path: str) -> None:
-    """Write the amplitudes as [re, im] pairs, the state-file format registers.load_state reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([[float(z.real), float(z.imag)] for z in state.amplitudes], fh)
+def make_pure(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
+    """The state of a list of 2^n amplitudes, qubit 0 most significant, scaled to unit norm."""
+    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    return StateVector(amps.size.bit_length() - 1, amps / np.linalg.norm(amps))
 
 
 def cloner_io(

@@ -23,7 +23,7 @@ from locclone.measures import (
     negativity,
     wclass_cut_spectra,
 )
-from locclone.registers import Bipartition, density, make_pure, schmidt_coefficients
+from locclone.registers import Bipartition, density, schmidt_coefficients
 from locclone.report import (
     REFERENCE_NEGATIVITIES,
     build_report,
@@ -37,6 +37,8 @@ from locclone.w_audit import (
     lemma_scan,
     negativity_audit,
 )
+
+from references import make_pure
 
 GOLDEN_TAXONOMY = {
     (1, 2): ("A", 2), (1, 4): ("A", 1), (2, 7): ("A", 3),

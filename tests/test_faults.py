@@ -87,11 +87,15 @@ CASES = [
     (audit_drift, ["w", "audit", "--blank", "W4"], W_AUDIT_HEAD, "audit (1,3) C: negativities"),
     (c_pairs_classified_as_b, ["w", "audit", "--pair", "1,3"], "",
      "error: pair (1,3) spans 4 at k=1, not 3 as a B witness"),
-    (c_pairs_classified_as_b, REPORT, "", "error: pair (1,3) spans 4 at k=1, not 3"),
+    # the report's abort also names the taxonomy split the fault made
+    (c_pairs_classified_as_b, REPORT, "",
+     "error: w pair taxonomy 6 A / 22 B / 0 C differs from the paper's 6 A / 10 B / 12 C; "
+     "pair (1,3) spans 4 at k=1, not 3"),
     (swapped_schur_weights, ["w", "audit", "--pair", "1,2"], "",
      "error: pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
     (swapped_schur_weights, REPORT, "",
-     "error: pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
+     "error: w pair taxonomy 0 A / 24 B / 4 C differs from the paper's 6 A / 10 B / 12 C; "
+     "pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
     (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",
      "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (non_hermitian_output_transpose, REPORT, "",

@@ -22,12 +22,11 @@ from locclone.registers import (
     DensityMatrix,
     VerificationError,
     density,
-    make_pure,
     schmidt_coefficients,
 )
 from locclone.states import GHZ_LABELS, WClassParams, ghz, w_basis, w_class
 
-from references import embed_operator, mix, tensor
+from references import embed_operator, make_pure, mix, tensor
 
 
 def random_state(rng, n):

@@ -23,8 +23,6 @@ from locclone.registers import (
     apply_circuit,
     density,
     hermitian_spectrum,
-    load_state,
-    make_pure,
     partial_trace,
     partial_transpose,
     schmidt_coefficients,
@@ -32,7 +30,9 @@ from locclone.registers import (
 )
 from locclone.states import GhzLabel, ghz, w_basis
 
-from references import GATE_MATRICES, GATE_S, GATE_X, GATE_Z, embed_operator, mix, save_state, tensor
+from references import (
+    GATE_MATRICES, GATE_S, GATE_X, GATE_Z, embed_operator, make_pure, mix, tensor,
+)
 
 RT2 = np.sqrt(2.0)
 
@@ -50,27 +50,6 @@ def random_density(rng: np.random.Generator, n: int, rank: int = 3) -> DensityMa
 
 def bell() -> StateVector:
     return make_pure([1 / RT2, 0, 0, 1 / RT2])
-
-
-def test_make_pure_basis_state():
-    state = make_pure([1, 0])
-    assert state.n_qubits == 1
-    assert np.allclose(state.amplitudes, [1, 0])
-
-
-def test_make_pure_renormalizes_small_drift():
-    state = make_pure([1 + 4e-10, 0])
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15
-
-
-@pytest.mark.parametrize(
-    "amps",
-    [[0, 0, 0, 0], [1, 0, 0], [0.9, 0], [1]],
-    ids=["zero", "not-power-of-two", "norm-off", "scalar"],
-)
-def test_make_pure_rejects(amps):
-    with pytest.raises(ValueError):
-        make_pure(amps)
 
 
 def test_tensor_basis_states():
@@ -307,16 +286,6 @@ def test_embed_operator_agrees_with_apply_circuit():
     via_gate = apply_circuit(state, [SingleQubitGate(1, "S")])
     via_embed = embed_operator(GATE_S, 3, [1]) @ state.amplitudes
     assert np.allclose(via_gate.amplitudes, via_embed, atol=1e-12)
-
-
-def test_state_json_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    state = random_state(rng, 3)
-    path = tmp_path / "state.json"
-    save_state(state, str(path))
-    loaded = load_state(str(path))
-    assert loaded.n_qubits == 3
-    assert np.allclose(loaded.amplitudes, state.amplitudes, atol=1e-12)
 
 
 def test_bipartition_validation():
