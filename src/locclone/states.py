@@ -49,15 +49,19 @@ _W_TERMS: dict[int, tuple[tuple[str, int], ...]] = {
 }
 
 
+# sqrt(3) * the amplitudes of each W state, built once from its kets
+_W_SIGNS = {
+    n: tuple(sum(sign for bits, sign in terms if int(bits, 2) == i) for i in range(8))
+    for n, terms in _W_TERMS.items()
+}
+
+
 def w_signs(n: int) -> tuple[int, ...]:
     """Integer amplitudes of W basis state n times sqrt(3), as plain ints: three entries of +/-1."""
     n = integer_index(n, "W basis index")
-    if n not in _W_TERMS:
+    if n not in _W_SIGNS:
         raise ValueError(f"W basis index must be 1..8, got {n!r}")
-    signs = [0] * 8
-    for bits, sign in _W_TERMS[n]:
-        signs[int(bits, 2)] = sign
-    return tuple(signs)
+    return _W_SIGNS[n]
 
 
 def w_basis(n: int) -> StateVector:

@@ -21,9 +21,11 @@ The audit cuts the cloner input and output mixtures between lab A (qubits
 i, j of both registers) and lab B (qubit k of both) and compares negativities:
 an output above the input certifies that no LOCC step can have produced it.
 The cut splits each register at qubit k, so the input negativity factors into
-two 8x8 ones. Each W-basis state has one Z(x)Z(x)Z parity, so the output commutes
-with both registers' parities, and its partial transpose splits into four 16x16
-parity sectors that one batched eigensolve takes at once.
+two 8x8 ones, and the blank's factor is taken once per (blank, k). The output's
+partial transpose is (1/2) sum_s X_s (x) X_s, X_s the 8x8 partial transpose of
+|s><s| at qubit k. Each W-basis state has one Z(x)Z(x)Z parity, so each X_s
+splits into two 4x4 parity blocks and the output into four 16x16 parity
+sectors, built by one batched matmul and taken by one batched eigensolve.
 
 The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
@@ -41,6 +43,7 @@ The one-point certificate, blank_insufficiency, is wclass's, on plain floats.
 """
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -63,12 +66,8 @@ SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 # one grid row per chunk).
 _SCAN_CHUNK = 1 << 12
 
-# The 64 joint indices of original (x) clone, original register most significant,
-# listed by (original parity, clone parity): four sectors of 16 indices each.
-_SECTORS = np.argsort(
-    [2 * (bin(i >> 3).count("1") % 2) + bin(i & 7).count("1") % 2 for i in range(64)],
-    kind="stable",
-).reshape(4, 16)
+# The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks
+_PARITY = np.array([[i for i in range(8) if bin(i).count("1") % 2 == p] for p in (0, 1)])
 
 # Readers of the cut matrix's columns |0> and |1> at qubit k out of 8 amplitudes: the
 # other two qubits on rows in amplitude order, as registers.cut_matrix has them
@@ -295,14 +294,19 @@ def ctype_structure(m: int, n: int) -> CtypeReport:
     )
 
 
-def input_negativity(pair: DensityMatrix, blank: DensityMatrix, k: int) -> float:
+def input_negativity(pair: DensityMatrix, blank_trace_norm: float, k: int) -> float:
     """Negativity of pair (x) blank across the six-qubit lab cut {k-1, k+2}.
 
     The cut splits both registers at qubit k, so (pair (x) blank)^T_B is
-    pair^T_k (x) blank^T_k and trace norms multiply: 1 + N = (1 + N_pair)(1 + N_blank).
+    pair^T_k (x) blank^T_k and trace norms multiply: 1 + N = (1 + N_pair) ||blank^T_k||_1.
     """
-    cut = Bipartition(3, frozenset({k - 1}))
-    return (1.0 + negativity(pair, cut)) * (1.0 + negativity(blank, cut)) - 1.0
+    return (1.0 + negativity(pair, Bipartition(3, frozenset({k - 1})))) * blank_trace_norm - 1.0
+
+
+@cache
+def _blank_trace_norm(blank: int, k: int) -> float:
+    """||W_blank^T_k||_1 = 1 + negativity, one value per (blank, k): at most 24 entries."""
+    return 1.0 + negativity(density(w_basis(blank)), Bipartition(3, frozenset({k - 1})))
 
 
 def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
@@ -317,9 +321,9 @@ def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
 def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
     """negativity_audit of a pair already classified, at its witness cut.
 
-    The input is input_negativity of the 8x8 pair mixture and blank. The output
-    mixture of W_m (x) W_m and W_n (x) W_n keeps each register's Z(x)Z(x)Z parity,
-    so its negativity comes from four 16x16 parity sectors (_output_negativity).
+    The input is input_negativity of the 8x8 pair mixture and _blank_trace_norm.
+    The output mixture of W_m (x) W_m and W_n (x) W_n keeps each register's Z(x)Z(x)Z
+    parity, so its negativity comes from four 16x16 parity sectors (_output_negativity).
     Runs for any distinct pair; A-type records carry no form and get no
     reference comparison. A failed check names the pair and the cut.
     """
@@ -330,7 +334,7 @@ def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
     states = (w_basis(m), w_basis(n))
     pair = DensityMatrix(3, (density(states[0]).entries + density(states[1]).entries) / 2)
     try:
-        negativity_in = input_negativity(pair, density(w_basis(blank)), k)
+        negativity_in = input_negativity(pair, _blank_trace_norm(blank, k), k)
         negativity_out = _output_negativity(states, k)
     except VerificationError as exc:
         raise type(exc)(f"pair ({m},{n}) at k={k}: {exc}") from None
@@ -340,22 +344,30 @@ def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
 def _output_negativity(states: Sequence[StateVector], k: int) -> float:
     """Negativity of the equal mixture of clones |s>|s> across the lab cut {k-1, k+2}.
 
-    States of definite Z(x)Z(x)Z parity make the mixture commute with each register's
-    parity, which transposing lab B keeps, so the partial transpose lies in _SECTORS:
-    one stacked 16x16 eigensolve. An entry outside them raises StructureMismatchError.
+    The cut transposes qubit k of both registers, so the output's partial transpose
+    is the mean of X_s (x) X_s, X_s = (|s><s|)^T_k. A state of definite Z(x)Z(x)Z
+    parity keeps X_s in the two _PARITY blocks, so sector (p, q) is the mean of
+    X_s[p] (x) X_s[q]: one batched matmul, then one stacked 16x16 eigensolve. An
+    entry of some X_s outside its blocks raises StructureMismatchError.
     """
+    cut = Bipartition(3, frozenset({k - 1}))
     # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
-    clones = np.stack([np.outer(s.amplitudes.real, s.amplitudes.real).ravel() for s in states])
-    rho_out = DensityMatrix(6, clones.T @ clones / len(states))
-    flipped = partial_transpose(rho_out, Bipartition(6, frozenset({k - 1, k + 2})))
-    blocks = flipped[_SECTORS[:, :, None], _SECTORS[:, None, :]]
+    flipped = np.stack([
+        partial_transpose(DensityMatrix(3, np.outer(s.amplitudes.real, s.amplitudes.real)), cut)
+        for s in states
+    ])
+    blocks = flipped[:, _PARITY[:, :, None], _PARITY[:, None, :]]  # [s, p, a, c]
     inside, total = np.count_nonzero(blocks), np.count_nonzero(flipped)
     if inside < total:
         raise StructureMismatchError(
-            f"{total - inside} of {total} nonzero entries of the output's partial transpose "
-            "lie outside the register parity sectors"
+            f"{total - inside} of {total} nonzero entries of the states' 8x8 partial "
+            "transposes lie outside the register parity sectors"
         )
-    return transpose_negativity(blocks)
+    # [p, (a, c), s] @ [q, s, (b, d)] -> [p, q, (a, c), (b, d)], then (ac, bd) -> (ab, cd)
+    factors = blocks.transpose(1, 2, 3, 0).reshape(2, 16, len(states))
+    products = np.matmul(factors[:, None], factors.transpose(0, 2, 1)[None]) / len(states)
+    sectors = products.reshape(2, 2, 4, 4, 4, 4).transpose(0, 1, 2, 4, 3, 5).reshape(4, 16, 16)
+    return transpose_negativity(sectors)
 
 
 def _grid_top(step: float) -> int:

@@ -59,6 +59,11 @@ def non_hermitian_output_transpose(patch):
     patch.setattr(w_audit, "partial_transpose", skewed)
 
 
+def wrong_parity_table(patch):
+    # the low and high halves of the register mix parities, so W states leave their blocks
+    patch.setattr(w_audit, "_PARITY", np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+
+
 def lowered_scan_threshold(patch):
     patch.setattr(w_audit, "W_CUT_ENTROPY_BITS", 0.5)
 
@@ -96,10 +101,17 @@ CASES = [
     (swapped_schur_weights, REPORT, "",
      "error: w pair taxonomy 0 A / 24 B / 4 C differs from the paper's 6 A / 10 B / 12 C; "
      "pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
+    # the skew enters each state's 8x8 transpose, and a sector's asymmetry sums the skew
+    # times two diagonal weights 1/3
     (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",
-     "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
+     "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry "
+     "6.66666666666666"),
     (non_hermitian_output_transpose, REPORT, "",
-     "error: pair (1,2) at k=2: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
+     "error: pair (1,2) at k=2: operator is not Hermitian: largest |A - A^H| entry "
+     "6.66666666666666"),
+    (wrong_parity_table, ["w", "audit", "--pair", "1,6"], "",
+     "lie outside the register parity sectors"),
+    (wrong_parity_table, REPORT, "", "lie outside the register parity sectors"),
     (lowered_scan_threshold, ["w", "lemma", "--step", "0.1"], "== scan ==",
      "violation at (0.2,0.2,0.4): min cut entropy 0.5827831343002603"),
     (lowered_scan_threshold, REPORT, REPORT_HEAD, "simplex scan recorded 34 violation(s)"),

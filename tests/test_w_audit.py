@@ -381,12 +381,34 @@ def test_negativity_audit_matches_the_64x64_mixtures():
         assert abs(record.negativity_out - negativity(rho_out, cut)) <= 1e-12, (m, n, blank)
 
 
-def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
+@pytest.fixture
+def fresh_blank_factor():
+    """Empty the (blank, k) trace-norm cache around a test that patches the blank's path.
+
+    A value cached from a patched w_basis or negativity would outlive the patch.
+    """
+    w_audit._blank_trace_norm.cache_clear()
+    yield
+    w_audit._blank_trace_norm.cache_clear()
+
+
+@pytest.mark.parametrize("blank, k", itertools.product(range(1, 9), (1, 2, 3)))
+def test_blank_trace_norm_is_one_plus_the_blank_negativity(fresh_blank_factor, blank, k):
+    cut = Bipartition(3, frozenset({k - 1}))
+    value = w_audit._blank_trace_norm(blank, k)
+    assert value == 1.0 + negativity(density(w_basis(blank)), cut)
+    # every W-basis state splits 2/3, 1/3 at each cut: ||W^T_k||_1 = 1 + 2 sqrt(2/9)
+    assert abs(value - (1.0 + 2.0 * math.sqrt(2.0) / 3.0)) <= 1e-15
+
+
+def test_negativity_audit_builds_no_six_qubit_input(monkeypatch, fresh_blank_factor):
     seen, solves = [], []
     eigvalsh = np.linalg.eigvalsh
+    blank = density(w_basis(4)).entries
 
     def recording(dm, cut):
-        seen.append((dm.entries.shape, dm.entries.dtype, cut.n_qubits))
+        is_blank = dm.entries.shape == blank.shape and np.array_equal(dm.entries, blank)
+        seen.append((dm.entries.shape, dm.entries.dtype, cut.n_qubits, is_blank))
         return negativity(dm, cut)
 
     def recording_eigvalsh(a, *args, **kwargs):
@@ -395,10 +417,14 @@ def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
 
     monkeypatch.setattr(w_audit, "negativity", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    negativity_audit(1, 3, blank=4)
-    assert seen == [((8, 8), np.dtype(complex), 3)] * 2
-    # the output's spectrum comes from its four parity sectors, not from a 64x64 solve
-    assert [s for s in solves if s[0][-1] > 8] == [((4, 16, 16), np.dtype(np.float64))]
+    for m, n in ((1, 3), (1, 5)):  # two C pairs with witness k=1
+        assert negativity_audit(m, n, blank=4).witness_k == 1
+        # the output's spectrum comes from its four parity sectors, not from a 64x64 solve
+        assert [s for s in solves if s[0][-1] > 8] == [((4, 16, 16), np.dtype(np.float64))]
+        solves.clear()
+    # one blank factor, taken before the first pair's input, and two pair inputs: all 8x8
+    blank_call, pair_call = (((8, 8), np.dtype(complex), 3, is_blank) for is_blank in (True, False))
+    assert seen == [blank_call, pair_call, pair_call]
 
 
 @pytest.mark.parametrize("index", range(1, 9))
@@ -407,18 +433,29 @@ def test_w_basis_states_have_a_definite_register_parity(index):
     assert parities == {index % 2}  # W1, W3, W5, W7 odd; W2, W4, W6, W8 even
 
 
+def _parity_row_of_each_index():
+    row = np.full(8, -1)
+    for label, indices in enumerate(w_audit._PARITY):
+        row[indices] = label
+    return row
+
+
 def _sector_of_each_index():
-    sector = np.full(64, -1)
-    for label, indices in enumerate(w_audit._SECTORS):
-        sector[indices] = label
-    return sector
+    """Joint index 8i + j of original (x) clone to sector 2 r(i) + r(j), r the _PARITY row."""
+    row = _parity_row_of_each_index()
+    return (2 * row[:, None] + row[None, :]).ravel()
 
 
 def test_parity_sectors_partition_the_joint_indices_by_register_parity():
-    assert sorted(w_audit._SECTORS.ravel().tolist()) == list(range(64))
-    for indices in w_audit._SECTORS:
-        parities = {(bin(i >> 3).count("1") % 2, bin(i & 7).count("1") % 2) for i in indices}
-        assert len(parities) == 1
+    assert sorted(w_audit._PARITY.ravel().tolist()) == list(range(8))
+    for parity, indices in enumerate(w_audit._PARITY):
+        assert {bin(int(i)).count("1") % 2 for i in indices} == {parity}
+    sector = _sector_of_each_index()
+    for label in range(4):
+        parities = {(bin(i >> 3).count("1") % 2, bin(i & 7).count("1") % 2)
+                    for i in np.flatnonzero(sector == label)}
+        assert parities == {divmod(label, 2)}
+    assert np.bincount(sector).tolist() == [16] * 4
 
 
 def test_output_partial_transpose_lies_in_the_parity_sectors_at_every_cut():
@@ -432,7 +469,7 @@ def test_output_partial_transpose_lies_in_the_parity_sectors_at_every_cut():
         assert abs(value - negativity(rho_out, cut)) <= 1e-12, (m, n, k)
 
 
-def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
+def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch, fresh_blank_factor):
     # a GHZ state mixes parities: |000> is even and |111> odd
     w_basis_of = w_audit.w_basis
     mutant = ghz(GhzLabel(0, 0, 0))
@@ -443,11 +480,15 @@ def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
     monkeypatch.setattr(w_audit, "w_basis", with_mutant)
     monkeypatch.setattr(references, "w_basis", with_mutant)
     _, rho_out, cut = cloner_io(1, 6, 3)  # the mutant's output too, at the pair's witness cut
-    flipped = partial_transpose(rho_out, cut)
     sector = _sector_of_each_index()
-    dropped = np.count_nonzero(flipped[sector[:, None] != sector[None, :]])
+    assert np.count_nonzero(partial_transpose(rho_out, cut)[sector[:, None] != sector[None, :]])
+    # the audit checks each member's 8x8 partial transpose at qubit 3 against the parity blocks
+    row = _parity_row_of_each_index()
+    flipped = [partial_transpose(density(s), Bipartition(3, frozenset({2})))
+               for s in (mutant, w_basis_of(6))]
+    dropped = sum(np.count_nonzero(x[row[:, None] != row[None, :]]) for x in flipped)
     assert dropped > 0
-    message = f"{dropped} of {np.count_nonzero(flipped)} nonzero entries"
+    message = f"{dropped} of {sum(map(np.count_nonzero, flipped))} nonzero entries"
     with pytest.raises(StructureMismatchError, match=message):
         negativity_audit(1, 6)
 
@@ -514,7 +555,7 @@ def test_input_trace_norm_factors_at_the_lab_cut(pair, blank, k):
     pair_norm = trace_norm(partial_transpose(pair, cut))
     blank_norm = trace_norm(partial_transpose(blank, cut))
     assert joint_norm == pytest.approx(pair_norm * blank_norm, abs=1e-10)
-    assert 1.0 + input_negativity(pair, blank, k) == pytest.approx(joint_norm, abs=1e-10)
+    assert 1.0 + input_negativity(pair, blank_norm, k) == pytest.approx(joint_norm, abs=1e-10)
     # one qubit on the blank's B side bounds its factor by 2, whatever the blank
     assert joint_norm <= 2.0 * pair_norm + 1e-10
 
