@@ -67,10 +67,10 @@ def wclass_cut_spectra(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
     a, b, c are equal-length parameter arrays, d derived as in WClassParams.
     Cut k separates qubit k and depends on the parameter x opposite it (x = c,
     b, a for cuts 1, 2, 3): lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd)) / 2.
-    Row [i, k - 1] is (lambda-, lambda+) of state i at cut k.
+    Row [i, k - 1] is (lambda-, lambda+) of state i at cut k, a view of cut-major rows.
     """
     d = np.maximum(0.0, 1.0 - (a + b + c))
-    x = np.stack([c, b, a], axis=1)  # the parameter opposite cuts 1, 2, 3
-    root = np.sqrt((1.0 - 2.0 * x) ** 2 + 4.0 * x * d[:, None])
-    return np.stack([(1.0 - root) / 2.0, (1.0 + root) / 2.0], axis=-1)
+    x = np.stack([c, b, a])  # the parameter opposite cuts 1, 2, 3, one row each
+    root = np.sqrt((1.0 - 2.0 * x) ** 2 + 4.0 * x * d)
+    return np.stack([(1.0 - root) / 2.0, (1.0 + root) / 2.0]).transpose(2, 1, 0)
 

@@ -32,13 +32,14 @@ has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
 parameter opposite the cut, so the minimum cut entropy of every state except
 the equal-weight three-term point stays below that point's entropy and a
 product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the
-array form of that closed form, runs over the whole parameter grid in
-numpy, in chunks of a fixed number of grid points that span grid rows, and
-the scan checks it at every grid point against the eigenvalues of the three
-one-qubit marginals. Each marginal is contracted from the state's amplitude
-tensor over the two traced qubits; being real symmetric 2x2, its eigenvalues
-follow exactly from its entries p, q (diagonal) and r (off-diagonal) as
-(p + q -/+ sqrt((p - q)^2 + 4r^2))/2, so no eigensolver runs per point.
+array form of that closed form, runs cut-major over the parameter grid in
+chunks of a fixed number of points that span grid rows, and the scan checks
+it at every point against the three one-qubit marginals. A chunk holds its
+amplitudes amplitude-major, psi[q1, q2, q3] a row over its states: qubit k's
+marginal contracts two views, its 0- and 1-slices, over all 8 amplitudes,
+zero rows included, so no row is copied or gathered. Being real symmetric
+2x2, it has the exact eigenvalues (p + q -/+ sqrt((p - q)^2 + 4r^2))/2 from
+its diagonal p, q and off-diagonal r, so no eigensolver runs per point.
 The one-point certificate, blank_insufficiency, is wclass's, on plain floats.
 """
 from __future__ import annotations
@@ -59,11 +60,10 @@ from .wclass import W_CUT_ENTROPY_BITS, WClassParams, blank_insufficiency
 
 SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
-# Grid points per scan step. Each numpy pass has a fixed cost of about
-# 0.2 ms, so larger chunks run faster and hold more memory: lemma_scan(0.01,
-# 0.05) on a 2-core Xeon takes about 85, 66 and 61 ms at 1 << 10, 1 << 12
-# and 1 << 13, with 30.0, 31.3 and 33.5 MB max RSS (99 ms and 30.1 MB with
-# one grid row per chunk).
+# Grid points per scan step. Each numpy pass has a fixed cost, so larger
+# chunks run faster and hold more memory: lemma_scan(0.01, 0.05) on a 2-core
+# Xeon, pinned to one core, takes 45, 33 and 31 ms at 1 << 10, 1 << 12 and
+# 1 << 13 (best of 8 processes), with 29.6, 30.7 and 32.9 MB max RSS.
 _SCAN_CHUNK = 1 << 12
 
 # The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks
@@ -493,16 +493,12 @@ def _marginal_entries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """<0|rho|0>, <1|rho|1> and <0|rho|1> of qubit k's marginal for each real state.
 
-    psi holds real amplitudes with shape (states, 2, 2, 2), axis k for qubit
-    k; the two traced qubits are contracted as rows of four amplitudes.
+    psi holds real amplitudes with shape (2, 2, 2, states), axis k - 1 for
+    qubit k; its 0- and 1-slices there are views, contracted over the rest.
     """
-    zero = np.take(psi, 0, axis=k).reshape(-1, 4)
-    one = np.take(psi, 1, axis=k).reshape(-1, 4)
-    return (
-        np.einsum("ij,ij->i", zero, zero),
-        np.einsum("ij,ij->i", one, one),
-        np.einsum("ij,ij->i", zero, one),
-    )
+    zero, one = (psi[(slice(None),) * (k - 1) + (bit,)] for bit in (0, 1))
+    pairs = ((zero, zero), (one, one), (zero, one))
+    return tuple(np.einsum("ijn,ijn->n", u, v) for u, v in pairs)
 
 
 def _symmetric_2x2_eigenvalues(
@@ -522,11 +518,11 @@ def _crosscheck_spectra(
     their eigenvalues from the exact 2x2 formula. A gap above SPECTRUM_TOL,
     or a NaN on either side, fails the first such point and cut in grid order.
     """
-    psi = np.zeros((a.size, 2, 2, 2))
-    psi[:, 0, 0, 0] = np.sqrt(d)
-    psi[:, 0, 0, 1] = np.sqrt(a)
-    psi[:, 0, 1, 0] = np.sqrt(b)
-    psi[:, 1, 0, 0] = np.sqrt(c)
+    psi = np.zeros((2, 2, 2, a.size))  # amplitude-major: psi[q1, q2, q3] is a row
+    psi[0, 0, 0] = np.sqrt(d)
+    psi[0, 0, 1] = np.sqrt(a)
+    psi[0, 1, 0] = np.sqrt(b)
+    psi[1, 0, 0] = np.sqrt(c)
     bad = np.empty((a.size, 3), dtype=bool)
     for k in (1, 2, 3):
         low, high = _symmetric_2x2_eigenvalues(*_marginal_entries(psi, k))

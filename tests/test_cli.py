@@ -474,6 +474,13 @@ def test_report_table_matches_the_golden_file(capsys):
     assert out == (Path(__file__).parent / "golden" / "report_step_0.1.txt").read_text("utf-8")
 
 
+def test_lemma_json_matches_the_golden_file(capsys):
+    """The scan's json at its default step, every bit of grid_max_entropy_bits included."""
+    code, out, err = run(capsys, "w", "lemma", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / "lemma_step_0.02.json").read_text("utf-8")
+
+
 def _csv_cell(value):
     """A json value as csv spells it: floats by repr, lists joined by "; "."""
     if value is None:

@@ -725,7 +725,8 @@ def _wclass_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_wclass_points(), min_size=1, max_size=8))
 def test_closed_form_2x2_eigenvalues_match_lapack(points):
-    psi = np.stack([w_class(p).amplitudes.real.reshape(2, 2, 2) for p in points])
+    # amplitude-major, as the scan holds it: psi[q1, q2, q3] is a row over the states
+    psi = np.stack([w_class(p).amplitudes.real.reshape(2, 2, 2) for p in points], axis=-1)
     for k in (1, 2, 3):
         p, q, r = w_audit._marginal_entries(psi, k)
         marginals = np.moveaxis(np.array([[p, r], [r, q]]), -1, 0)
