@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from math import sqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
@@ -29,18 +30,18 @@ if TYPE_CHECKING:
 
 OUTPUT_FORMATS = ("table", "json", "csv")
 
-# Benchmark (N_in, N_out) per audited pair family (B form I, B form II, C),
-# for any W-basis blank: every W-basis state has Schmidt weights 2/3 and 1/3 at
-# every cut (w_audit._cut_gram checks it exactly), so all eight blanks give the
-# same input factor. w audit and the full report flag any record further than
-# MATCH_TOL from its family's benchmark; the benchmarks are rounded to 5
-# decimals, well inside MATCH_TOL.
+# Closed-form (N_in, N_out) per pair family, from the integer spectra of
+# 6 rho_pair^T_B and 18 rho_out^T_B. Each W-basis blank gives the input factor
+# 1 + 2 sqrt(2)/3: every W-basis state splits 2/3, 1/3 at every cut (w_audit._cut_gram).
+# w audit and the full report flag any record further than MATCH_TOL from its
+# family's value; eigensolver error is near 64 eps ||Y|| ~ 1e-13.
 REFERENCE_NEGATIVITIES: dict[str, tuple[float, float]] = {
-    "I": (1.89097, 2.14597),
-    "II": (2.23802, 2.49298),
-    "C": (2.23802, 2.55185),
+    "A": (2 * sqrt(2) / 3, 4 * sqrt(5) / 9),
+    "I": ((1 + 2 * sqrt(3)) * (3 + 2 * sqrt(2)) / 9 - 1, 8 * (1 + sqrt(2)) / 9),
+    "II": (5 * (3 + 2 * sqrt(2)) / 9 - 1, (7 + 8 * sqrt(2) + sqrt(17)) / 9),
+    "C": (5 * (3 + 2 * sqrt(2)) / 9 - 1, 4 * (2 + sqrt(14)) / 9),
 }
-MATCH_TOL = 1e-3
+MATCH_TOL = 1e-12
 
 # The paper's split of the 28 W pairs by category. A full report flags any
 # other split as a regression guard on the taxonomy.
@@ -100,16 +101,13 @@ def scan_sections(document: Mapping[str, object]) -> list[tuple[str, list[dict]]
 
 
 def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
-    """Notes for audited records straying from their family benchmark, whatever
-    their blank; A pairs have no benchmark and are not compared."""
+    """Notes for audited records straying from their family's closed form, whatever their blank."""
     from .w_audit import CATEGORY_B
 
     notes = []
     for record in records:
         key = record.form if record.category == CATEGORY_B else record.category
-        reference = REFERENCE_NEGATIVITIES.get(key or "")
-        if reference is None:
-            continue
+        reference = REFERENCE_NEGATIVITIES[key]
         drift = max(
             abs(record.negativity_in - reference[0]),
             abs(record.negativity_out - reference[1]),

@@ -20,12 +20,13 @@ No tolerance is left to tune.
 The audit cuts the cloner input and output mixtures between lab A (qubits
 i, j of both registers) and lab B (qubit k of both) and compares negativities:
 an output above the input certifies that no LOCC step can have produced it.
-The cut splits each register at qubit k, so the input negativity factors into
-two 8x8 ones, and the blank's factor is taken once per (blank, k). The output's
-partial transpose is (1/2) sum_s X_s (x) X_s, X_s the 8x8 partial transpose of
-|s><s| at qubit k. Each W-basis state has one Z(x)Z(x)Z parity, so each X_s
-splits into two 4x4 parity blocks and the output into four 16x16 parity
-sectors, built by one batched matmul and taken by one batched eigensolve.
+Every value comes from X_s, the 8x8 partial transpose of |s><s| at qubit k,
+for s = W_m, W_n and the blank. Each W-basis state has one Z(x)Z(x)Z parity, so
+each X_s splits into two 4x4 parity blocks. The input's partial transpose is
+(X_m + X_n)/2 (x) X_blank, whose two trace norms multiply and come from one
+stacked 4x4 eigensolve; the output's, the mean of X_s (x) X_s over the pair,
+lies in four 16x16 parity sectors, built by one batched matmul and taken by one
+batched eigensolve.
 
 The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
@@ -44,15 +45,14 @@ The one-point certificate, blank_insufficiency, is wclass's, on plain floats.
 """
 from __future__ import annotations
 
-from functools import cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import entropy_bits, negativity, transpose_negativity, wclass_cut_spectra
+from .measures import entropy_bits, transpose_negativity, wclass_cut_spectra
 from .exact import Bipartition, StructureMismatchError, VerificationError, integer_index
-from .registers import DensityMatrix, StateVector, density, partial_transpose
+from .registers import DensityMatrix, StateVector, hermitian_spectrum, partial_transpose
 from .states import w_basis, w_signs
 # lemma_scan reads the threshold through this module's own global; blank_insufficiency
 # keeps its w_audit name
@@ -294,21 +294,6 @@ def ctype_structure(m: int, n: int) -> CtypeReport:
     )
 
 
-def input_negativity(pair: DensityMatrix, blank_trace_norm: float, k: int) -> float:
-    """Negativity of pair (x) blank across the six-qubit lab cut {k-1, k+2}.
-
-    The cut splits both registers at qubit k, so (pair (x) blank)^T_B is
-    pair^T_k (x) blank^T_k and trace norms multiply: 1 + N = (1 + N_pair) ||blank^T_k||_1.
-    """
-    return (1.0 + negativity(pair, Bipartition(3, frozenset({k - 1})))) * blank_trace_norm - 1.0
-
-
-@cache
-def _blank_trace_norm(blank: int, k: int) -> float:
-    """||W_blank^T_k||_1 = 1 + negativity, one value per (blank, k): at most 24 entries."""
-    return 1.0 + negativity(density(w_basis(blank)), Bipartition(3, frozenset({k - 1})))
-
-
 def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
     """Negativities of the cloner's input and output across the witness lab cut.
 
@@ -321,34 +306,32 @@ def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
 def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
     """negativity_audit of a pair already classified, at its witness cut.
 
-    The input is input_negativity of the 8x8 pair mixture and _blank_trace_norm.
-    The output mixture of W_m (x) W_m and W_n (x) W_n keeps each register's Z(x)Z(x)Z
-    parity, so its negativity comes from four 16x16 parity sectors (_output_negativity).
-    Runs for any distinct pair; A-type records carry no form and get no
-    reference comparison. A failed check names the pair and the cut.
+    Every value comes from the _parity_blocks of (W_m, W_n, W_blank): the input's
+    trace norm is the pair's (its members' mean blocks) times the blank's, both
+    from one stacked solve, and the output's comes from the pair's _output_sectors.
+    A failed check names the pair and the cut.
     """
     blank = integer_index(blank, "blank W basis index")
     m, n, k = cls.m, cls.n, cls.witness_k
     assert k is not None
     form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None
-    states = (w_basis(m), w_basis(n))
-    pair = DensityMatrix(3, (density(states[0]).entries + density(states[1]).entries) / 2)
     try:
-        negativity_in = input_negativity(pair, _blank_trace_norm(blank, k), k)
-        negativity_out = _output_negativity(states, k)
+        blocks = _parity_blocks((w_basis(m), w_basis(n), w_basis(blank)), k)
+        # the pair mixture's transpose is the mean of its members' X_s
+        factors = np.stack([(blocks[0] + blocks[1]) / 2, blocks[2]])
+        pair_norm, blank_norm = np.abs(hermitian_spectrum(factors)).sum(axis=(1, 2))
+        negativity_in = float(pair_norm * blank_norm) - 1.0
+        negativity_out = transpose_negativity(_output_sectors(blocks[:2]))
     except VerificationError as exc:
         raise type(exc)(f"pair ({m},{n}) at k={k}: {exc}") from None
     return AuditRecord(m, n, cls.category, k, form, negativity_in, negativity_out, blank)
 
 
-def _output_negativity(states: Sequence[StateVector], k: int) -> float:
-    """Negativity of the equal mixture of clones |s>|s> across the lab cut {k-1, k+2}.
+def _parity_blocks(states: Sequence[StateVector], k: int) -> np.ndarray:
+    """The two 4x4 _PARITY blocks of each X_s = (|s><s|)^T_k, as [s, p, a, c].
 
-    The cut transposes qubit k of both registers, so the output's partial transpose
-    is the mean of X_s (x) X_s, X_s = (|s><s|)^T_k. A state of definite Z(x)Z(x)Z
-    parity keeps X_s in the two _PARITY blocks, so sector (p, q) is the mean of
-    X_s[p] (x) X_s[q]: one batched matmul, then one stacked 16x16 eigensolve. An
-    entry of some X_s outside its blocks raises StructureMismatchError.
+    A state of definite Z(x)Z(x)Z parity keeps X_s inside its blocks; an entry of
+    some X_s outside them raises StructureMismatchError.
     """
     cut = Bipartition(3, frozenset({k - 1}))
     # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
@@ -356,18 +339,23 @@ def _output_negativity(states: Sequence[StateVector], k: int) -> float:
         partial_transpose(DensityMatrix(3, np.outer(s.amplitudes.real, s.amplitudes.real)), cut)
         for s in states
     ])
-    blocks = flipped[:, _PARITY[:, :, None], _PARITY[:, None, :]]  # [s, p, a, c]
+    blocks = flipped[:, _PARITY[:, :, None], _PARITY[:, None, :]]
     inside, total = np.count_nonzero(blocks), np.count_nonzero(flipped)
     if inside < total:
         raise StructureMismatchError(
             f"{total - inside} of {total} nonzero entries of the states' 8x8 partial "
             "transposes lie outside the register parity sectors"
         )
+    return blocks
+
+
+def _output_sectors(blocks: np.ndarray) -> np.ndarray:
+    """The clones' partial transpose, the mean of X_s (x) X_s, as its four 16x16 parity
+    sectors (p, q), each the mean of X_s[p] (x) X_s[q], from blocks [s, p, a, c]."""
     # [p, (a, c), s] @ [q, s, (b, d)] -> [p, q, (a, c), (b, d)], then (ac, bd) -> (ab, cd)
-    factors = blocks.transpose(1, 2, 3, 0).reshape(2, 16, len(states))
-    products = np.matmul(factors[:, None], factors.transpose(0, 2, 1)[None]) / len(states)
-    sectors = products.reshape(2, 2, 4, 4, 4, 4).transpose(0, 1, 2, 4, 3, 5).reshape(4, 16, 16)
-    return transpose_negativity(sectors)
+    factors = blocks.transpose(1, 2, 3, 0).reshape(2, 16, len(blocks))
+    products = np.matmul(factors[:, None], factors.transpose(0, 2, 1)[None]) / len(blocks)
+    return products.reshape(2, 2, 4, 4, 4, 4).transpose(0, 1, 2, 4, 3, 5).reshape(4, 16, 16)
 
 
 def _grid_top(step: float) -> int:

@@ -59,6 +59,19 @@ def non_hermitian_output_transpose(patch):
     patch.setattr(w_audit, "partial_transpose", skewed)
 
 
+def shifted_audit_value(patch):
+    # one input value 1e-6 off, far inside the 1e-3 a five-decimal benchmark table allowed
+    audit = w_audit.audit_classified
+
+    def shifted(cls, blank=1):
+        record = audit(cls, blank)
+        if (record.m, record.n) != (1, 6):
+            return record
+        return record._replace(negativity_in=record.negativity_in + 1e-6)
+
+    patch.setattr(w_audit, "audit_classified", shifted)
+
+
 def wrong_parity_table(patch):
     # the low and high halves of the register mix parities, so W states leave their blocks
     patch.setattr(w_audit, "_PARITY", np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
@@ -101,14 +114,14 @@ CASES = [
     (swapped_schur_weights, REPORT, "",
      "error: w pair taxonomy 0 A / 24 B / 4 C differs from the paper's 6 A / 10 B / 12 C; "
      "pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
-    # the skew enters each state's 8x8 transpose, and a sector's asymmetry sums the skew
-    # times two diagonal weights 1/3
+    (shifted_audit_value, ["w", "audit"], W_AUDIT_HEAD, "audit (1,6) I: negativities"),
+    (shifted_audit_value, REPORT, REPORT_HEAD, "audit (1,6) I: negativities"),
+    # the skew enters each state's 8x8 transpose, so the input solve, which runs first,
+    # sees 1e-6j on the diagonal of the pair's mean blocks and of the blank's
     (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",
-     "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry "
-     "6.66666666666666"),
+     "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (non_hermitian_output_transpose, REPORT, "",
-     "error: pair (1,2) at k=2: operator is not Hermitian: largest |A - A^H| entry "
-     "6.66666666666666"),
+     "error: pair (1,2) at k=2: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (wrong_parity_table, ["w", "audit", "--pair", "1,6"], "",
      "lie outside the register parity sectors"),
     (wrong_parity_table, REPORT, "", "lie outside the register parity sectors"),

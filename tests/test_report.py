@@ -137,15 +137,17 @@ def test_reference_mismatch_flags_drift():
     assert reference_mismatches([good]) == []
 
 
-def test_reference_mismatch_skips_nonstandard_records():
-    """A pairs have no benchmark; a blank other than W1 is standard, as every
-    W-basis blank gives the same input factor, so its drift is flagged."""
+def test_reference_mismatch_compares_a_pairs_and_every_blank():
+    """A pairs have a closed form too, and every W-basis blank gives the same input
+    factor, so a stray record of either kind is flagged."""
     ref_in, ref_out = REFERENCE_NEGATIVITIES["C"]
     off_blank = AuditRecord(1, 3, "C", 1, None, ref_in + 1.0, ref_out, 2)
-    atype = AuditRecord(1, 2, "A", 2, None, 0.1, 0.2, 1)
+    a_in, a_out = REFERENCE_NEGATIVITIES["A"]
+    atype = AuditRecord(1, 2, "A", 2, None, a_in, a_out, 1)
     assert reference_mismatches([atype]) == []
-    notes = reference_mismatches([off_blank, atype])
-    assert len(notes) == 1 and notes[0].startswith("audit (1,3) C: negativities")
+    drifted = atype._replace(negativity_out=a_out + 1e-6)
+    notes = reference_mismatches([off_blank, atype, drifted])
+    assert [note.split(":")[0] for note in notes] == ["audit (1,3) C", "audit (1,2) A"]
 
 
 def test_build_report_sections():

@@ -24,7 +24,7 @@ from locclone.registers import (
     partial_transpose,
     trace_norm,
 )
-from locclone.report import json_text
+from locclone.report import REFERENCE_NEGATIVITIES, json_text, reference_mismatches
 from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class, w_signs
 from locclone.w_audit import (
     PairClassification,
@@ -36,7 +36,6 @@ from locclone.w_audit import (
     btype_form,
     classify_pair,
     ctype_structure,
-    input_negativity,
     lemma_scan,
     negativity_audit,
 )
@@ -381,50 +380,45 @@ def test_negativity_audit_matches_the_64x64_mixtures():
         assert abs(record.negativity_out - negativity(rho_out, cut)) <= 1e-12, (m, n, blank)
 
 
-@pytest.fixture
-def fresh_blank_factor():
-    """Empty the (blank, k) trace-norm cache around a test that patches the blank's path.
-
-    A value cached from a patched w_basis or negativity would outlive the patch.
-    """
-    w_audit._blank_trace_norm.cache_clear()
-    yield
-    w_audit._blank_trace_norm.cache_clear()
+def test_every_audit_record_matches_its_closed_form():
+    # all 28 pairs x 8 blanks, A pairs included; the blank factor 1 + 2 sqrt(2)/3 enters
+    # every input value, so this pins it for each blank too
+    records = [r for blank in range(1, 9) for r in all_audit_records(blank)]
+    assert len(records) == 224 and reference_mismatches(records) == []
+    worst = max(
+        max(abs(r.negativity_in - ref[0]), abs(r.negativity_out - ref[1]))
+        for r in records
+        for ref in [REFERENCE_NEGATIVITIES[r.form or r.category]]
+    )
+    assert worst <= 1e-13  # near 64 eps ||Y||; measured 2.7e-15
 
 
 @pytest.mark.parametrize("blank, k", itertools.product(range(1, 9), (1, 2, 3)))
-def test_blank_trace_norm_is_one_plus_the_blank_negativity(fresh_blank_factor, blank, k):
+def test_blank_trace_norm_is_one_plus_the_blank_negativity(blank, k):
+    # the audit reads the blank's factor from its two 4x4 parity blocks
+    value = trace_norm(w_audit._parity_blocks([w_basis(blank)], k)[0])
     cut = Bipartition(3, frozenset({k - 1}))
-    value = w_audit._blank_trace_norm(blank, k)
-    assert value == 1.0 + negativity(density(w_basis(blank)), cut)
+    assert abs(value - (1.0 + negativity(density(w_basis(blank)), cut))) <= 1e-15
     # every W-basis state splits 2/3, 1/3 at each cut: ||W^T_k||_1 = 1 + 2 sqrt(2/9)
     assert abs(value - (1.0 + 2.0 * math.sqrt(2.0) / 3.0)) <= 1e-15
 
 
-def test_negativity_audit_builds_no_six_qubit_input(monkeypatch, fresh_blank_factor):
-    seen, solves = [], []
+def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
+    solves = []
     eigvalsh = np.linalg.eigvalsh
-    blank = density(w_basis(4)).entries
-
-    def recording(dm, cut):
-        is_blank = dm.entries.shape == blank.shape and np.array_equal(dm.entries, blank)
-        seen.append((dm.entries.shape, dm.entries.dtype, cut.n_qubits, is_blank))
-        return negativity(dm, cut)
 
     def recording_eigvalsh(a, *args, **kwargs):
         solves.append((a.shape, a.dtype))
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(w_audit, "negativity", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    real = np.dtype(np.float64)
     for m, n in ((1, 3), (1, 5)):  # two C pairs with witness k=1
         assert negativity_audit(m, n, blank=4).witness_k == 1
-        # the output's spectrum comes from its four parity sectors, not from a 64x64 solve
-        assert [s for s in solves if s[0][-1] > 8] == [((4, 16, 16), np.dtype(np.float64))]
+        # the pair's and the blank's 4x4 parity blocks in one stacked solve, then the
+        # output's four parity sectors: no 8x8, 64x64 or complex solve
+        assert solves == [((2, 2, 4, 4), real), ((4, 16, 16), real)]
         solves.clear()
-    # one blank factor, taken before the first pair's input, and two pair inputs: all 8x8
-    blank_call, pair_call = (((8, 8), np.dtype(complex), 3, is_blank) for is_blank in (True, False))
-    assert seen == [blank_call, pair_call, pair_call]
 
 
 @pytest.mark.parametrize("index", range(1, 9))
@@ -465,11 +459,11 @@ def test_output_partial_transpose_lies_in_the_parity_sectors_at_every_cut():
     for (m, n), k in itertools.product(pairs, (1, 2, 3)):
         _, rho_out, cut = cloner_io(m, n, k)
         assert not partial_transpose(rho_out, cut)[outside].any(), (m, n, k)
-        value = w_audit._output_negativity((w_basis(m), w_basis(n)), k)
-        assert abs(value - negativity(rho_out, cut)) <= 1e-12, (m, n, k)
+        sectors = w_audit._output_sectors(w_audit._parity_blocks((w_basis(m), w_basis(n)), k))
+        assert abs(trace_norm(sectors) - 1.0 - negativity(rho_out, cut)) <= 1e-12, (m, n, k)
 
 
-def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch, fresh_blank_factor):
+def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
     # a GHZ state mixes parities: |000> is even and |111> odd
     w_basis_of = w_audit.w_basis
     mutant = ghz(GhzLabel(0, 0, 0))
@@ -482,15 +476,26 @@ def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch, fresh_b
     _, rho_out, cut = cloner_io(1, 6, 3)  # the mutant's output too, at the pair's witness cut
     sector = _sector_of_each_index()
     assert np.count_nonzero(partial_transpose(rho_out, cut)[sector[:, None] != sector[None, :]])
-    # the audit checks each member's 8x8 partial transpose at qubit 3 against the parity blocks
+    # the audit checks the 8x8 partial transpose at qubit 3 of each member and of the
+    # blank, here the mutant again, against the parity blocks
     row = _parity_row_of_each_index()
     flipped = [partial_transpose(density(s), Bipartition(3, frozenset({2})))
-               for s in (mutant, w_basis_of(6))]
+               for s in (mutant, w_basis_of(6), mutant)]
     dropped = sum(np.count_nonzero(x[row[:, None] != row[None, :]]) for x in flipped)
     assert dropped > 0
     message = f"{dropped} of {sum(map(np.count_nonzero, flipped))} nonzero entries"
     with pytest.raises(StructureMismatchError, match=message):
         negativity_audit(1, 6)
+
+
+def test_audit_refuses_a_blank_outside_the_parity_sectors(monkeypatch):
+    # only the blank is a GHZ state: its |000><111| coherence leaves the parity blocks
+    w_basis_of = w_audit.w_basis
+    mutant = ghz(GhzLabel(0, 0, 0))
+    monkeypatch.setattr(w_audit, "w_basis", lambda x: mutant if x == 1 else w_basis_of(x))
+    with pytest.raises(StructureMismatchError,
+                       match="2 of 22 nonzero entries .* lie outside the register parity sectors"):
+        negativity_audit(2, 4, 1)
 
 
 @pytest.mark.parametrize("m, n, blank", [
@@ -555,7 +560,6 @@ def test_input_trace_norm_factors_at_the_lab_cut(pair, blank, k):
     pair_norm = trace_norm(partial_transpose(pair, cut))
     blank_norm = trace_norm(partial_transpose(blank, cut))
     assert joint_norm == pytest.approx(pair_norm * blank_norm, abs=1e-10)
-    assert 1.0 + input_negativity(pair, blank_norm, k) == pytest.approx(joint_norm, abs=1e-10)
     # one qubit on the blank's B side bounds its factor by 2, whatever the blank
     assert joint_norm <= 2.0 * pair_norm + 1e-10
 
