@@ -1,4 +1,4 @@
-"""The exact core on plain Python ints: errors, index checks, cuts, gates, ranks, GHZ labels.
+"""The exact core on plain ints: errors, index checks, cuts, gates, cut columns, GHZ labels.
 
 It imports no numpy, so the GHZ half (ghz_cloning) and the command-line boundary
 (cli, report) run without it. Every gate the GHZ half emits is monomial, and GATES
@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 GATES: dict[str, tuple[int, int]] = {"X": (1, 0), "Z": (0, 2), "S": (0, 1), "Sdg": (0, 3)}
 
@@ -89,23 +89,23 @@ def gate_action(gate: SingleQubitGate, n_qubits: int) -> tuple[int, int]:
     return GATES[gate.name]
 
 
-def integer_rank(matrix: Iterable[Iterable[int]]) -> int:
-    """Exact rank of an integer matrix given by rows, by fraction-free elimination; a float
-    or complex entry raises TypeError, as the answer is exact only because the entries are."""
-    rows = [[operator.index(x) for x in row] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rank += 1
-        # cross-multiplying clears column col from every other row and keeps them integer
-        rows = [
-            [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)] if row[col] else row
-            for row in rows
-        ]
-    return rank
+# Readers of the 4x2 cut matrix's columns |0> and |1> at qubit k (1..3) out of 8
+# amplitudes: the other two qubits on rows in amplitude order, as registers.cut_matrix has them
+_CUT_COLUMNS = {
+    k: tuple(operator.itemgetter(*(i for i in range(8) if (i >> (3 - k)) & 1 == b)) for b in (0, 1))
+    for k in (1, 2, 3)
+}
+
+
+def cut_columns(signs: Sequence[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Columns |0> and |1> of the 4x2 cut matrix of 8 amplitudes at qubit k (1..3): the
+    Bell-triple witness (ghz_cloning) and the W-pair taxonomy (w_audit) both read them."""
+    zero, one = _CUT_COLUMNS[k]
+    return zero(signs), one(signs)
+
+
+def column_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
 @dataclass(frozen=True, order=True)

@@ -13,8 +13,9 @@ case of three Bell states across one cut, which triple_clonability checks.
 Every circuit returned is verified by direct simulation first. Each gate
 sends a ket to one ket times a power of i, so apply_monomial holds a state as
 its few nonzero kets and their quarter turns. Both checks run in plain ints
-on the amplitudes sqrt(2) * ghz (ghz_signs), so each is exact, the witness
-needs no tolerance, a verified fidelity is exactly 1.0 and no numpy loads.
+on the amplitudes sqrt(2) * ghz (ghz_signs), the witness through
+exact.cut_columns, so each is exact, the witness needs no tolerance, a verified
+fidelity is exactly 1.0 and no numpy loads.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import GHZ_LABELS, Bipartition, GhzLabel, LocalGate, SingleQubitGate, TransversalCnot
-from .exact import VerificationError, gate_action, ghz_signs, integer_rank
+from .exact import VerificationError, column_dot, cut_columns, gate_action, ghz_signs
 
 BLANK_DEFAULT = GhzLabel(0, 0, 0)
 
@@ -210,23 +211,22 @@ def _bell_like_across(signs: Sequence[Sequence[int]], qubit: int) -> bool:
     """Three orthogonal maximally entangled states confined to a 2x2 subspace?
 
     signs lists the integer amplitudes sqrt(2) * psi of the three states; the
-    cut puts qubit (0-based) on side B. With M each state's cut matrix, the
-    states are orthogonal when their pairwise dot products vanish, their joint
-    A-side support is the rank of [M1 | M2 | M3], and a state is maximally
-    entangled when M^T M is the identity. Side B is one qubit, so its joint
-    support is 2-dimensional whenever any state is entangled and needs no check.
+    cut puts qubit (0-based) on side B. With M = [u0 | u1] each state's cut
+    matrix (exact.cut_columns), states are orthogonal when u0.v0 + u1.v1 = 0,
+    and maximally entangled when M^T M = I. Integer columns of such an M are
+    each +/-1 on one row, a state's two on different rows, so the joint A-side
+    support, rank [M1 | M2 | M3], is 2 exactly when all their columns touch the
+    same two rows: the unit-column check comes first. Side B is one qubit, so
+    its joint support is 2-dimensional whenever any state is entangled.
     """
-    def dot(u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(x * y for x, y in zip(u, v))
-
-    if any(dot(u, v) for u, v in itertools.combinations(signs, 2)):
-        return False
-    bit = 4 >> qubit
-    # each state's cut matrix as its two columns, for qubit value 0 and 1
-    mats = [[[s[k] for k in range(8) if (k & bit) == b] for b in (0, bit)] for s in signs]
-    if integer_rank(column for m in mats for column in m) != 2:
-        return False
-    return all(dot(c0, c0) == dot(c1, c1) == 1 and dot(c0, c1) == 0 for c0, c1 in mats)
+    mats = [cut_columns(s, qubit + 1) for s in signs]
+    for (u0, u1), (v0, v1) in itertools.combinations(mats, 2):
+        if column_dot(u0, v0) + column_dot(u1, v1):
+            return False
+    for c0, c1 in mats:
+        if not column_dot(c0, c0) == column_dot(c1, c1) == 1 or column_dot(c0, c1):
+            return False
+    return len({row for m in mats for column in m for row in range(4) if column[row]}) == 2
 
 
 def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:

@@ -9,8 +9,8 @@ Conventions used throughout the package:
 * Bipartitions name the B side; qubit indices are 0-based here (user-facing
   labels are 1-based and translated at the CLI boundary).
 * The numpy-free names (VerificationError, integer_index, Bipartition, the gate
-  records and integer_rank) live in exact, which the GHZ half runs on alone;
-  this module holds what needs numpy, for the W half, measure and the benchmark.
+  records and the 3-qubit cut_columns) live in exact, which the GHZ half runs on
+  alone; this module holds what needs numpy, for the W half, measure and the benchmark.
 """
 from __future__ import annotations
 

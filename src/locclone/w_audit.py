@@ -5,8 +5,8 @@ reductions Tr_k: category A has some k with span 2, category B none with 2
 but some with 3, category C span 4 for every k plus a k where the reductions
 do not commute. These decisions and the A, B and C structures are exact and
 run on plain ints: sqrt(3) * W_m has entries 0 and +/-1 (states.w_signs), so
-its 4x2 cut matrix M at qubit k is integer and the reduction Tr_k = M M^T / 3
-has the column space of M. Each D = M^T M is checked to be diagonal with
+its 4x2 cut matrix M at qubit k (exact.cut_columns) is integer, and Tr_k =
+M M^T / 3 has the column space of M. Each D = M^T M is checked to be diagonal with
 entries {1, 2}: M's columns are then the A-side Schmidt directions, paired with
 |0> and |1> on qubit k, and D_m is invertible. So the span at k, the rank of
 [M_m | M_n], is 2 plus the rank of the integer 2x2 Schur complement
@@ -45,13 +45,13 @@ The one-point certificate, blank_insufficiency, is wclass's, on plain floats.
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .measures import entropy_bits, transpose_negativity, wclass_cut_spectra
 from .exact import Bipartition, StructureMismatchError, VerificationError, integer_index
+from .exact import column_dot, cut_columns
 from .registers import DensityMatrix, StateVector, hermitian_spectrum, partial_transpose
 from .states import w_basis, w_signs
 # lemma_scan reads the threshold through this module's own global; blank_insufficiency
@@ -68,13 +68,6 @@ _SCAN_CHUNK = 1 << 12
 
 # The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks
 _PARITY = np.array([[i for i in range(8) if bin(i).count("1") % 2 == p] for p in (0, 1)])
-
-# Readers of the cut matrix's columns |0> and |1> at qubit k out of 8 amplitudes: the
-# other two qubits on rows in amplitude order, as registers.cut_matrix has them
-_CUT_COLUMNS = {
-    k: tuple(itemgetter(*(i for i in range(8) if (i >> (3 - k)) & 1 == b)) for b in (0, 1))
-    for k in (1, 2, 3)
-}
 
 CATEGORY_A = "A"
 CATEGORY_B = "B"
@@ -180,30 +173,20 @@ def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, tuple[tuple[int, int], 
     """
     if integer_index(k, "cut index k") not in (1, 2, 3):
         raise ValueError(f"cut index k={k!r} must be 1..3")
-    (m0, m1), (n0, n1) = (_cut_columns(w_signs(x), k) for x in (m, n))
+    (m0, m1), (n0, n1) = (cut_columns(w_signs(x), k) for x in (m, n))
     if m == n:
         raise ValueError("pair members must differ")
     heavy, diagonals = [], []
     for x, (c0, c1) in ((m, (m0, m1)), (n, (n0, n1))):
-        d0, off, d1 = _dot(c0, c0), _dot(c0, c1), _dot(c1, c1)
+        d0, off, d1 = column_dot(c0, c0), column_dot(c0, c1), column_dot(c1, c1)
         if off or {d0, d1} != {1, 2}:
             raise StructureMismatchError(
                 f"W{x} at k={k}: M^T M = {[[d0, off], [off, d1]]} is not diagonal with entries 1, 2"
             )
         heavy.append(0 if d0 == 2 else 1)
         diagonals.append((d0, d1))
-    gram = ((_dot(m0, n0), _dot(m0, n1)), (_dot(m1, n0), _dot(m1, n1)))
+    gram = tuple((column_dot(c, n0), column_dot(c, n1)) for c in (m0, m1))
     return heavy[0], heavy[1], gram, _span(diagonals[0], diagonals[1], gram)
-
-
-def _cut_columns(signs: Sequence[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Columns |0> and |1> of the 4x2 cut matrix of 8 amplitudes at qubit k."""
-    zero, one = _CUT_COLUMNS[k]
-    return zero(signs), one(signs)
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
 def _span(d_m: tuple[int, int], d_n: tuple[int, int], gram: tuple[tuple[int, int], ...]) -> int:
@@ -363,40 +346,28 @@ def _grid_top(step: float) -> int:
     return int(np.floor(1.0 / step + 1e-9))
 
 
-def _grid_rows(top: int, ia: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ib, ic) of the grid row at fixed ia, in lexicographic order."""
-    rest = top - ia
-    counts = np.arange(rest - 1, 0, -1)  # ic runs over 1..rest-ib for ib = 1..rest-1
-    ib = np.repeat(np.arange(1, rest), counts)
-    ic = np.arange(ib.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    return ib, ic
-
-
 def _grid_chunks(step: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Grid parameters (a, b, c) = step * (ia, ib, ic) as arrays.
 
     Points come in lexicographic (ia, ib, ic) order, _SCAN_CHUNK to a chunk
-    and the rest in the last one; a chunk spans as many ia rows as it needs,
-    so the fixed cost of a numpy pass is paid per full chunk, not per row.
+    and the rest in the last one; a chunk spans as many grid rows (ia, ib) as
+    it needs, so the fixed cost of a numpy pass is paid per full chunk, not per
+    row. Only the row table is held: each row's (ia, ib) and where its points end.
     """
     top = _grid_top(step)
-    held: list[np.ndarray] = []  # (ia, ib, ic) index rows not yet yielded
-    size = 0
-    for ia in range(1, top - 1):
-        ib, ic = _grid_rows(top, ia)
-        held.append(np.stack((np.full(ib.size, ia), ib, ic)))
-        size += ib.size
-        if size < _SCAN_CHUNK:
-            continue
-        grid = np.concatenate(held, axis=1)
-        full = size - size % _SCAN_CHUNK
-        for lo in range(0, full, _SCAN_CHUNK):
-            a, b, c = grid[:, lo:lo + _SCAN_CHUNK] * step
-            yield a, b, c
-        held, size = [grid[:, full:]], size - full
-    if size:
-        a, b, c = np.concatenate(held, axis=1) * step
-        yield a, b, c
+    r = np.arange(1, top)
+    ia, ib = np.nonzero(np.add.outer(r, r) < top)
+    ia, ib = ia + 1, ib + 1
+    ends = np.cumsum(top - ia - ib)  # row (ia, ib) holds ic = 1..top-ia-ib
+    total = int(ends[-1])
+    for lo in range(0, total, _SCAN_CHUNK):
+        hi = min(lo + _SCAN_CHUNK, total)
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        rows = np.arange(first, last + 1)
+        rows = np.repeat(rows, np.diff(np.minimum(ends[rows], hi), prepend=lo))
+        row_a, row_b = ia[rows], ib[rows]
+        ic = np.arange(lo, hi) - ends[rows] + (top + 1) - row_a - row_b
+        yield row_a * step, row_b * step, ic * step
 
 
 def _distance_from_w_point(

@@ -3,14 +3,16 @@
 The package calls none of these. Each takes the direct route: the gates'
 2x2 matrices written out, a tensor product of two states, a normalized state
 from a list of amplitudes, a weighted sum of density matrices, a gate embedded
-as a full 2^n x 2^n operator, the cloner's mixtures as complex 64x64 matrices
-and the Bell-triple witness from partial traces. Tests hold both circuit
-simulators, the integer witness and the parity-sector audit to them.
+as a full 2^n x 2^n operator, the cloner's mixtures as complex 64x64 matrices,
+the Bell-triple witness from partial traces and the exact rank of an integer
+matrix by elimination. Tests hold both circuit simulators, the integer witness,
+the Schur-complement span and the parity-sector audit to them.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import operator
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,6 +82,25 @@ def cloner_io(
     rho_in = mix([0.5, 0.5], [density(tensor(state, state_blank)) for state in pair])
     rho_out = mix([0.5, 0.5], [density(tensor(state, state)) for state in pair])
     return rho_in, rho_out, Bipartition(6, frozenset({k - 1, k + 2}))
+
+
+def integer_rank(matrix: Iterable[Iterable[int]]) -> int:
+    """Exact rank of an integer matrix given by rows, by fraction-free elimination; a float
+    or complex entry raises TypeError, as the answer is exact only because the entries are."""
+    rows = [[operator.index(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rank += 1
+        # cross-multiplying clears column col from every other row and keeps them integer
+        rows = [
+            [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)] if row[col] else row
+            for row in rows
+        ]
+    return rank
 
 
 def reference_bell_like(states, cut):

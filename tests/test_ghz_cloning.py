@@ -274,6 +274,29 @@ def test_bell_like_checks_each_condition(kets, expected):
     assert reference_bell_like(states, CUTS[2]) == expected
 
 
+@st.composite
+def _two_ket_triples(draw):
+    """Three integer amplitude vectors with exactly two entries +/-1 each, on the kets of
+    two A-side rows at one cut: there the witness can hold, or fail on one check alone."""
+    bit = 4 >> draw(st.integers(0, 2))  # the cut qubit
+    rows = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    pool = [i for i in range(8) if ((i >> 1) & -bit | i & (bit - 1)) in rows]
+    signs = st.sampled_from((1, -1))
+    return [
+        _kets(*zip(draw(st.tuples(signs, signs)), draw(st.permutations(pool))[:2]))
+        for _ in range(3)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_ket_triples())
+def test_bell_like_matches_the_density_route_off_the_ghz_labels(kets):
+    signs = np.stack(kets)
+    states = [StateVector(3, s / np.linalg.norm(s)) for s in signs.astype(complex)]
+    for k, cut in enumerate(CUTS):
+        assert ghz_cloning._bell_like_across(signs, k) == reference_bell_like(states, cut)
+
+
 def _random_unitary(rng, dim):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return np.linalg.qr(raw)[0]

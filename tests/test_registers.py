@@ -1,5 +1,5 @@
 """Register numerics: composition, both circuit simulators, reduction, transposition, spectra,
-exact ranks."""
+and the reference exact rank."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from locclone.exact import GATES, integer_rank
+from locclone.exact import GATES
 from locclone.ghz_cloning import CloningCircuit, apply_monomial, verify_cloner
 from locclone.registers import (
     Bipartition,
@@ -31,7 +31,7 @@ from locclone.registers import (
 from locclone.states import GhzLabel, ghz, w_basis
 
 from references import (
-    GATE_MATRICES, GATE_S, GATE_X, GATE_Z, embed_operator, make_pure, mix, tensor,
+    GATE_MATRICES, GATE_S, GATE_X, GATE_Z, embed_operator, integer_rank, make_pure, mix, tensor,
 )
 
 RT2 = np.sqrt(2.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locclone import ghz_cloning, w_audit
-from locclone.exact import integer_rank
+from locclone.exact import cut_columns
 from locclone.measures import W_CUT_ENTROPY_BITS, negativity, wclass_min_cut_entropy
 from locclone.registers import (
     Bipartition,
@@ -41,7 +42,7 @@ from locclone.w_audit import (
 )
 
 import references
-from references import cloner_io, mix
+from references import cloner_io, integer_rank, mix
 
 # Hand-checked catalog: category and witness cut for every W-basis pair.
 GOLDEN = {
@@ -121,13 +122,13 @@ def _mutate_cut_matrix(monkeypatch, state, mutate):
     Neither changes a column space or which Gram matrices vanish, so classify_pair
     must not change.
     """
-    real, target = w_audit._cut_columns, w_signs(state)
+    real, target = w_audit.cut_columns, w_signs(state)
 
     def patched(signs, k):
         columns = real(signs, k)
         return mutate(columns) if signs == target else columns
 
-    monkeypatch.setattr(w_audit, "_cut_columns", patched)
+    monkeypatch.setattr(w_audit, "cut_columns", patched)
 
 
 def test_btype_form_rejects_a_shared_direction_that_is_no_eigenvector(monkeypatch):
@@ -171,7 +172,7 @@ def test_every_structure_check_refuses_a_pair_of_one_state():
 def test_cut_columns_are_the_single_qubit_cut(k):
     # amplitude i is i, so each column lists the indices it reads
     want = cut_matrix(StateVector(3, np.arange(8)), Bipartition(3, frozenset({k - 1})))
-    assert w_audit._cut_columns(tuple(range(8)), k) == tuple(map(tuple, want.T.tolist()))
+    assert cut_columns(tuple(range(8)), k) == tuple(map(tuple, want.T.tolist()))
 
 
 def test_classify_pair_reads_each_cut_once(monkeypatch):
@@ -675,6 +676,19 @@ def test_grid_chunks_are_full_and_in_grid_order(monkeypatch, step):
         assert points == grid
         assert all(part[0].size == chunk for part in chunks[:-1])
         assert 0 < chunks[-1][0].size <= chunk
+
+
+def test_grid_chunks_hold_only_the_row_table():
+    # at the finest step ia = 1 alone covers 123,753 grid points; the generator holds
+    # only the (ia, ib) row table, 124,251 rows, where whole ia rows peaked at 10.7 MB
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(w_audit._grid_chunks(w_audit.SCAN_MIN_STEP), 200):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_lemma_scan_does_not_depend_on_the_chunk_size(monkeypatch):
