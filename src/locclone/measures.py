@@ -52,12 +52,7 @@ def negativity(dm: DensityMatrix, cut: Bipartition) -> float:
 
     This is twice the negativity of Vidal & Werner, PRA 65, 032314 (2002).
     """
-    return transpose_negativity(partial_transpose(dm, cut))
-
-
-def transpose_negativity(flipped: np.ndarray) -> float:
-    """negativity from a partial transpose already taken, or from a stack of its diagonal blocks."""
-    value = trace_norm(flipped) - 1.0
+    value = trace_norm(partial_transpose(dm, cut)) - 1.0
     return 0.0 if abs(value) < ZERO_CLAMP else value
 
 

@@ -114,28 +114,29 @@ def partial_trace(dm: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
 
 
 def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> np.ndarray:
-    """dm's entries with the cut's B-side indices transposed: Hermitian, maybe not positive."""
+    """dm's entries, or a stack, with the cut's B side transposed: Hermitian, maybe not positive."""
     n = dm.n_qubits
     if cut.n_qubits != n:
         raise ValueError("cut register size does not match the density matrix")
-    t = dm.entries.reshape([2] * (2 * n))
-    perm = list(range(2 * n))
-    for q in cut.side_b:
-        perm[q], perm[q + n] = perm[q + n], perm[q]
-    return t.transpose(perm).reshape(dm.entries.shape)
+    t = dm.entries.reshape(dm.entries.shape[:-2] + (2,) * (2 * n))
+    for q in cut.side_b:  # row bit q of each matrix is axis q - 2n from the end, its column q - n
+        t = np.swapaxes(t, q - 2 * n, q - n)
+    return t.reshape(dm.entries.shape)
 
 
-def hermitian_spectrum(entries: np.ndarray) -> np.ndarray:
-    """Real eigenvalues, descending; VerificationError if the matrix is not Hermitian.
+def hermitian_spectrum(entries: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
+    """Real eigenvalues, descending; VerificationError if a matrix is not Hermitian.
 
-    A stack (..., d, d) is checked and solved at once, one spectrum per matrix.
+    A stack (..., d, d) is checked and solved at once, one spectrum per matrix. Names
+    split it in order into equal runs of matrices, and the error names the first to fail.
     """
-    asymmetry = float(np.max(np.abs(entries - np.swapaxes(entries, -1, -2).conj())))
-    if not asymmetry <= HERMITICITY_ATOL:  # or NaN
-        raise VerificationError(
-            f"operator is not Hermitian: largest |A - A^H| entry {asymmetry!r} "
-            f"exceeds {HERMITICITY_ATOL}"
-        )
+    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).reshape(len(names) or 1, -1)
+    for i, asymmetry in enumerate(skew.max(axis=1)):
+        if not asymmetry <= HERMITICITY_ATOL:  # or NaN
+            raise VerificationError(
+                f"{names[i] + ': ' if names else ''}operator is not Hermitian: largest "
+                f"|A - A^H| entry {float(asymmetry)!r} exceeds {HERMITICITY_ATOL}"
+            )
     # LAPACK can miss by 2e-3 when entries' squares underflow (a 1e-161 amplitude in a
     # 4-qubit mixture); zeroing entries below 1.5e-154 moves eigenvalues < 1e-150
     return np.linalg.eigvalsh(np.where(np.abs(entries) < 1.5e-154, 0.0, entries))[..., ::-1]

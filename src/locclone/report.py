@@ -148,7 +148,7 @@ def build_report(step: float, exclusion_radius: float) -> dict:
             f"{_split_text(REFERENCE_TAXONOMY)}"
         )
     try:
-        records = tuple(audit_classified(c) for c in classifications)
+        records = audit_classified(classifications)
     except VerificationError as exc:
         if split != REFERENCE_TAXONOMY:  # a mis-sorted pair failed its audit: name the split
             raise type(exc)(f"{notes[-1]}; {exc}") from None

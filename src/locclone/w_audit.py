@@ -23,10 +23,10 @@ an output above the input certifies that no LOCC step can have produced it.
 Every value comes from X_s, the 8x8 partial transpose of |s><s| at qubit k,
 for s = W_m, W_n and the blank. Each W-basis state has one Z(x)Z(x)Z parity, so
 each X_s splits into two 4x4 parity blocks. The input's partial transpose is
-(X_m + X_n)/2 (x) X_blank, whose two trace norms multiply and come from one
-stacked 4x4 eigensolve; the output's, the mean of X_s (x) X_s over the pair,
-lies in four 16x16 parity sectors, built by one batched matmul and taken by one
-batched eigensolve.
+(X_m + X_n)/2 (x) X_blank, whose two trace norms multiply; the output's, the
+mean of X_s (x) X_s over the pair, lies in four 16x16 parity sectors, of which
+(1,0) is (0,1) with original and clone swapped, so three are solved. The pairs
+audited together are one batch, each row at its own k: two eigensolves in all.
 
 The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
@@ -49,14 +49,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import entropy_bits, transpose_negativity, wclass_cut_spectra
-from .exact import Bipartition, StructureMismatchError, VerificationError, integer_index
-from .exact import column_dot, cut_columns
+from .measures import entropy_bits, wclass_cut_spectra
+from .exact import Bipartition, StructureMismatchError, column_dot, cut_columns, integer_index
 from .registers import DensityMatrix, StateVector, hermitian_spectrum, partial_transpose
 from .states import w_basis, w_signs
 # lemma_scan reads the threshold through this module's own global; blank_insufficiency
 # keeps its w_audit name
-from .wclass import W_CUT_ENTROPY_BITS, WClassParams, blank_insufficiency
+from .wclass import W_CUT_ENTROPY_BITS, ZERO_CLAMP, WClassParams, blank_insufficiency
 
 SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
@@ -66,6 +65,7 @@ SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 # 1 << 13 (best of 8 processes), with 29.6, 30.7 and 32.9 MB max RSS.
 _SCAN_CHUNK = 1 << 12
 
+_QUBIT_CUTS = {k: Bipartition(3, frozenset({k - 1})) for k in (1, 2, 3)}  # lab B holds qubit k
 # The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks
 _PARITY = np.array([[i for i in range(8) if bin(i).count("1") % 2 == p] for p in (0, 1)])
 
@@ -281,64 +281,80 @@ def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
     """Negativities of the cloner's input and output across the witness lab cut.
 
     Input: equal mixture of W_m (x) W_blank and W_n (x) W_blank. Output: that of
-    W_m (x) W_m and W_n (x) W_n.
+    W_m (x) W_m and W_n (x) W_n. This is the audit_classified batch of one pair.
     """
-    return audit_classified(classify_pair(m, n), blank)
+    return audit_classified((classify_pair(m, n),), blank)[0]
 
 
-def audit_classified(cls: PairClassification, blank: int = 1) -> AuditRecord:
-    """negativity_audit of a pair already classified, at its witness cut.
+def audit_classified(
+    pairs: Sequence[PairClassification], blank: int = 1
+) -> tuple[AuditRecord, ...]:
+    """negativity_audit of classified pairs, each at its witness cut, in one pass.
 
-    Every value comes from the _parity_blocks of (W_m, W_n, W_blank): the input's
-    trace norm is the pair's (its members' mean blocks) times the blank's, both
-    from one stacked solve, and the output's comes from the pair's _output_sectors.
-    A failed check names the pair and the cut.
+    Row i holds pair i's (W_m, W_n, W_blank) at its cut. Its input trace norm is the
+    pair's (its members' mean _parity_blocks) times the blank's, its output's comes from
+    its _output_sectors, and each takes one stacked solve over all rows. A record depends
+    on its row alone; a failed check names the first failing row's pair and cut.
     """
     blank = integer_index(blank, "blank W basis index")
-    m, n, k = cls.m, cls.n, cls.witness_k
-    assert k is not None
-    form = btype_form(m, n, k).form if cls.category == CATEGORY_B else None
-    try:
-        blocks = _parity_blocks((w_basis(m), w_basis(n), w_basis(blank)), k)
-        # the pair mixture's transpose is the mean of its members' X_s
-        factors = np.stack([(blocks[0] + blocks[1]) / 2, blocks[2]])
-        pair_norm, blank_norm = np.abs(hermitian_spectrum(factors)).sum(axis=(1, 2))
-        negativity_in = float(pair_norm * blank_norm) - 1.0
-        negativity_out = transpose_negativity(_output_sectors(blocks[:2]))
-    except VerificationError as exc:
-        raise type(exc)(f"pair ({m},{n}) at k={k}: {exc}") from None
-    return AuditRecord(m, n, cls.category, k, form, negativity_in, negativity_out, blank)
+    basis = {x: w_basis(x) for x in {blank}.union(*((c.m, c.n) for c in pairs))}
+    if not pairs:
+        return ()
+    names = [f"pair ({c.m},{c.n}) at k={c.witness_k}" for c in pairs]
+    blocks = _parity_blocks([(basis[c.m], basis[c.n], basis[blank]) for c in pairs],
+                            [c.witness_k for c in pairs], names)
+    # the pair mixture's transpose is the mean of its members' X_s
+    factors = np.stack([(blocks[:, 0] + blocks[:, 1]) / 2, blocks[:, 2]], axis=1)
+    norms = np.abs(hermitian_spectrum(factors, names)).reshape(-1, 2, 8).sum(axis=-1)
+    sectors = np.abs(hermitian_spectrum(_output_sectors(blocks[:, :2]), names)).sum(axis=-1)
+    # sector (1,0) is (0,1) with original and clone swapped: its spectrum counts twice
+    out = sectors[0::3] + 2.0 * sectors[1::3] + sectors[2::3] - 1.0
+    return tuple(
+        AuditRecord(c.m, c.n, c.category, c.witness_k,
+                    btype_form(c.m, c.n, c.witness_k).form if c.category == CATEGORY_B else None,
+                    float(x_in), 0.0 if abs(x_out) < ZERO_CLAMP else float(x_out), blank)
+        for c, x_in, x_out in zip(pairs, norms[:, 0] * norms[:, 1] - 1.0, out)
+    )
 
 
-def _parity_blocks(states: Sequence[StateVector], k: int) -> np.ndarray:
-    """The two 4x4 _PARITY blocks of each X_s = (|s><s|)^T_k, as [s, p, a, c].
+def _parity_blocks(
+    states: Sequence[Sequence[StateVector]], cuts: Sequence[int], names: Sequence[str]
+) -> np.ndarray:
+    """The two 4x4 _PARITY blocks of each X_s = (|s><s|)^T_k, as [row, s, p, a, c].
 
-    A state of definite Z(x)Z(x)Z parity keeps X_s inside its blocks; an entry of
-    some X_s outside them raises StructureMismatchError.
+    Row i is transposed at qubit cuts[i], by one stacked partial_transpose per cut. A
+    state of definite Z(x)Z(x)Z parity keeps X_s inside its blocks; the first row with
+    an entry of some X_s outside them raises StructureMismatchError under its name.
     """
-    cut = Bipartition(3, frozenset({k - 1}))
     # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
-    flipped = np.stack([
-        partial_transpose(DensityMatrix(3, np.outer(s.amplitudes.real, s.amplitudes.real)), cut)
-        for s in states
-    ])
-    blocks = flipped[:, _PARITY[:, :, None], _PARITY[:, None, :]]
-    inside, total = np.count_nonzero(blocks), np.count_nonzero(flipped)
-    if inside < total:
+    amplitudes = np.array([[s.amplitudes.real for s in row] for row in states])
+    rho = amplitudes[..., :, None] * amplitudes[..., None, :]
+    groups = {k: [i for i, c in enumerate(cuts) if c == k] for k in set(cuts)}
+    parts = {k: partial_transpose(DensityMatrix(3, rho[rows]), _QUBIT_CUTS[k])
+             for k, rows in groups.items()}
+    flipped = np.empty(rho.shape, np.result_type(*parts.values()))  # casts no complex part away
+    for k, rows in groups.items():
+        flipped[rows] = parts[k]
+    blocks = flipped[..., _PARITY[:, :, None], _PARITY[:, None, :]]
+    if np.count_nonzero(blocks) < np.count_nonzero(flipped):  # name the first row at fault
+        total, inside = (np.count_nonzero(x.reshape(len(x), -1), axis=1) for x in (flipped, blocks))
+        i = np.argmax(inside < total)
         raise StructureMismatchError(
-            f"{total - inside} of {total} nonzero entries of the states' 8x8 partial "
-            "transposes lie outside the register parity sectors"
+            f"{names[i]}: {total[i] - inside[i]} of {total[i]} nonzero entries of the states' "
+            "8x8 partial transposes lie outside the register parity sectors"
         )
     return blocks
 
 
 def _output_sectors(blocks: np.ndarray) -> np.ndarray:
-    """The clones' partial transpose, the mean of X_s (x) X_s, as its four 16x16 parity
-    sectors (p, q), each the mean of X_s[p] (x) X_s[q], from blocks [s, p, a, c]."""
-    # [p, (a, c), s] @ [q, s, (b, d)] -> [p, q, (a, c), (b, d)], then (ac, bd) -> (ab, cd)
-    factors = blocks.transpose(1, 2, 3, 0).reshape(2, 16, len(blocks))
-    products = np.matmul(factors[:, None], factors.transpose(0, 2, 1)[None]) / len(blocks)
-    return products.reshape(2, 2, 4, 4, 4, 4).transpose(0, 1, 2, 4, 3, 5).reshape(4, 16, 16)
+    """The clones' partial transpose, each row's mean of X_s (x) X_s, as its 16x16 parity
+    sectors (0,0), (0,1) and (1,1), each the mean of X_s[p] (x) X_s[q], stacked
+    (3 * rows, 16, 16) row by row from blocks [row, s, p, a, c]."""
+    rows, states = blocks.shape[:2]
+    # [row, p, (a, c), s] @ [row, q, s, (b, d)] -> [row, pq, (a, c), (b, d)] -> (ab, cd)
+    factors = blocks.transpose(0, 2, 3, 4, 1).reshape(rows, 2, 16, states)
+    products = np.matmul(factors[:, [0, 0, 1]], factors[:, [0, 1, 1]].swapaxes(2, 3)) / states
+    return products.reshape(rows, 3, 4, 4, 4, 4).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 16, 16)
 
 
 def _grid_top(step: float) -> int:
@@ -502,4 +518,4 @@ def all_pair_classifications() -> tuple[PairClassification, ...]:
 
 
 def all_audit_records(blank: int = 1) -> tuple[AuditRecord, ...]:
-    return tuple(audit_classified(cls, blank) for cls in all_pair_classifications())
+    return audit_classified(all_pair_classifications(), blank)

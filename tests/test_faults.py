@@ -52,9 +52,24 @@ def swapped_schur_weights(patch):
 def non_hermitian_output_transpose(patch):
     transpose = w_audit.partial_transpose
 
-    def skewed(rho, cut):
+    def skewed(rho, cut):  # rho holds a stack of 8x8 matrices, one per row and state
         entries = transpose(rho, cut)
-        return entries + 1e-6j * np.eye(len(entries))
+        return entries + 1e-6j * np.eye(entries.shape[-1])
+
+    patch.setattr(w_audit, "partial_transpose", skewed)
+
+
+def non_hermitian_pair_1_6(patch):
+    # only the row of pair (1,6), its members W1 and W6, is skewed: the audit must name
+    # that row, not the batch's first
+    transpose = w_audit.partial_transpose
+    members = np.stack([np.outer(a, a) for a in
+                        (w_audit.w_basis(x).amplitudes.real for x in (1, 6))])
+
+    def skewed(rho, cut):  # rho's entries are [row, state, 8, 8], the pair's first
+        entries = transpose(rho, cut)
+        row = (rho.entries[:, :2] == members).all(axis=(1, 2, 3))
+        return entries + 1e-6j * row[:, None, None, None] * np.eye(8)
 
     patch.setattr(w_audit, "partial_transpose", skewed)
 
@@ -63,11 +78,12 @@ def shifted_audit_value(patch):
     # one input value 1e-6 off, far inside the 1e-3 a five-decimal benchmark table allowed
     audit = w_audit.audit_classified
 
-    def shifted(cls, blank=1):
-        record = audit(cls, blank)
-        if (record.m, record.n) != (1, 6):
-            return record
-        return record._replace(negativity_in=record.negativity_in + 1e-6)
+    def shifted(pairs, blank=1):
+        return tuple(
+            record._replace(negativity_in=record.negativity_in + 1e-6)
+            if (record.m, record.n) == (1, 6) else record
+            for record in audit(pairs, blank)
+        )
 
     patch.setattr(w_audit, "audit_classified", shifted)
 
@@ -116,12 +132,15 @@ CASES = [
      "pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
     (shifted_audit_value, ["w", "audit"], W_AUDIT_HEAD, "audit (1,6) I: negativities"),
     (shifted_audit_value, REPORT, REPORT_HEAD, "audit (1,6) I: negativities"),
-    # the skew enters each state's 8x8 transpose, so the input solve, which runs first,
-    # sees 1e-6j on the diagonal of the pair's mean blocks and of the blank's
+    # the skew enters every state's 8x8 transpose, so the input solve, which runs first,
+    # sees 1e-6j on the diagonal of each row's mean blocks and blank blocks, and names
+    # the first row
     (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",
      "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (non_hermitian_output_transpose, REPORT, "",
      "error: pair (1,2) at k=2: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
+    (non_hermitian_pair_1_6, REPORT, "",
+     "error: pair (1,6) at k=3: operator is not Hermitian: largest |A - A^H| entry 2e-06"),
     (wrong_parity_table, ["w", "audit", "--pair", "1,6"], "",
      "lie outside the register parity sectors"),
     (wrong_parity_table, REPORT, "", "lie outside the register parity sectors"),

@@ -391,13 +391,13 @@ def test_every_audit_record_matches_its_closed_form():
         for r in records
         for ref in [REFERENCE_NEGATIVITIES[r.form or r.category]]
     )
-    assert worst <= 1e-13  # near 64 eps ||Y||; measured 2.7e-15
+    assert worst <= 1e-13  # near 64 eps ||Y||; measured 3.1e-15
 
 
 @pytest.mark.parametrize("blank, k", itertools.product(range(1, 9), (1, 2, 3)))
 def test_blank_trace_norm_is_one_plus_the_blank_negativity(blank, k):
     # the audit reads the blank's factor from its two 4x4 parity blocks
-    value = trace_norm(w_audit._parity_blocks([w_basis(blank)], k)[0])
+    value = trace_norm(w_audit._parity_blocks([[w_basis(blank)]], [k], ["blank"])[0, 0])
     cut = Bipartition(3, frozenset({k - 1}))
     assert abs(value - (1.0 + negativity(density(w_basis(blank)), cut))) <= 1e-15
     # every W-basis state splits 2/3, 1/3 at each cut: ||W^T_k||_1 = 1 + 2 sqrt(2/9)
@@ -417,9 +417,12 @@ def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
     for m, n in ((1, 3), (1, 5)):  # two C pairs with witness k=1
         assert negativity_audit(m, n, blank=4).witness_k == 1
         # the pair's and the blank's 4x4 parity blocks in one stacked solve, then the
-        # output's four parity sectors: no 8x8, 64x64 or complex solve
-        assert solves == [((2, 2, 4, 4), real), ((4, 16, 16), real)]
+        # output's three distinct parity sectors: no 8x8, 64x64 or complex solve
+        assert solves == [((1, 2, 2, 4, 4), real), ((3, 16, 16), real)]
         solves.clear()
+    # all 28 pairs are one batch: two solves in all, over 84 16x16 sectors and not 112
+    assert len(all_audit_records(4)) == 28
+    assert solves == [((28, 2, 2, 4, 4), real), ((84, 16, 16), real)]
 
 
 @pytest.mark.parametrize("index", range(1, 9))
@@ -460,8 +463,34 @@ def test_output_partial_transpose_lies_in_the_parity_sectors_at_every_cut():
     for (m, n), k in itertools.product(pairs, (1, 2, 3)):
         _, rho_out, cut = cloner_io(m, n, k)
         assert not partial_transpose(rho_out, cut)[outside].any(), (m, n, k)
-        sectors = w_audit._output_sectors(w_audit._parity_blocks((w_basis(m), w_basis(n)), k))
-        assert abs(trace_norm(sectors) - 1.0 - negativity(rho_out, cut)) <= 1e-12, (m, n, k)
+        blocks = w_audit._parity_blocks([(w_basis(m), w_basis(n))], [k], ["pair"])
+        # all four sectors (p, q), the mean of X_s[p] (x) X_s[q], one Kronecker product each
+        s00, s01, s10, s11 = (sum(np.kron(x[p], x[q]) for x in blocks[0]) / 2
+                              for p, q in itertools.product((0, 1), repeat=2))
+        # (1,0) is (0,1) with original and clone swapped, so the audit solves three
+        assert np.array_equal(s01.reshape(4, 4, 4, 4),
+                              s10.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2)), (m, n, k)
+        sectors = w_audit._output_sectors(blocks)
+        assert np.abs(sectors - np.stack([s00, s01, s11])).max() <= 1e-15, (m, n, k)
+        s00_norm, s01_norm, s11_norm = (trace_norm(x) for x in sectors)
+        three_sectors = s00_norm + 2.0 * s01_norm + s11_norm
+        assert abs(three_sectors - 1.0 - negativity(rho_out, cut)) <= 1e-12, (m, n, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(all_pair_classifications()), min_size=1, max_size=28,
+                unique=True), st.integers(1, 8))
+def test_a_batch_record_is_the_single_pair_audit_exactly(classifications, blank):
+    # any subset of the pairs, in any order: each record is bit for bit the one
+    # negativity_audit gives alone, so a document row can be checked by ==
+    records = w_audit.audit_classified(classifications, blank)
+    assert records == tuple(negativity_audit(c.m, c.n, blank) for c in classifications)
+
+
+def test_an_empty_batch_has_no_records_but_checks_its_blank():
+    assert w_audit.audit_classified((), 4) == ()
+    with pytest.raises(ValueError, match="W basis index must be 1..8"):
+        w_audit.audit_classified((), 9)
 
 
 def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
