@@ -10,7 +10,7 @@ Conventions used throughout the package:
   labels are 1-based and translated at the CLI boundary).
 * The numpy-free names (VerificationError, integer_index, Bipartition, the gate
   records and the 3-qubit cut_columns) live in exact, which the GHZ half runs on
-  alone; this module holds what needs numpy, for the W half, measure and the benchmark.
+  alone; this module holds what needs numpy, for the W audit's spectra, measure and the benchmark.
 """
 from __future__ import annotations
 
@@ -114,13 +114,13 @@ def partial_trace(dm: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
 
 
 def partial_transpose(dm: DensityMatrix, cut: Bipartition) -> np.ndarray:
-    """dm's entries, or a stack, with the cut's B side transposed: Hermitian, maybe not positive."""
+    """One matrix's entries with the cut's B side transposed: Hermitian, maybe not positive."""
     n = dm.n_qubits
     if cut.n_qubits != n:
         raise ValueError("cut register size does not match the density matrix")
-    t = dm.entries.reshape(dm.entries.shape[:-2] + (2,) * (2 * n))
-    for q in cut.side_b:  # row bit q of each matrix is axis q - 2n from the end, its column q - n
-        t = np.swapaxes(t, q - 2 * n, q - n)
+    t = dm.entries.reshape([2] * (2 * n))
+    for q in cut.side_b:  # row bit q is axis q, its column bit axis q + n
+        t = np.swapaxes(t, q, q + n)
     return t.reshape(dm.entries.shape)
 
 

@@ -28,7 +28,7 @@ from .registers import StateVector
 from .wclass import WClassParams, parse_wclass_params
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_SQRT_THIRD = 1.0 / math.sqrt(3.0)
+SQRT_THIRD = 1.0 / math.sqrt(3.0)  # a W-basis amplitude's magnitude; w_audit reads it too
 
 
 def ghz(label: GhzLabel) -> StateVector:
@@ -66,7 +66,7 @@ def w_signs(n: int) -> tuple[int, ...]:
 
 def w_basis(n: int) -> StateVector:
     """W-type basis state W1..W8."""
-    return StateVector(3, (np.array(w_signs(n)) * _SQRT_THIRD).astype(complex))
+    return StateVector(3, (np.array(w_signs(n)) * SQRT_THIRD).astype(complex))
 
 
 def w_class(params: WClassParams) -> StateVector:

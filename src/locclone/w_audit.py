@@ -20,13 +20,13 @@ No tolerance is left to tune.
 The audit cuts the cloner input and output mixtures between lab A (qubits
 i, j of both registers) and lab B (qubit k of both) and compares negativities:
 an output above the input certifies that no LOCC step can have produced it.
-Every value comes from X_s, the 8x8 partial transpose of |s><s| at qubit k,
-for s = W_m, W_n and the blank. Each W-basis state has one Z(x)Z(x)Z parity, so
-each X_s splits into two 4x4 parity blocks. The input's partial transpose is
-(X_m + X_n)/2 (x) X_blank, whose two trace norms multiply; the output's, the
-mean of X_s (x) X_s over the pair, lies in four 16x16 parity sectors, of which
-(1,0) is (0,1) with original and clone swapped, so three are solved. The pairs
-audited together are one batch, each row at its own k: two eigensolves in all.
+Every value comes from X_s = (|s><s|)^T_k for s = W_m, W_n and the blank, read
+from the taxonomy's integer signs: X_s[i, j] = s[i ^ d] s[j ^ d] / 3, d the bit
+of qubit k in i ^ j. A W-basis state has one Z(x)Z(x)Z parity, so X_s has two
+4x4 blocks. The input's partial transpose is (X_m + X_n)/2 (x) X_blank, whose
+trace norms multiply; the output's, the mean of X_s (x) X_s over the pair, lies
+in four 16x16 parity sectors, of which (1,0) is (0,1) with original and clone
+swapped, so three are solved. A batch of pairs takes two eigensolves in all.
 
 The lemma-scan half covers W-class states: each one-qubit marginal spectrum
 has the closed form lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd))/2 with x the
@@ -50,9 +50,9 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .measures import entropy_bits, wclass_cut_spectra
-from .exact import Bipartition, StructureMismatchError, column_dot, cut_columns, integer_index
-from .registers import DensityMatrix, StateVector, hermitian_spectrum, partial_transpose
-from .states import w_basis, w_signs
+from .exact import StructureMismatchError, column_dot, cut_columns, integer_index
+from .registers import hermitian_spectrum
+from .states import SQRT_THIRD, w_signs
 # lemma_scan reads the threshold through this module's own global; blank_insufficiency
 # keeps its w_audit name
 from .wclass import W_CUT_ENTROPY_BITS, ZERO_CLAMP, WClassParams, blank_insufficiency
@@ -65,9 +65,11 @@ SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 # 1 << 13 (best of 8 processes), with 29.6, 30.7 and 32.9 MB max RSS.
 _SCAN_CHUNK = 1 << 12
 
-_QUBIT_CUTS = {k: Bipartition(3, frozenset({k - 1})) for k in (1, 2, 3)}  # lab B holds qubit k
 # The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks
 _PARITY = np.array([[i for i in range(8) if bin(i).count("1") % 2 == p] for p in (0, 1)])
+# Block entry (i, j) of X_s is s[i ^ d] s[j ^ d], d = (i ^ j) & qubit k's bit: [k-1, side, p, a, c]
+_BLOCK_KETS = np.array([[_PARITY[:, :, None] ^ d, _PARITY[:, None, :] ^ d] for d in (
+    (_PARITY[:, :, None] ^ _PARITY[:, None, :]) & bit for bit in (4, 2, 1))])
 
 CATEGORY_A = "A"
 CATEGORY_B = "B"
@@ -297,12 +299,11 @@ def audit_classified(
     on its row alone; a failed check names the first failing row's pair and cut.
     """
     blank = integer_index(blank, "blank W basis index")
-    basis = {x: w_basis(x) for x in {blank}.union(*((c.m, c.n) for c in pairs))}
+    w_signs(blank)  # refuses a bad blank, an empty batch too
     if not pairs:
         return ()
     names = [f"pair ({c.m},{c.n}) at k={c.witness_k}" for c in pairs]
-    blocks = _parity_blocks([(basis[c.m], basis[c.n], basis[blank]) for c in pairs],
-                            [c.witness_k for c in pairs], names)
+    blocks = _parity_blocks([(c.m, c.n, blank) for c in pairs], [c.witness_k for c in pairs], names)
     # the pair mixture's transpose is the mean of its members' X_s
     factors = np.stack([(blocks[:, 0] + blocks[:, 1]) / 2, blocks[:, 2]], axis=1)
     norms = np.abs(hermitian_spectrum(factors, names)).reshape(-1, 2, 8).sum(axis=-1)
@@ -318,32 +319,31 @@ def audit_classified(
 
 
 def _parity_blocks(
-    states: Sequence[Sequence[StateVector]], cuts: Sequence[int], names: Sequence[str]
+    rows: Sequence[Sequence[int]], cuts: Sequence[int], names: Sequence[str]
 ) -> np.ndarray:
     """The two 4x4 _PARITY blocks of each X_s = (|s><s|)^T_k, as [row, s, p, a, c].
 
-    Row i is transposed at qubit cuts[i], by one stacked partial_transpose per cut. A
-    state of definite Z(x)Z(x)Z parity keeps X_s inside its blocks; the first row with
-    an entry of some X_s outside them raises StructureMismatchError under its name.
+    Row i lists W-basis indices, transposed at qubit cuts[i]: w_signs gathered through
+    _BLOCK_KETS, times fl(1/sqrt(3))^2 as two w_basis amplitudes multiply (not 1/3). A state
+    with n_p kets of parity p has 2 n_0 n_1 of the (n_0 + n_1)^2 nonzero entries of X_s
+    outside the blocks; the first row with any raises StructureMismatchError under its name.
     """
-    # W-basis amplitudes are real, so dropping their zero imaginary parts loses nothing
-    amplitudes = np.array([[s.amplitudes.real for s in row] for row in states])
-    rho = amplitudes[..., :, None] * amplitudes[..., None, :]
-    groups = {k: [i for i, c in enumerate(cuts) if c == k] for k in set(cuts)}
-    parts = {k: partial_transpose(DensityMatrix(3, rho[rows]), _QUBIT_CUTS[k])
-             for k, rows in groups.items()}
-    flipped = np.empty(rho.shape, np.result_type(*parts.values()))  # casts no complex part away
-    for k, rows in groups.items():
-        flipped[rows] = parts[k]
-    blocks = flipped[..., _PARITY[:, :, None], _PARITY[:, None, :]]
-    if np.count_nonzero(blocks) < np.count_nonzero(flipped):  # name the first row at fault
-        total, inside = (np.count_nonzero(x.reshape(len(x), -1), axis=1) for x in (flipped, blocks))
-        i = np.argmax(inside < total)
+    cuts = [integer_index(k, "cut index k") for k in cuts]
+    if any(k not in (1, 2, 3) for k in cuts):
+        raise ValueError(f"cut indices {cuts} must each be 1..3")
+    signs = np.array([[w_signs(x) for x in row] for row in rows])
+    kets = (signs[..., _PARITY] != 0).sum(axis=-1)  # n_p, as [row, s, p]
+    outside = 2 * kets[..., 0] * kets[..., 1]
+    if outside.any():
+        i = np.argmax(outside.any(axis=1))
         raise StructureMismatchError(
-            f"{names[i]}: {total[i] - inside[i]} of {total[i]} nonzero entries of the states' "
-            "8x8 partial transposes lie outside the register parity sectors"
+            f"{names[i]}: {outside[i].sum()} of {(kets[i].sum(axis=-1) ** 2).sum()} nonzero "
+            "entries of the states' 8x8 partial transposes lie outside the register parity sectors"
         )
-    return blocks
+    at = _BLOCK_KETS[[k - 1 for k in cuts]].reshape(len(rows), -1)  # [row, (side, p, a, c)]
+    ends = signs[np.arange(len(rows))[:, None], :, at].swapaxes(1, 2)  # [row, s, (side, p, a, c)]
+    ends = ends.reshape(signs.shape[:2] + _BLOCK_KETS.shape[1:])
+    return ends[:, :, 0] * ends[:, :, 1] * (SQRT_THIRD * SQRT_THIRD)
 
 
 def _output_sectors(blocks: np.ndarray) -> np.ndarray:

@@ -50,28 +50,24 @@ def swapped_schur_weights(patch):
 
 
 def non_hermitian_output_transpose(patch):
-    transpose = w_audit.partial_transpose
+    blocks_of = w_audit._parity_blocks
 
-    def skewed(rho, cut):  # rho holds a stack of 8x8 matrices, one per row and state
-        entries = transpose(rho, cut)
-        return entries + 1e-6j * np.eye(entries.shape[-1])
+    def skewed(rows, cuts, names):  # blocks [row, s, p, a, c], one 4x4 per state and parity
+        return blocks_of(rows, cuts, names) + 1e-6j * np.eye(4)
 
-    patch.setattr(w_audit, "partial_transpose", skewed)
+    patch.setattr(w_audit, "_parity_blocks", skewed)
 
 
 def non_hermitian_pair_1_6(patch):
     # only the row of pair (1,6), its members W1 and W6, is skewed: the audit must name
     # that row, not the batch's first
-    transpose = w_audit.partial_transpose
-    members = np.stack([np.outer(a, a) for a in
-                        (w_audit.w_basis(x).amplitudes.real for x in (1, 6))])
+    blocks_of = w_audit._parity_blocks
 
-    def skewed(rho, cut):  # rho's entries are [row, state, 8, 8], the pair's first
-        entries = transpose(rho, cut)
-        row = (rho.entries[:, :2] == members).all(axis=(1, 2, 3))
-        return entries + 1e-6j * row[:, None, None, None] * np.eye(8)
+    def skewed(rows, cuts, names):  # each row lists W indices, the pair's first
+        row = np.array([tuple(r[:2]) == (1, 6) for r in rows])
+        return blocks_of(rows, cuts, names) + 1e-6j * row[:, None, None, None, None] * np.eye(4)
 
-    patch.setattr(w_audit, "partial_transpose", skewed)
+    patch.setattr(w_audit, "_parity_blocks", skewed)
 
 
 def shifted_audit_value(patch):
@@ -132,7 +128,7 @@ CASES = [
      "pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
     (shifted_audit_value, ["w", "audit"], W_AUDIT_HEAD, "audit (1,6) I: negativities"),
     (shifted_audit_value, REPORT, REPORT_HEAD, "audit (1,6) I: negativities"),
-    # the skew enters every state's 8x8 transpose, so the input solve, which runs first,
+    # the skew enters every state's parity blocks, so the input solve, which runs first,
     # sees 1e-6j on the diagonal of each row's mean blocks and blank blocks, and names
     # the first row
     (non_hermitian_output_transpose, ["w", "audit", "--pair", "1,6"], "",

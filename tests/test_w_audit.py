@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locclone import ghz_cloning, w_audit
-from locclone.exact import cut_columns
+from locclone.exact import cut_columns, ghz_signs
 from locclone.measures import W_CUT_ENTROPY_BITS, negativity, wclass_min_cut_entropy
 from locclone.registers import (
     Bipartition,
@@ -397,11 +397,39 @@ def test_every_audit_record_matches_its_closed_form():
 @pytest.mark.parametrize("blank, k", itertools.product(range(1, 9), (1, 2, 3)))
 def test_blank_trace_norm_is_one_plus_the_blank_negativity(blank, k):
     # the audit reads the blank's factor from its two 4x4 parity blocks
-    value = trace_norm(w_audit._parity_blocks([[w_basis(blank)]], [k], ["blank"])[0, 0])
+    value = trace_norm(w_audit._parity_blocks([[blank]], [k], ["blank"])[0, 0])
     cut = Bipartition(3, frozenset({k - 1}))
     assert abs(value - (1.0 + negativity(density(w_basis(blank)), cut))) <= 1e-15
     # every W-basis state splits 2/3, 1/3 at each cut: ||W^T_k||_1 = 1 + 2 sqrt(2/9)
     assert abs(value - (1.0 + 2.0 * math.sqrt(2.0) / 3.0)) <= 1e-15
+
+
+def _dense_blocks(x, k):
+    """X_s's two parity blocks from the dense 8x8 partial transpose of W_x at qubit k."""
+    flipped = partial_transpose(density(w_basis(x)), Bipartition(3, frozenset({k - 1})))
+    assert not flipped.imag.any()
+    return flipped.real[w_audit._PARITY[:, :, None], w_audit._PARITY[:, None, :]]
+
+
+def test_gathered_blocks_equal_the_dense_partial_transpose_bit_for_bit():
+    # the gather scales sign products by fl(1/sqrt(3))^2, what a product of two w_basis
+    # amplitudes rounds to; 1/3 would differ in the last bit
+    for x, k in itertools.product(range(1, 9), (1, 2, 3)):
+        blocks = w_audit._parity_blocks([[x]], [k], ["state"])
+        assert blocks.dtype == np.float64
+        assert np.array_equal(blocks[0, 0], _dense_blocks(x, k)), (x, k)
+    pairs = all_pair_classifications()
+    for blank in range(1, 9):
+        rows = [(c.m, c.n, blank) for c in pairs]
+        blocks = w_audit._parity_blocks(rows, [c.witness_k for c in pairs], ["pair"] * 28)
+        dense = [[_dense_blocks(x, c.witness_k) for x in row] for c, row in zip(pairs, rows)]
+        assert blocks.dtype == np.float64 and np.array_equal(blocks, np.array(dense)), blank
+
+
+@pytest.mark.parametrize("k", [0, 4, True])
+def test_parity_blocks_refuse_a_cut_outside_1_to_3(k):
+    with pytest.raises(ValueError):
+        w_audit._parity_blocks([(1, 6)], [k], ["pair"])
 
 
 def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
@@ -463,7 +491,7 @@ def test_output_partial_transpose_lies_in_the_parity_sectors_at_every_cut():
     for (m, n), k in itertools.product(pairs, (1, 2, 3)):
         _, rho_out, cut = cloner_io(m, n, k)
         assert not partial_transpose(rho_out, cut)[outside].any(), (m, n, k)
-        blocks = w_audit._parity_blocks([(w_basis(m), w_basis(n))], [k], ["pair"])
+        blocks = w_audit._parity_blocks([(m, n)], [k], ["pair"])
         # all four sectors (p, q), the mean of X_s[p] (x) X_s[q], one Kronecker product each
         s00, s01, s10, s11 = (sum(np.kron(x[p], x[q]) for x in blocks[0]) / 2
                               for p, q in itertools.product((0, 1), repeat=2))
@@ -494,38 +522,40 @@ def test_an_empty_batch_has_no_records_but_checks_its_blank():
 
 
 def test_audit_refuses_an_output_outside_the_parity_sectors(monkeypatch):
-    # a GHZ state mixes parities: |000> is even and |111> odd
-    w_basis_of = w_audit.w_basis
+    # a GHZ state mixes parities: |000> is even and |111> odd. classify_pair, btype_form
+    # and cloner_io read w_signs too, so the C pair (1,3) is classified and its dense
+    # reference built before the audit's w_signs is patched
+    cls = classify_pair(1, 3)
+    assert (cls.category, cls.witness_k) == ("C", 1)
+    w_basis_of, w_signs_of = references.w_basis, w_audit.w_signs
     mutant = ghz(GhzLabel(0, 0, 0))
-
-    def with_mutant(x):
-        return mutant if x == 1 else w_basis_of(x)
-
-    monkeypatch.setattr(w_audit, "w_basis", with_mutant)
-    monkeypatch.setattr(references, "w_basis", with_mutant)
-    _, rho_out, cut = cloner_io(1, 6, 3)  # the mutant's output too, at the pair's witness cut
+    monkeypatch.setattr(references, "w_basis", lambda x: mutant if x == 1 else w_basis_of(x))
+    _, rho_out, cut = cloner_io(1, 3, 1)  # the mutant's output too, at the pair's witness cut
     sector = _sector_of_each_index()
     assert np.count_nonzero(partial_transpose(rho_out, cut)[sector[:, None] != sector[None, :]])
-    # the audit checks the 8x8 partial transpose at qubit 3 of each member and of the
+    # the audit checks the 8x8 partial transpose at qubit 1 of each member and of the
     # blank, here the mutant again, against the parity blocks
     row = _parity_row_of_each_index()
-    flipped = [partial_transpose(density(s), Bipartition(3, frozenset({2})))
-               for s in (mutant, w_basis_of(6), mutant)]
+    flipped = [partial_transpose(density(s), Bipartition(3, frozenset({0})))
+               for s in (mutant, w_basis_of(3), mutant)]
     dropped = sum(np.count_nonzero(x[row[:, None] != row[None, :]]) for x in flipped)
     assert dropped > 0
     message = f"{dropped} of {sum(map(np.count_nonzero, flipped))} nonzero entries"
+    monkeypatch.setattr(w_audit, "w_signs",
+                        lambda x: ghz_signs(GhzLabel(0, 0, 0)) if x == 1 else w_signs_of(x))
     with pytest.raises(StructureMismatchError, match=message):
-        negativity_audit(1, 6)
+        w_audit.audit_classified((cls,))
 
 
 def test_audit_refuses_a_blank_outside_the_parity_sectors(monkeypatch):
     # only the blank is a GHZ state: its |000><111| coherence leaves the parity blocks
-    w_basis_of = w_audit.w_basis
-    mutant = ghz(GhzLabel(0, 0, 0))
-    monkeypatch.setattr(w_audit, "w_basis", lambda x: mutant if x == 1 else w_basis_of(x))
+    cls = classify_pair(2, 4)
+    w_signs_of = w_audit.w_signs
+    monkeypatch.setattr(w_audit, "w_signs",
+                        lambda x: ghz_signs(GhzLabel(0, 0, 0)) if x == 1 else w_signs_of(x))
     with pytest.raises(StructureMismatchError,
                        match="2 of 22 nonzero entries .* lie outside the register parity sectors"):
-        negativity_audit(2, 4, 1)
+        w_audit.audit_classified((cls,), 1)
 
 
 @pytest.mark.parametrize("m, n, blank", [
