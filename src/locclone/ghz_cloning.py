@@ -94,19 +94,18 @@ def _phase_corrections(members: Sequence[GhzLabel]) -> tuple[int, int, int] | No
     """Quarter-turn exponents solving the clone-phase congruences, or None.
 
     Search order prefers identity, then Z, then S/Sdg, so the simplest valid
-    correction is returned first.
+    correction is returned first. t3 is solved, not searched: the first
+    member's t3 coefficient c3 = +/-1 is its own inverse mod 4, so
+    t3 = c3 (2p - t1 - c2 t2) mod 4 is the only t3 it accepts.
     """
-    rows = [(1, 1 - 2 * s.i, 1 - 2 * s.j) for s in members]
-    rhs = [2 * s.p for s in members]
+    rows = [(1 - 2 * s.i, 1 - 2 * s.j, 2 * s.p) for s in members]
+    c2, c3, b = rows[0]
     order = (0, 2, 1, 3)
     for t1 in order:
         for t2 in order:
-            for t3 in order:
-                if all(
-                    (r0 * t1 + r1 * t2 + r2 * t3 - b) % 4 == 0
-                    for (r0, r1, r2), b in zip(rows, rhs)
-                ):
-                    return (t1, t2, t3)
+            t3 = c3 * (b - t1 - c2 * t2) % 4
+            if all((t1 + r2 * t2 + r3 * t3 - rhs) % 4 == 0 for r2, r3, rhs in rows):
+                return (t1, t2, t3)
     return None
 
 
@@ -196,6 +195,13 @@ def synthesize_cloner(
     layers = _cloning_layers(members)
     if layers is None:
         raise NoCircuitFound(f"no local circuit clones {_format_members(members)}")
+    return _verified_circuit(members, layers, blank)
+
+
+def _verified_circuit(
+    members: Sequence[GhzLabel], layers: tuple[LocalGate, ...], blank: GhzLabel
+) -> CloningCircuit:
+    """The blank pre-rotation then layers, returned only if it clones every member."""
     layers = _blank_pre_rotation(blank) + layers
     fidelities = verify_cloner(CloningCircuit(layers, blank), members)
     worst = min(fidelities.values())
@@ -215,18 +221,20 @@ def _bell_like_across(signs: Sequence[Sequence[int]], qubit: int) -> bool:
     matrix (exact.cut_columns), states are orthogonal when u0.v0 + u1.v1 = 0,
     and maximally entangled when M^T M = I. Integer columns of such an M are
     each +/-1 on one row, a state's two on different rows, so the joint A-side
-    support, rank [M1 | M2 | M3], is 2 exactly when all their columns touch the
-    same two rows: the unit-column check comes first. Side B is one qubit, so
-    its joint support is 2-dimensional whenever any state is entangled.
+    support, rank [M1 | M2 | M3], is the number of rows they touch. That count
+    comes first: if it is not 2, the unit-column check fails or the columns
+    are units of another rank, so the answer is False either way. Side B is
+    one qubit, so its joint support is 2-dimensional when any state is entangled.
     """
     mats = [cut_columns(s, qubit + 1) for s in signs]
+    if len({row for m in mats for column in m for row in range(4) if column[row]}) != 2:
+        return False
     for (u0, u1), (v0, v1) in itertools.combinations(mats, 2):
         if column_dot(u0, v0) + column_dot(u1, v1):
             return False
-    for c0, c1 in mats:
-        if not column_dot(c0, c0) == column_dot(c1, c1) == 1 or column_dot(c0, c1):
-            return False
-    return len({row for m in mats for column in m for row in range(4) if column[row]}) == 2
+    return all(
+        column_dot(c0, c0) == column_dot(c1, c1) == 1 and not column_dot(c0, c1) for c0, c1 in mats
+    )
 
 
 def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:
@@ -249,11 +257,13 @@ def triple_clonability(triple: Iterable[GhzLabel]) -> TripleVerdict:
     """No-go witness or a verified circuit for a triple of GHZ states.
 
     The verdict comes from the closed form; the Bell-triple witness is computed
-    for every triple and must agree with it in both directions.
+    for every triple and must agree with it in both directions. A clonable
+    triple's layers go straight to synthesize_cloner's verification, default blank.
     """
     members = _normalize_members(triple)
     witness = bell_triple_cut(members)
-    clonable = _cloning_layers(members) is not None
+    layers = _cloning_layers(members)
+    clonable = layers is not None
     if clonable == (witness is not None):
         raise CloningInconsistency(
             f"{_format_members(members)}: clonable={clonable} in closed form, "
@@ -261,7 +271,7 @@ def triple_clonability(triple: Iterable[GhzLabel]) -> TripleVerdict:
         )
     if witness is not None:
         return TripleVerdict(False, witness, None)
-    return TripleVerdict(True, None, synthesize_cloner(members))
+    return TripleVerdict(True, None, _verified_circuit(members, layers, BLANK_DEFAULT))
 
 
 def all_pairs() -> tuple[tuple[GhzLabel, GhzLabel], ...]:

@@ -4,9 +4,10 @@ The package calls none of these. Each takes the direct route: the gates'
 2x2 matrices written out, a tensor product of two states, a normalized state
 from a list of amplitudes, a weighted sum of density matrices, a gate embedded
 as a full 2^n x 2^n operator, the cloner's mixtures as complex 64x64 matrices,
-the Bell-triple witness from partial traces and the exact rank of an integer
-matrix by elimination. Tests hold both circuit simulators, the integer witness,
-the Schur-complement span and the parity-sector audit to them.
+the Bell-triple witness from partial traces, the exact rank of an integer
+matrix by elimination and the clone-phase exponents by trying all 64. Tests
+hold both circuit simulators, the integer witness, the Schur-complement span,
+the parity-sector audit and the solved phase search to them.
 """
 from __future__ import annotations
 
@@ -119,3 +120,20 @@ def reference_bell_like(states, cut):
         if abs(coeffs[0] - 0.5) > tol or abs(coeffs[1] - 0.5) > tol:
             return False
     return True
+
+
+def phase_corrections_search(members) -> tuple[int, int, int] | None:
+    """First (t1, t2, t3) in the order identity, Z, S, Sdg with
+    t1 + (1-2i) t2 + (1-2j) t3 = 2p (mod 4) for every member Psi(p, i, j), or None."""
+    rows = [(1, 1 - 2 * s.i, 1 - 2 * s.j) for s in members]
+    rhs = [2 * s.p for s in members]
+    order = (0, 2, 1, 3)
+    for t1 in order:
+        for t2 in order:
+            for t3 in order:
+                if all(
+                    (r0 * t1 + r1 * t2 + r2 * t3 - b) % 4 == 0
+                    for (r0, r1, r2), b in zip(rows, rhs)
+                ):
+                    return (t1, t2, t3)
+    return None

@@ -13,10 +13,23 @@ import numpy as np
 import pytest
 
 from locclone import cli, ghz_cloning, report, w_audit, wclass
+from locclone.exact import TransversalCnot
 
 
 def wrong_phase_correction(patch):
     patch.setattr(ghz_cloning, "_phase_corrections", lambda members: (1, 0, 0))
+
+
+def stripped_phase_gates(patch):
+    # the forward route without its corrections: a triple verdict reuses these layers,
+    # so its verification must still catch them
+    real = ghz_cloning._cloning_layers
+
+    def stripped(members):
+        layers = real(members)
+        return layers[:1] if layers and layers[0] == TransversalCnot("forward") else layers
+
+    patch.setattr(ghz_cloning, "_cloning_layers", stripped)
 
 
 def hidden_bell_witness(patch):
@@ -108,6 +121,10 @@ CASES = [
      "worst fidelity 0.5, not 1"),
     (wrong_phase_correction, REPORT, "",
      "error: closed-form circuit for {(0,0,0), (0,0,1)} fails verification"),
+    (stripped_phase_gates, ["ghz", "triples", "--all"], "",
+     "error: closed-form circuit for {(0,0,0), (0,0,1), (1,1,0)} fails verification: "
+     "worst fidelity 0.0, not 1"),
+    (stripped_phase_gates, REPORT, "", "fails verification"),
     (hidden_bell_witness, ["ghz", "triples", "--states", "0,0,0", "0,0,1", "1,0,0"], "",
      "error: {(0,0,0), (0,0,1), (1,0,0)}: clonable=False in closed form, "
      "yet the Bell-triple witness cut is None"),

@@ -23,7 +23,7 @@ from locclone.ghz_cloning import (
 from locclone.registers import Bipartition, SingleQubitGate, StateVector, TransversalCnot
 from locclone.states import GHZ_LABELS, GhzLabel, ghz, ghz_signs
 
-from references import embed_operator, reference_bell_like
+from references import embed_operator, phase_corrections_search, reference_bell_like
 
 L = GhzLabel
 
@@ -158,6 +158,46 @@ def test_triple_survey_counts_and_invariants():
             assert min(verify_cloner(verdict.circuit, triple).values()) == 1.0
     assert clonable == 32
     assert len(all_label_triples()) - clonable == 24
+
+
+def test_solved_phase_exponent_matches_the_full_search():
+    # every ordering of every GHZ set of 2, 3 or 4 labels with distinct (i, j): the first
+    # member fixes t3, so the solved search must return the full search's first solution
+    orderings = unsolvable = 0
+    for size in (2, 3, 4):
+        for members in itertools.combinations(GHZ_LABELS, size):
+            if len({(s.i, s.j) for s in members}) != size:
+                continue
+            for ordering in itertools.permutations(members):
+                expected = phase_corrections_search(ordering)
+                assert ghz_cloning._phase_corrections(ordering) == expected, ordering
+                orderings += 1
+                unsolvable += expected is None
+                assert expected is not None or size == 4
+    assert (orderings, unsolvable) == (624, 192)
+
+
+def test_triple_verdict_derives_its_circuit_once(monkeypatch):
+    calls = []
+    real = ghz_cloning._cloning_layers
+
+    def counting(members):
+        calls.append(members)
+        return real(members)
+
+    monkeypatch.setattr(ghz_cloning, "_cloning_layers", counting)
+    verdicts = {}
+    for triple in all_label_triples():
+        verdicts[triple] = triple_clonability(triple)
+        assert calls == [triple]
+        calls.clear()
+    clonable = [triple for triple, verdict in verdicts.items() if verdict.clonable]
+    assert len(clonable) == 32
+    for triple in clonable:
+        circuit, expected = verdicts[triple].circuit, synthesize_cloner(triple)
+        assert circuit.layers == expected.layers
+        assert circuit.blank == expected.blank
+        assert circuit.fidelities == expected.fidelities
 
 
 def test_enumerations_cover_the_basis():
