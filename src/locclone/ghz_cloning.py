@@ -243,7 +243,11 @@ def bell_triple_cut(triple: Iterable[GhzLabel]) -> Bipartition | None:
     At most one of the three single-qubit cuts can qualify for a set of three
     distinct GHZ labels, so the scan order does not matter.
     """
-    members = _normalize_members(triple)
+    return _bell_triple_cut(_normalize_members(triple))
+
+
+def _bell_triple_cut(members: Sequence[GhzLabel]) -> Bipartition | None:
+    """bell_triple_cut of members already normalised."""
     if len(members) != 3:
         raise ValueError("the Bell-triple criterion applies to triples")
     signs = [ghz_signs(label) for label in members]
@@ -261,7 +265,7 @@ def triple_clonability(triple: Iterable[GhzLabel]) -> TripleVerdict:
     triple's layers go straight to synthesize_cloner's verification, default blank.
     """
     members = _normalize_members(triple)
-    witness = bell_triple_cut(members)
+    witness = _bell_triple_cut(members)
     layers = _cloning_layers(members)
     clonable = layers is not None
     if clonable == (witness is not None):

@@ -130,16 +130,22 @@ def hermitian_spectrum(entries: np.ndarray, names: Sequence[str] = ()) -> np.nda
     A stack (..., d, d) is checked and solved at once, one spectrum per matrix. Names
     split it in order into equal runs of matrices, and the error names the first to fail.
     """
-    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).reshape(len(names) or 1, -1)
-    for i, asymmetry in enumerate(skew.max(axis=1)):
-        if not asymmetry <= HERMITICITY_ATOL:  # or NaN
-            raise VerificationError(
-                f"{names[i] + ': ' if names else ''}operator is not Hermitian: largest "
-                f"|A - A^H| entry {float(asymmetry)!r} exceeds {HERMITICITY_ATOL}"
-            )
+    entries = np.asarray(entries)
+    # conj() of a real array is that array itself, so a real stack pays for no copy
+    skew = np.abs(entries - entries.swapaxes(-1, -2).conj())
+    if not skew.max() <= HERMITICITY_ATOL:  # or NaN
+        asymmetry = skew.reshape(len(names) or 1, -1).max(axis=1)
+        i = int(np.argmax(~(asymmetry <= HERMITICITY_ATOL)))
+        raise VerificationError(
+            f"{names[i] + ': ' if names else ''}operator is not Hermitian: largest "
+            f"|A - A^H| entry {float(asymmetry[i])!r} exceeds {HERMITICITY_ATOL}"
+        )
     # LAPACK can miss by 2e-3 when entries' squares underflow (a 1e-161 amplitude in a
     # 4-qubit mixture); zeroing entries below 1.5e-154 moves eigenvalues < 1e-150
-    return np.linalg.eigvalsh(np.where(np.abs(entries) < 1.5e-154, 0.0, entries))[..., ::-1]
+    magnitude = np.abs(entries)
+    if ((magnitude > 0.0) & (magnitude < 1.5e-154)).any():
+        entries = np.where(magnitude < 1.5e-154, 0.0, entries)
+    return np.linalg.eigvalsh(entries)[..., ::-1]
 
 
 def trace_norm(entries: np.ndarray) -> float:

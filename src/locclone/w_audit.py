@@ -35,12 +35,19 @@ the equal-weight three-term point stays below that point's entropy and a
 product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the
 array form of that closed form, runs cut-major over the parameter grid in
 chunks of a fixed number of points that span grid rows, and the scan checks
-it at every point against the three one-qubit marginals. A chunk holds its
-amplitudes amplitude-major, psi[q1, q2, q3] a row over its states: qubit k's
-marginal contracts two views, its 0- and 1-slices, over all 8 amplitudes,
-zero rows included, so no row is copied or gathered. Being real symmetric
-2x2, it has the exact eigenvalues (p + q -/+ sqrt((p - q)^2 + 4r^2))/2 from
-its diagonal p, q and off-diagonal r, so no eigensolver runs per point.
+it at every point against the three one-qubit marginals. One amplitude buffer
+a scan holds psi[q1, q2, q3] as a row over a chunk's states; each chunk fills
+its four W-class rows, the other four staying zero. Qubit k's marginal
+contracts two views, its 0- and 1-slices, over all 8 amplitudes, so no row is
+copied or gathered. Being real symmetric 2x2, it has the exact eigenvalues
+(p + q -/+ sqrt((p - q)^2 + 4r^2))/2 from its diagonal p, q and off-diagonal
+r, taken for all three cuts in one pass against the closed form's cut-major
+rows, so no eigensolver runs per point. A point's minimum cut entropy is the entropy of its smallest lambda-
+with its largest lambda+, which one cut holds: the binary entropy rises on
+[0, 1/2], and on the grid two cuts' D = (1-2x)^2 + 4xd differ by 4y|x - x'|,
+y the third parameter, at least 4 step^2 unless they tie exactly, so this is
+the minimum over the three cuts bit for bit at a third of the log2 work. All
+six spectrum values of a point are still range-checked.
 The one-point certificate, blank_insufficiency, is wclass's, on plain floats.
 """
 from __future__ import annotations
@@ -61,8 +68,8 @@ SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 # Grid points per scan step. Each numpy pass has a fixed cost, so larger
 # chunks run faster and hold more memory: lemma_scan(0.01, 0.05) on a 2-core
-# Xeon, pinned to one core, takes 45, 33 and 31 ms at 1 << 10, 1 << 12 and
-# 1 << 13 (best of 8 processes), with 29.6, 30.7 and 32.9 MB max RSS.
+# Xeon, pinned to one core, takes 34, 22 and 20.5 ms at 1 << 10, 1 << 12 and
+# 1 << 13 (best of 4 processes x 10 scans), with 29.3, 30.8 and 32.4 MB max RSS.
 _SCAN_CHUNK = 1 << 12
 
 # The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks
@@ -368,7 +375,9 @@ def _grid_chunks(step: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     Points come in lexicographic (ia, ib, ic) order, _SCAN_CHUNK to a chunk
     and the rest in the last one; a chunk spans as many grid rows (ia, ib) as
     it needs, so the fixed cost of a numpy pass is paid per full chunk, not per
-    row. Only the row table is held: each row's (ia, ib) and where its points end.
+    row. Only the row table is held: each row's (ia, ib), its ic offset and
+    where its points end. A chunk repeats its rows' entries by their run
+    lengths in it, so no per-point index is built or gathered through.
     """
     top = _grid_top(step)
     r = np.arange(1, top)
@@ -376,14 +385,14 @@ def _grid_chunks(step: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     ia, ib = ia + 1, ib + 1
     ends = np.cumsum(top - ia - ib)  # row (ia, ib) holds ic = 1..top-ia-ib
     total = int(ends[-1])
+    offset = (top + 1) - ia - ib - ends  # a row's ic is its grid point index plus this
     for lo in range(0, total, _SCAN_CHUNK):
         hi = min(lo + _SCAN_CHUNK, total)
         first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
-        rows = np.arange(first, last + 1)
-        rows = np.repeat(rows, np.diff(np.minimum(ends[rows], hi), prepend=lo))
-        row_a, row_b = ia[rows], ib[rows]
-        ic = np.arange(lo, hi) - ends[rows] + (top + 1) - row_a - row_b
-        yield row_a * step, row_b * step, ic * step
+        rows = slice(first, last + 1)
+        runs = np.diff(np.minimum(ends[rows], hi), prepend=lo)
+        ic = np.arange(lo, hi) + np.repeat(offset[rows], runs)
+        yield np.repeat(ia[rows], runs) * step, np.repeat(ib[rows], runs) * step, ic * step
 
 
 def _distance_from_w_point(
@@ -422,7 +431,8 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     """Scan the open parameter simplex for minimum cut entropies at the threshold.
 
     A point's minimum cut entropy is entropy_bits of its wclass_cut_spectra,
-    minimised over the cuts. Any grid point outside the L1 exclusion ball
+    minimised over the cuts: that of its smallest lambda- and largest lambda+
+    (see the module docstring). Any grid point outside the L1 exclusion ball
     around the equal-weight point whose minimum reaches the threshold (within
     1e-12) is recorded as a violation with that entropy, in grid order; the
     expected result is none. The report also carries the largest minimum
@@ -435,16 +445,18 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     violations: list[tuple[WClassParams, float]] = []
     tested = 0
     best_entropy, best_point = -np.inf, None
+    psi = np.zeros((2, 2, 2, _SCAN_CHUNK))  # each chunk's amplitudes, in its first columns
     for a, b, c in _grid_chunks(step):
         d = np.maximum(0.0, 1.0 - (a + b + c))
         spectra = wclass_cut_spectra(a, b, c)
-        _crosscheck_spectra(a, b, c, d, spectra)
-        cuts = entropy_bits(spectra)
-        # a column-wise minimum beats a reduction over the short cut axis
+        rows = spectra.transpose(2, 1, 0)  # [lambda-/+, cut, point]: the closed form's own stack
+        _crosscheck_spectra(a, b, c, d, rows, psi[..., :a.size])
+        if not (rows.min() >= -ZERO_CLAMP and rows.max() <= 1.0 + ZERO_CLAMP):  # or NaN
+            entropy_bits(spectra)  # raises, naming the first value outside [0, 1]
+        # one cut holds both, the most unequal, whose entropy is the minimum
+        pair = np.stack([rows[0].min(axis=0), rows[1].max(axis=0)]).T
         entropy = np.where(
-            _distance_from_w_point(a, b, c, d) > exclusion_radius,
-            np.minimum(np.minimum(cuts[:, 0], cuts[:, 1]), cuts[:, 2]),
-            -np.inf,
+            _distance_from_w_point(a, b, c, d) > exclusion_radius, entropy_bits(pair), -np.inf
         )
         for i in np.flatnonzero(entropy >= W_CUT_ENTROPY_BITS - 1e-12):
             params = WClassParams(float(a[i]), float(b[i]), float(c[i]))
@@ -485,28 +497,29 @@ def _symmetric_2x2_eigenvalues(
 
 
 def _crosscheck_spectra(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spectra: np.ndarray
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, rows: np.ndarray,
+    psi: np.ndarray,
 ) -> None:
-    """Compare the closed-form spectra with the marginal spectra of every state.
+    """Compare the closed-form spectra rows [lambda-/+, cut, point] with every marginal's.
 
-    The three one-qubit marginals come from the amplitudes by contraction,
-    their eigenvalues from the exact 2x2 formula. A gap above SPECTRUM_TOL,
-    or a NaN on either side, fails the first such point and cut in grid order.
+    psi is the (2, 2, 2, points) amplitude buffer, zero but for the four W-class
+    rows, which this fills. The three one-qubit marginals come from it by
+    contraction, their eigenvalues from the exact 2x2 formula, over all cuts at
+    once. A gap above SPECTRUM_TOL, or a NaN on either side, fails the first such
+    point and cut in grid order.
     """
-    psi = np.zeros((2, 2, 2, a.size))  # amplitude-major: psi[q1, q2, q3] is a row
-    psi[0, 0, 0] = np.sqrt(d)
-    psi[0, 0, 1] = np.sqrt(a)
-    psi[0, 1, 0] = np.sqrt(b)
-    psi[1, 0, 0] = np.sqrt(c)
-    bad = np.empty((a.size, 3), dtype=bool)
+    np.sqrt(d, out=psi[0, 0, 0])
+    np.sqrt(a, out=psi[0, 0, 1])
+    np.sqrt(b, out=psi[0, 1, 0])
+    np.sqrt(c, out=psi[1, 0, 0])
+    entries = np.empty((3, 3, a.size))  # [p/q/r, cut, point]
     for k in (1, 2, 3):
-        low, high = _symmetric_2x2_eigenvalues(*_marginal_entries(psi, k))
-        bad[:, k - 1] = ~(
-            (np.abs(low - spectra[:, k - 1, 0]) <= SPECTRUM_TOL)
-            & (np.abs(high - spectra[:, k - 1, 1]) <= SPECTRUM_TOL)
-        )
+        for row, value in zip(entries[:, k - 1], _marginal_entries(psi, k)):
+            row[...] = value
+    low, high = _symmetric_2x2_eigenvalues(*entries)
+    bad = ~((np.abs(low - rows[0]) <= SPECTRUM_TOL) & (np.abs(high - rows[1]) <= SPECTRUM_TOL))
     if bad.any():
-        i, cut = np.argwhere(bad)[0]
+        i, cut = np.argwhere(bad.T)[0]
         raise StructureMismatchError(
             f"closed-form spectrum disagrees with partial trace at "
             f"{float(a[i])!r},{float(b[i])!r},{float(c[i])!r}, cut {cut + 1}"

@@ -33,7 +33,7 @@ def stripped_phase_gates(patch):
 
 
 def hidden_bell_witness(patch):
-    patch.setattr(ghz_cloning, "bell_triple_cut", lambda members: None)
+    patch.setattr(ghz_cloning, "_bell_triple_cut", lambda members: None)
 
 
 def audit_drift(patch):

@@ -177,6 +177,24 @@ def test_solved_phase_exponent_matches_the_full_search():
     assert (orderings, unsolvable) == (624, 192)
 
 
+def test_triple_verdict_normalises_its_members_once(monkeypatch):
+    # the witness takes the verdict's normalised members; bell_triple_cut alone normalises
+    calls = []
+    real = ghz_cloning._normalize_members
+
+    def counting(states):
+        calls.append(states)
+        return real(states)
+
+    monkeypatch.setattr(ghz_cloning, "_normalize_members", counting)
+    for triple in all_label_triples():
+        triple_clonability(triple)
+        assert len(calls) == 1
+        calls.clear()
+    bell_triple_cut(all_label_triples()[0])
+    assert len(calls) == 1
+
+
 def test_triple_verdict_derives_its_circuit_once(monkeypatch):
     calls = []
     real = ghz_cloning._cloning_layers
@@ -258,7 +276,7 @@ def test_wrong_phase_gate_fails_verification(monkeypatch):
     ],
 )
 def test_witness_disagreeing_with_closed_form_raises(monkeypatch, triple, forced_cut):
-    monkeypatch.setattr(ghz_cloning, "bell_triple_cut", lambda members: forced_cut)
+    monkeypatch.setattr(ghz_cloning, "_bell_triple_cut", lambda members: forced_cut)
     with pytest.raises(CloningInconsistency):
         triple_clonability(triple)
 

@@ -206,6 +206,19 @@ def test_hermitian_spectrum_sorted_and_checked():
         hermitian_spectrum(np.array([[0, 1], [1, np.nan]], dtype=complex))
 
 
+def test_spectrum_error_names_the_first_failing_run():
+    # three runs of two 2x2 matrices; the later, larger and NaN faults must not win
+    stack = np.zeros((3, 2, 2, 2))
+    stack[1, 1, 0, 1] = 1e-6
+    stack[2, 0, 0, 1] = 1.0
+    stack[2, 1, 1, 1] = np.nan
+    with pytest.raises(VerificationError) as caught:
+        hermitian_spectrum(stack, ["first", "second", "third"])
+    assert str(caught.value) == (
+        "second: operator is not Hermitian: largest |A - A^H| entry 1e-06 exceeds 1e-12"
+    )
+
+
 def test_trace_norm_of_density_is_one():
     rng = np.random.default_rng(9)
     assert abs(trace_norm(random_density(rng, 2).entries) - 1.0) < 1e-12

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locclone import ghz_cloning, w_audit
-from locclone.exact import cut_columns, ghz_signs
-from locclone.measures import W_CUT_ENTROPY_BITS, negativity, wclass_min_cut_entropy
+from locclone.exact import VerificationError, cut_columns, ghz_signs
+from locclone.measures import (
+    W_CUT_ENTROPY_BITS,
+    entropy_bits,
+    negativity,
+    wclass_cut_spectra,
+    wclass_min_cut_entropy,
+)
 from locclone.registers import (
     Bipartition,
     DensityMatrix,
@@ -25,7 +32,7 @@ from locclone.registers import (
     partial_transpose,
     trace_norm,
 )
-from locclone.report import REFERENCE_NEGATIVITIES, json_text, reference_mismatches
+from locclone.report import REFERENCE_NEGATIVITIES, json_text, reference_mismatches, scan_document
 from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class, w_signs
 from locclone.w_audit import (
     PairClassification,
@@ -751,10 +758,97 @@ def test_grid_chunks_hold_only_the_row_table():
 
 
 def test_lemma_scan_does_not_depend_on_the_chunk_size(monkeypatch):
+    # 300 divides neither 1,140 nor 19,600 points: the short last chunk takes a
+    # shorter slice of the scan's buffers
     expected = lemma_scan(0.05, 0.05)
-    for chunk in (1, 7):
+    golden = (Path(__file__).parent / "golden" / "lemma_step_0.02.json").read_text("utf-8")
+    for chunk in (1, 7, 300):
         monkeypatch.setattr(w_audit, "_SCAN_CHUNK", chunk)
         assert lemma_scan(0.05, 0.05) == expected
+        if chunk > 1:
+            assert json_text(scan_document(lemma_scan(0.02, 0.05))) == golden
+
+
+def _own_pair_of_smallest_lambda_minus(spectra):
+    """Each point's (lambda-, lambda+) at its cut of smallest lambda-, as [point, -/+]."""
+    low = spectra[:, :, 0]
+    return spectra[np.arange(len(spectra)), np.argmin(low, axis=1)]
+
+
+@pytest.mark.parametrize("step", [0.05, 0.01])
+def test_scan_takes_one_entropy_a_point_from_the_minimal_cut(monkeypatch, step):
+    # the scan's entropy_bits input, chunk by chunk, against all three cut entropies
+    chunks, inputs = [], []
+
+    def recording_spectra(a, b, c):
+        chunks.append(wclass_cut_spectra(a, b, c))
+        return chunks[-1]
+
+    def recording_entropy(probabilities):
+        inputs.append(np.array(probabilities))
+        return entropy_bits(probabilities)
+
+    monkeypatch.setattr(w_audit, "wclass_cut_spectra", recording_spectra)
+    monkeypatch.setattr(w_audit, "entropy_bits", recording_entropy)
+    lemma_scan(step, 0.05)
+    assert len(inputs) == len(chunks) == -(-math.comb(round(1.0 / step), 3) // w_audit._SCAN_CHUNK)
+    for spectra, pair in zip(chunks, inputs):
+        assert pair.shape == (len(spectra), 2)
+        assert np.array_equal(pair, _own_pair_of_smallest_lambda_minus(spectra))
+        assert np.array_equal(entropy_bits(pair), entropy_bits(spectra).min(axis=1))
+
+
+@st.composite
+def _grid_points(draw):
+    """step * (ia, ib, ic) on a scan grid of random step, with two or three indices tied."""
+    step = draw(st.floats(min_value=w_audit.SCAN_MIN_STEP, max_value=1.0 / 3.0))
+    top = w_audit._grid_top(step)
+    kind = draw(st.sampled_from(["distinct", "two tied", "all tied"]))
+    if kind == "all tied":
+        indices = [draw(st.integers(1, top // 3))] * 3
+    elif kind == "two tied":
+        tied = draw(st.integers(1, (top - 1) // 2))
+        indices = draw(st.permutations([tied, tied, draw(st.integers(1, top - 2 * tied))]))
+    else:
+        ia = draw(st.integers(1, top - 2))
+        ib = draw(st.integers(1, top - 1 - ia))
+        indices = [ia, ib, draw(st.integers(1, top - ia - ib))]
+    return tuple(i * step for i in indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_grid_points(), min_size=1, max_size=8))
+def test_smallest_lambda_minus_has_the_minimum_cut_entropy_at_grid_points(points):
+    # On a grid two cuts' D = (1-2x)^2 + 4xd differ by 4y|x - x'|, y the third
+    # parameter, so by 4 step^2 or more unless x = x' ties them exactly. Off the
+    # grid, cuts a few ulp apart can round their entropies the other way (65 of
+    # 10^6 random points with c one ulp above b), so the points are grid points.
+    a, b, c = (np.array(values) for values in zip(*points))
+    spectra = wclass_cut_spectra(a, b, c)
+    pair = _own_pair_of_smallest_lambda_minus(spectra)
+    assert np.array_equal(entropy_bits(pair), entropy_bits(spectra).min(axis=1))
+
+
+@pytest.mark.parametrize("side, value", [(1, 1.5), (1, -0.5), (0, 1.5)])
+def test_scan_range_checks_the_cuts_whose_entropy_it_skips(monkeypatch, side, value):
+    # with the cross-check gone, a bad value at the cut of largest lambda- must still
+    # fail; -0.5 as lambda+ and 1.5 as lambda- never reach the entropy of the pair
+    real = w_audit.wclass_cut_spectra
+    hits = []
+
+    def corrupt(a, b, c):
+        spectra = real(a, b, c)
+        low = spectra[:, :, 0]
+        hit = np.flatnonzero(low.max(axis=1) > low.min(axis=1))
+        spectra[hit, np.argmax(low[hit], axis=1), side] = value
+        hits.append(hit.size)
+        return spectra
+
+    monkeypatch.setattr(w_audit, "_crosscheck_spectra", lambda *args: None)
+    monkeypatch.setattr(w_audit, "wclass_cut_spectra", corrupt)
+    with pytest.raises(VerificationError, match=f"probability {value} lies outside"):
+        lemma_scan(0.1, 0.05)
+    assert hits[0] > 0
 
 
 def test_lemma_scan_validation():
