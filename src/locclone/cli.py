@@ -16,8 +16,10 @@ Every subcommand also takes --format table|json|csv and --out PATH; any
 other flag is an error on a subcommand that does not read it. Every format
 goes through report.render, and each command prints the report's rows: a
 one-section command prints its section bare, while w lemma prints the
-report's scan and scan_violations sections under their names. report adds
-its version and config head, and ends with a notes section in table and
+report's scan and scan_violations sections under their names. ghz triples,
+w classify and w audit select their items, one or all, then make the call
+build_report makes, so their rows are its sections' by construction. report
+adds its version and config head, and ends with a notes section in table and
 csv alike. The table forms of ghz clone (a circuit listing) and measure (the
 bare value to 7 digits) are their own; their csv has a header row and full
 precision.
@@ -48,7 +50,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import NoReturn, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .exact import Bipartition, GhzLabel, VerificationError
 from .exact import parse_decimal, parse_ghz_label, parse_w_index
@@ -64,6 +66,9 @@ from .report import (
     scan_sections,
     triple_row,
 )
+
+if TYPE_CHECKING:
+    from .w_audit import PairClassification
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -158,36 +163,35 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> Sequence[str]:
     from .ghz_cloning import all_triples, triple_clonability
 
     if args.all:
-        items = [(triple, triple_clonability(triple)) for triple in all_triples()]
+        triples = all_triples()
     else:
         labels = _distinct_ghz_labels(args.states, "triple", "three distinct states")
-        members = tuple(sorted(labels))
-        items = [(members, triple_clonability(members))]
-    rows = [triple_row(members, verdict) for members, verdict in items]
+        triples = (tuple(sorted(labels)),)
+    rows = [triple_row(triple, triple_clonability(triple)) for triple in triples]
     _emit(args, rows, [("ghz_triples", rows)])
     return ()
 
 
-def _cmd_w_classify(args: argparse.Namespace) -> Sequence[str]:
+def _pair_classifications(args: argparse.Namespace) -> Sequence[PairClassification]:
+    """The pair --pair names, or all 28 pairs: the items of w classify and w audit."""
     from .w_audit import all_pair_classifications, classify_pair
 
-    if args.all:
-        items = all_pair_classifications()
-    else:
-        items = (classify_pair(*_parse_pair(args.pair)),)
-    rows = [item._asdict() for item in items]
+    if args.pair is not None:  # an empty --pair is an error, not all pairs
+        return (classify_pair(*_parse_pair(args.pair)),)
+    return all_pair_classifications()
+
+
+def _cmd_w_classify(args: argparse.Namespace) -> Sequence[str]:
+    rows = [item._asdict() for item in _pair_classifications(args)]
     _emit(args, rows, [("w_classifications", rows)])
     return ()
 
 
 def _cmd_w_audit(args: argparse.Namespace) -> Sequence[str]:
-    from .w_audit import all_audit_records, negativity_audit
+    from .w_audit import audit_classified
 
     blank = parse_w_index(args.blank)
-    if args.pair:
-        records = [negativity_audit(*_parse_pair(args.pair), blank)]
-    else:
-        records = list(all_audit_records(blank))
+    records = audit_classified(_pair_classifications(args), blank)
     rows = [record._asdict() for record in records]
     _emit(args, rows, [("pairs", rows)])
     return reference_mismatches(records)

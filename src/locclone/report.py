@@ -7,9 +7,8 @@ or named sections of rows as aligned text tables or csv, whose columns are
 the rows' keys and whose cells cell_text spells. emit_report reads its
 sections from the document. Rendering the same document twice gives
 identical bytes; json and csv keep full float precision while tables round
-to 6 significant digits. build_report and reference_mismatches import the
-analyses when called, so a command that only renders loads neither
-ghz_cloning nor w_audit.
+to 6 significant digits. build_report alone imports the analyses, when
+called, so a command that only renders loads neither ghz_cloning nor w_audit.
 """
 
 from __future__ import annotations
@@ -102,11 +101,9 @@ def scan_sections(document: Mapping[str, object]) -> list[tuple[str, list[dict]]
 
 def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
     """Notes for audited records straying from their family's closed form, whatever their blank."""
-    from .w_audit import CATEGORY_B
-
     notes = []
     for record in records:
-        key = record.form if record.category == CATEGORY_B else record.category
+        key = record.form or record.category  # B records carry their form, A and C none
         reference = REFERENCE_NEGATIVITIES[key]
         drift = max(
             abs(record.negativity_in - reference[0]),

@@ -290,7 +290,8 @@ def negativity_audit(m: int, n: int, blank: int = 1) -> AuditRecord:
     """Negativities of the cloner's input and output across the witness lab cut.
 
     Input: equal mixture of W_m (x) W_blank and W_n (x) W_blank. Output: that of
-    W_m (x) W_m and W_n (x) W_n. This is the audit_classified batch of one pair.
+    W_m (x) W_m and W_n (x) W_n. This is the audit_classified batch of one pair, kept
+    for callers that hold (m, n) rather than a classification: the benchmark's.
     """
     return audit_classified((classify_pair(m, n),), blank)[0]
 
@@ -528,7 +529,3 @@ def _crosscheck_spectra(
 
 def all_pair_classifications() -> tuple[PairClassification, ...]:
     return tuple(classify_pair(m, n) for m in range(1, 9) for n in range(m + 1, 9))
-
-
-def all_audit_records(blank: int = 1) -> tuple[AuditRecord, ...]:
-    return audit_classified(all_pair_classifications(), blank)

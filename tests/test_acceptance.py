@@ -31,7 +31,8 @@ from locclone.report import (
 )
 from locclone.states import GHZ_LABELS, WClassParams, ghz, w_basis, w_class
 from locclone.w_audit import (
-    all_audit_records,
+    all_pair_classifications,
+    audit_classified,
     btype_form,
     classify_pair,
     lemma_scan,
@@ -141,7 +142,7 @@ def test_audited_negativities_match_benchmarks():
 
 
 def test_cloning_raises_negativity_for_b_and_c_pairs():
-    records = [r for r in all_audit_records() if r.category in ("B", "C")]
+    records = [r for r in audit_classified(all_pair_classifications()) if r.category in ("B", "C")]
     min_gain = min(r.negativity_out - r.negativity_in for r in records)
     spreads = []
     for key in ("I", "II", "C"):

@@ -17,7 +17,7 @@ from locclone import cli, ghz_cloning, registers, report, w_audit
 from locclone.cli import run_command
 from locclone.registers import VerificationError
 from locclone.report import build_report
-from locclone.w_audit import all_audit_records
+from locclone.w_audit import all_pair_classifications, audit_classified
 
 
 def run(capsys, *argv):
@@ -108,13 +108,19 @@ def test_audit_all_pairs_json_is_every_record(capsys):
     assert err == ""
     rows = json.loads(out)
     assert len(rows) == 28
-    assert rows == [record._asdict() for record in all_audit_records(4)]
+    assert rows == [record._asdict() for record in audit_classified(all_pair_classifications(), 4)]
 
 
 def test_audit_repeated_member(capsys):
     code, _, err = run(capsys, "w", "audit", "--pair", "1,1")
     assert code == 2
     assert "must differ" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "audit"])
+def test_an_empty_pair_is_refused_not_read_as_all_pairs(capsys, command):
+    code, out, err = run(capsys, "w", command, "--pair", "")
+    assert (code, out, err) == (2, "", "error: pair must be 'm,n', got ''\n")
 
 
 def test_audit_tiny_match_tol_reports_drift(capsys, monkeypatch):
@@ -659,6 +665,51 @@ def test_each_clone_is_simulated_once(capsys, monkeypatch):
     calls.clear()
     build_report(0.1, 0.05)
     assert len(calls) == 2 * 28 + 3 * 32  # 28 pairs and 32 clonable triples
+
+
+def test_section_commands_make_the_report_call(capsys, monkeypatch):
+    """w audit and ghz triples run build_report's own call on the items they pick."""
+    batches, triples = [], []
+    audit, clonability = w_audit.audit_classified, ghz_cloning.triple_clonability
+
+    def counting_audit(pairs, blank=1):
+        batches.append(len(pairs))
+        return audit(pairs, blank)
+
+    def counting_clonability(triple):
+        triples.append(triple)
+        return clonability(triple)
+
+    def no_wrapper(*args):
+        raise AssertionError("a command audited through negativity_audit")
+
+    monkeypatch.setattr(w_audit, "audit_classified", counting_audit)
+    monkeypatch.setattr(w_audit, "negativity_audit", no_wrapper)
+    monkeypatch.setattr(ghz_cloning, "triple_clonability", counting_clonability)
+    for argv, want in (
+        (["w", "audit", "--pair", "1,6"], [1]),
+        (["w", "audit"], [28]),
+        (["report", "--step", "0.1"], [28]),
+    ):
+        batches.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert batches == want, argv
+    triples.clear()
+    assert run(capsys, "ghz", "triples", "--states", "0,0,0", "0,0,1", "1,0,0")[0] == 0
+    assert len(triples) == 1
+
+
+@pytest.mark.parametrize("blank", ["W1", "W4"])
+def test_each_audit_pair_alone_prints_its_row_of_all_pairs(capsys, blank):
+    code, out, _ = run(capsys, "w", "audit", "--blank", blank, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 28
+    for row in rows:
+        pair = f"{row['m']},{row['n']}"
+        code, out, _ = run(capsys, "w", "audit", "--pair", pair, "--blank", blank,
+                           "--format", "json")
+        assert (code, out) == (0, report.json_text([row])), pair
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

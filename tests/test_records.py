@@ -19,9 +19,9 @@ from locclone.states import GHZ_LABELS, ghz
 from locclone.w_audit import (
     CATEGORY_A,
     CATEGORY_C,
-    all_audit_records,
     all_pair_classifications,
     atype_structure,
+    audit_classified,
     btype_form,
     classify_pair,
     ctype_structure,
@@ -71,7 +71,11 @@ def test_triple_verdict_is_not_a_tuple():
 
 @pytest.mark.parametrize(
     "argv, records",
-    [(["w", "classify", "--all"], all_pair_classifications), (["w", "audit"], all_audit_records)],
+    [
+        (["w", "classify", "--all"], all_pair_classifications),
+        pytest.param(["w", "audit"], lambda: audit_classified(all_pair_classifications()),
+                     id="argv1-audit_classified"),
+    ],
 )
 def test_json_rows_are_records_in_field_order(capsys, argv, records):
     assert run_command([*argv, "--format", "json"]) == 0

@@ -415,6 +415,23 @@ def test_unknown_gate_names_are_refused_by_name():
         verify_cloner(CloningCircuit((gate,), GhzLabel(0, 0, 0)), [GhzLabel(0, 0, 1)])
 
 
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_both_simulators_refuse_a_transversal_layer_on_an_odd_register(direction):
+    gate, halves = TransversalCnot(direction), "transversal CNOT needs equal original and clone halves"
+    with pytest.raises(ValueError, match=halves):
+        apply_monomial({0: 0}, [gate], 5)
+    with pytest.raises(ValueError, match=halves):
+        apply_circuit(StateVector(5, np.eye(32, dtype=complex)[0]), [gate])
+
+
+def test_both_simulators_refuse_a_layer_that_is_no_gate_record():
+    layer = (3, "X")  # a SingleQubitGate's fields, not the record
+    with pytest.raises(TypeError, match=r"unsupported gate \(3, 'X'\)"):
+        apply_monomial({0: 0}, [layer], 6)
+    with pytest.raises(TypeError, match=r"unsupported gate \(3, 'X'\)"):
+        apply_circuit(StateVector(6, np.eye(64, dtype=complex)[0]), [layer])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 4, 6]), st.data())
 def test_transversal_layer_is_its_cnots_one_pair_at_a_time(n, data):

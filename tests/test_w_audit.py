@@ -37,9 +37,9 @@ from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class, w_sig
 from locclone.w_audit import (
     PairClassification,
     StructureMismatchError,
-    all_audit_records,
     all_pair_classifications,
     atype_structure,
+    audit_classified,
     blank_insufficiency,
     btype_form,
     classify_pair,
@@ -367,8 +367,8 @@ def test_audit_is_blank_independent():
     assert other.negativity_out == pytest.approx(base.negativity_out, abs=1e-9)
 
 
-def test_all_audit_records_count():
-    records = all_audit_records()
+def test_all_pair_audit_count():
+    records = audit_classified(all_pair_classifications())
     assert len(records) == 28
     assert all(r.blank == 1 for r in records)
 
@@ -391,7 +391,8 @@ def test_negativity_audit_matches_the_64x64_mixtures():
 def test_every_audit_record_matches_its_closed_form():
     # all 28 pairs x 8 blanks, A pairs included; the blank factor 1 + 2 sqrt(2)/3 enters
     # every input value, so this pins it for each blank too
-    records = [r for blank in range(1, 9) for r in all_audit_records(blank)]
+    classifications = all_pair_classifications()
+    records = [r for blank in range(1, 9) for r in audit_classified(classifications, blank)]
     assert len(records) == 224 and reference_mismatches(records) == []
     worst = max(
         max(abs(r.negativity_in - ref[0]), abs(r.negativity_out - ref[1]))
@@ -456,7 +457,7 @@ def test_negativity_audit_builds_no_six_qubit_input(monkeypatch):
         assert solves == [((1, 2, 2, 4, 4), real), ((3, 16, 16), real)]
         solves.clear()
     # all 28 pairs are one batch: two solves in all, over 84 16x16 sectors and not 112
-    assert len(all_audit_records(4)) == 28
+    assert len(audit_classified(all_pair_classifications(), 4)) == 28
     assert solves == [((28, 2, 2, 4, 4), real), ((84, 16, 16), real)]
 
 
