@@ -1,10 +1,10 @@
 """Entanglement measures: cut entropies, negativity, the W-class closed form over arrays.
 
-entropy_bits is the Shannon-entropy formula over numpy arrays, for one
-state's Schmidt spectrum or a scan chunk, and wclass_cut_spectra is the
-W-class closed form over parameter arrays, which the scan runs. ZERO_CLAMP,
-W_CUT_ENTROPY_BITS and wclass_min_cut_entropy are wclass's: the one-point
-forms on plain floats, for a caller holding one WClassParams.
+entropy_bits is the Shannon-entropy formula over numpy arrays, for one state's
+Schmidt spectrum or a scan chunk, and wclass_cut_spectra is the W-class closed
+form over parameter arrays, d included: the scan works out each chunk's d once.
+ZERO_CLAMP, W_CUT_ENTROPY_BITS and wclass_min_cut_entropy are wclass's: the
+one-point forms on plain floats, for a caller holding one WClassParams.
 """
 from __future__ import annotations
 
@@ -56,15 +56,14 @@ def negativity(dm: DensityMatrix, cut: Bipartition) -> float:
     return 0.0 if abs(value) < ZERO_CLAMP else value
 
 
-def wclass_cut_spectra(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def wclass_cut_spectra(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Closed-form one-qubit marginal spectra of W-class states at all three cuts.
 
-    a, b, c are equal-length parameter arrays, d derived as in WClassParams.
+    a, b, c, d are equal-length arrays; the caller works out d = max(0, 1 - (a+b+c)) once.
     Cut k separates qubit k and depends on the parameter x opposite it (x = c,
     b, a for cuts 1, 2, 3): lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd)) / 2.
     Row [i, k - 1] is (lambda-, lambda+) of state i at cut k, a view of cut-major rows.
     """
-    d = np.maximum(0.0, 1.0 - (a + b + c))
     x = np.stack([c, b, a])  # the parameter opposite cuts 1, 2, 3, one row each
     root = np.sqrt((1.0 - 2.0 * x) ** 2 + 4.0 * x * d)
     return np.stack([(1.0 - root) / 2.0, (1.0 + root) / 2.0]).transpose(2, 1, 0)

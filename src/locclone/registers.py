@@ -140,8 +140,8 @@ def hermitian_spectrum(entries: np.ndarray, names: Sequence[str] = ()) -> np.nda
             f"{names[i] + ': ' if names else ''}operator is not Hermitian: largest "
             f"|A - A^H| entry {float(asymmetry[i])!r} exceeds {HERMITICITY_ATOL}"
         )
-    # LAPACK can miss by 2e-3 when entries' squares underflow (a 1e-161 amplitude in a
-    # 4-qubit mixture); zeroing entries below 1.5e-154 moves eigenvalues < 1e-150
+    # flushing entries below 1.5e-154, whose squares underflow and mislead LAPACK, moves
+    # eigenvalues < 1e-150 (test_negativity_ignores_amplitudes_whose_squares_underflow)
     magnitude = np.abs(entries)
     if ((magnitude > 0.0) & (magnitude < 1.5e-154)).any():
         entries = np.where(magnitude < 1.5e-154, 0.0, entries)

@@ -34,20 +34,21 @@ parameter opposite the cut, so the minimum cut entropy of every state except
 the equal-weight three-term point stays below that point's entropy and a
 product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the
 array form of that closed form, runs cut-major over the parameter grid in
-chunks of a fixed number of points that span grid rows, and the scan checks
-it at every point against the three one-qubit marginals. One amplitude buffer
-a scan holds psi[q1, q2, q3] as a row over a chunk's states; each chunk fills
-its four W-class rows, the other four staying zero. Qubit k's marginal
-contracts two views, its 0- and 1-slices, over all 8 amplitudes, so no row is
-copied or gathered. Being real symmetric 2x2, it has the exact eigenvalues
-(p + q -/+ sqrt((p - q)^2 + 4r^2))/2 from its diagonal p, q and off-diagonal
-r, taken for all three cuts in one pass against the closed form's cut-major
-rows, so no eigensolver runs per point. A point's minimum cut entropy is the entropy of its smallest lambda-
-with its largest lambda+, which one cut holds: the binary entropy rises on
-[0, 1/2], and on the grid two cuts' D = (1-2x)^2 + 4xd differ by 4y|x - x'|,
-y the third parameter, at least 4 step^2 unless they tie exactly, so this is
-the minimum over the three cuts bit for bit at a third of the log2 work. All
-six spectrum values of a point are still range-checked.
+chunks of a fixed number of points that span grid rows, on the chunk's one d,
+which its amplitudes and exclusion ball share; the scan checks it at every
+point against the three one-qubit marginals. A scan's one amplitude buffer
+holds psi[q1, q2, q3] as a row over a chunk's states; each chunk fills its
+four W-class rows, the other four staying zero. Qubit k's marginal contracts
+two views, its 0- and 1-slices, over all 8 amplitudes, so no row is copied or
+gathered. Being real symmetric 2x2, it has the exact eigenvalues
+(t -/+ sqrt((p - q)^2 + 4r^2))/2 from its diagonal p, q, trace t = p + q and
+off-diagonal r, for all three cuts in one pass against the closed form's
+cut-major rows, so no eigensolver runs per point. A point's minimum cut
+entropy is that of its smallest lambda- with its largest lambda+, which one
+cut holds: the binary entropy rises on [0, 1/2], and on the grid two cuts'
+D = (1-2x)^2 + 4xd differ by 4y|x - x'|, y the third parameter, at least
+4 step^2 unless they tie exactly, so this is the minimum over the three cuts
+bit for bit at a third of the log2 work; all six spectrum values are range-checked.
 The one-point certificate, blank_insufficiency, is wclass's, on plain floats.
 """
 from __future__ import annotations
@@ -151,11 +152,9 @@ def classify_pair(m: int, n: int) -> PairClassification:
     pair attains its minimum at every k and is cataloged under k=3); for C it
     is the smallest k whose reductions do not commute, that is whose Gram
     matrix G is nonzero (see the module docstring). Indices follow
-    exact.integer_index, and w_signs checks their range.
+    exact.integer_index, _cut_gram checks that they differ and w_signs their range.
     """
     m, n = integer_index(m, "W basis index"), integer_index(n, "W basis index")
-    if m == n:
-        raise ValueError("pair members must differ")
     cuts = {k: _cut_gram(m, n, k) for k in (1, 2, 3)}
     span = min(dim for *_, dim in cuts.values())
     if span <= 3:
@@ -182,9 +181,9 @@ def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, tuple[tuple[int, int], 
     """
     if integer_index(k, "cut index k") not in (1, 2, 3):
         raise ValueError(f"cut index k={k!r} must be 1..3")
-    (m0, m1), (n0, n1) = (cut_columns(w_signs(x), k) for x in (m, n))
-    if m == n:
+    if m == n:  # the callers' plain ints, compared before w_signs range-checks either
         raise ValueError("pair members must differ")
+    (m0, m1), (n0, n1) = (cut_columns(w_signs(x), k) for x in (m, n))
     heavy, diagonals = [], []
     for x, (c0, c1) in ((m, (m0, m1)), (n, (n0, n1))):
         d0, off, d1 = column_dot(c0, c0), column_dot(c0, c1), column_dot(c1, c1)
@@ -224,6 +223,7 @@ def btype_form(m: int, n: int, k: int) -> BTypeForm:
     (|G[l_m, l_n]| = 1). Columns of norm^2 2 and 1 are never parallel, so a
     direction shared at different weights, or by no columns at all, fails.
     """
+    m, n = integer_index(m, "W basis index"), integer_index(n, "W basis index")
     h_m, h_n, g, span = _cut_gram(m, n, k)
     if span != 3:
         raise StructureMismatchError(f"pair ({m},{n}) spans {span} at k={k}, not 3 as a B witness")
@@ -448,8 +448,8 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     best_entropy, best_point = -np.inf, None
     psi = np.zeros((2, 2, 2, _SCAN_CHUNK))  # each chunk's amplitudes, in its first columns
     for a, b, c in _grid_chunks(step):
-        d = np.maximum(0.0, 1.0 - (a + b + c))
-        spectra = wclass_cut_spectra(a, b, c)
+        d = np.maximum(0.0, 1.0 - (a + b + c))  # one d a chunk: closed form, cross-check, ball
+        spectra = wclass_cut_spectra(a, b, c, d)
         rows = spectra.transpose(2, 1, 0)  # [lambda-/+, cut, point]: the closed form's own stack
         _crosscheck_spectra(a, b, c, d, rows, psi[..., :a.size])
         if not (rows.min() >= -ZERO_CLAMP and rows.max() <= 1.0 + ZERO_CLAMP):  # or NaN
@@ -492,9 +492,9 @@ def _marginal_entries(
 def _symmetric_2x2_eigenvalues(
     p: np.ndarray, q: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ascending eigenvalues of the real symmetric matrices [[p, r], [r, q]]."""
-    root = np.sqrt((p - q) ** 2 + 4.0 * r * r)
-    return (p + q - root) / 2.0, (p + q + root) / 2.0
+    """Exact ascending eigenvalues of real symmetric [[p, r], [r, q]]; p + q is formed once."""
+    trace, root = p + q, np.sqrt((p - q) ** 2 + 4.0 * r * r)
+    return (trace - root) / 2.0, (trace + root) / 2.0
 
 
 def _crosscheck_spectra(

@@ -7,11 +7,11 @@ lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd)) / 2, with x the parameter opposite
 the cut (x = c, b, a for cuts 1, 2, 3).
 
 This module imports no numpy, so w blank-check runs without it. It is the
-one-point form: a caller holding one WClassParams uses it, while the scan,
-which holds parameter arrays, uses measures.wclass_cut_spectra and
-measures.entropy_bits. Both forms square as y * y and add a cut's two entropy
-terms in the same order, so their spectra agree bit for bit; the entropies
-differ only where math.log2 and np.log2 round differently, by a few ulp.
+one-point form, for a caller holding one WClassParams. The scan holds arrays
+and works out each chunk's d once; it runs measures.wclass_cut_spectra on them
+and measures.entropy_bits. Both forms square as y * y and add a cut's two
+entropy terms in the same order, so their spectra agree bit for bit; the
+entropies differ by a few ulp only where math.log2 and np.log2 round differently.
 """
 from __future__ import annotations
 

@@ -219,7 +219,7 @@ def test_closed_form_spectra_match_direct_reduction():
         raw = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
         params = WClassParams(*(float(x) * scale + floor for x in raw[:3]))
         state = w_class(params)
-        spectra = wclass_cut_spectra(*(np.array([x]) for x in (params.a, params.b, params.c)))
+        spectra = wclass_cut_spectra(*(np.array([getattr(params, x)]) for x in "abcd"))
         for cut_index in (1, 2, 3):
             minus, plus = spectra[0, cut_index - 1]
             direct = schmidt_coefficients(

@@ -62,6 +62,18 @@ def swapped_schur_weights(patch):
     )
 
 
+def commuting_span_4_reductions(patch):
+    # G = 0 wherever the span is 4, so every cut of a C pair spans 4 with commuting
+    # reductions, which the taxonomy must refuse rather than leave uncategorised
+    cut_gram = w_audit._cut_gram
+
+    def zeroed(m, n, k):
+        h_m, h_n, gram, span = cut_gram(m, n, k)
+        return h_m, h_n, ((0, 0), (0, 0)) if span == 4 else gram, span
+
+    patch.setattr(w_audit, "_cut_gram", zeroed)
+
+
 def non_hermitian_output_transpose(patch):
     blocks_of = w_audit._parity_blocks
 
@@ -145,6 +157,10 @@ CASES = [
      "pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
     (shifted_audit_value, ["w", "audit"], W_AUDIT_HEAD, "audit (1,6) I: negativities"),
     (shifted_audit_value, REPORT, REPORT_HEAD, "audit (1,6) I: negativities"),
+    (commuting_span_4_reductions, ["w", "classify", "--pair", "1,3"], "",
+     "error: pair (1,3) spans 4 at every cut but all reductions commute"),
+    (commuting_span_4_reductions, REPORT, "",
+     "pair (1,3) spans 4 at every cut but all reductions commute"),
     # the skew enters every state's parity blocks, so the input solve, which runs first,
     # sees 1e-6j on the diagonal of each row's mean blocks and blank blocks, and names
     # the first row

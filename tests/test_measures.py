@@ -42,7 +42,7 @@ def random_unitary(rng, dim):
 
 def cut_spectrum(params, cut_index):
     """(lambda-, lambda+) of one state at one cut, from length-1 wclass_cut_spectra."""
-    spectra = wclass_cut_spectra(*(np.array([x]) for x in (params.a, params.b, params.c)))
+    spectra = wclass_cut_spectra(*(np.array([getattr(params, x)]) for x in "abcd"))
     return tuple(float(x) for x in spectra[0, cut_index - 1])
 
 
@@ -194,8 +194,8 @@ _weights = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False, allow_infin
 def test_array_closed_form_matches_partial_trace(weights):
     # four positive weights normalised give a point (a, b, c) with d >= 0
     points = [WClassParams(*(w / sum(ws) for w in ws[:3])) for ws in weights]
-    a, b, c = (np.array([getattr(p, name) for p in points]) for name in "abc")
-    spectra = wclass_cut_spectra(a, b, c)
+    a, b, c, d = (np.array([getattr(p, name) for p in points]) for name in "abcd")
+    spectra = wclass_cut_spectra(a, b, c, d)
     entropies = entropy_bits(spectra).min(axis=-1)
     assert spectra.shape == (len(points), 3, 2) and entropies.shape == (len(points),)
     for params, entropy in zip(points, entropies):

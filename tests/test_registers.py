@@ -21,6 +21,7 @@ from locclone.registers import (
     VerificationError,
     _apply_single,
     apply_circuit,
+    cut_matrix,
     density,
     hermitian_spectrum,
     partial_trace,
@@ -170,6 +171,22 @@ def test_partial_trace_rejects_bad_subsets():
         partial_trace(dm, {0, 1})
     with pytest.raises(ValueError):
         partial_trace(dm, {5})
+
+
+@pytest.mark.parametrize("qubit", [-1, 3])
+def test_partial_trace_refuses_a_qubit_off_the_register(qubit):
+    # unchecked, -1 would trace out the last qubit
+    with pytest.raises(ValueError, match=rf"discard set \[{qubit}\] out of range for 3 qubits"):
+        partial_trace(density(w_basis(1)), {qubit})
+
+
+def test_a_cut_of_another_register_size_is_refused():
+    # unchecked, a 3-qubit cut of 6-qubit entries would swap axes 2 and 8
+    six = DensityMatrix(6, np.eye(64, dtype=complex) / 64)
+    with pytest.raises(ValueError, match="cut register size does not match the density matrix"):
+        partial_transpose(six, Bipartition(3, frozenset({2})))
+    with pytest.raises(ValueError, match="cut register size does not match the state"):
+        cut_matrix(w_basis(1), Bipartition(2, frozenset({1})))
 
 
 def test_partial_transpose_bell_spectrum():
@@ -413,6 +430,16 @@ def test_unknown_gate_names_are_refused_by_name():
         apply_circuit(StateVector(6, np.eye(64, dtype=complex)[0]), [gate])
     with pytest.raises(ValueError, match="unknown gate 'H'"):
         verify_cloner(CloningCircuit((gate,), GhzLabel(0, 0, 0)), [GhzLabel(0, 0, 1)])
+
+
+@pytest.mark.parametrize("target", [6, -1])
+def test_both_simulators_refuse_a_target_off_the_register(target):
+    # unchecked, target -1 would make apply_monomial flip index bit 64
+    gate, off = SingleQubitGate(target, "X"), f"gate target {target} out of range for 6 qubits"
+    with pytest.raises(ValueError, match=off):
+        apply_monomial({0: 0}, [gate], 6)
+    with pytest.raises(ValueError, match=off):
+        apply_circuit(StateVector(6, np.eye(64, dtype=complex)[0]), [gate])
 
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])

@@ -175,6 +175,27 @@ def test_every_structure_check_refuses_a_pair_of_one_state():
             check()
 
 
+# bad pair members, each with its exact message: _cut_gram compares the members before it
+# reads a column, so equal members out of range are named as equal, not as out of range
+PAIR_MEMBER_MESSAGES = [
+    (classify_pair, (4, 4), "pair members must differ"),
+    (classify_pair, (9, 9), "pair members must differ"),
+    (classify_pair, (0, 3), "W basis index must be 1..8, got 0"),
+    (classify_pair, (1, 9), "W basis index must be 1..8, got 9"),
+    (classify_pair, (True, 6), "W basis index True is not an integer"),
+    (btype_form, (9, 9, 1), "pair members must differ"),
+    (btype_form, (True, 1, 3), "W basis index True is not an integer"),
+]
+
+
+@pytest.mark.parametrize("function, args, message", PAIR_MEMBER_MESSAGES,
+                         ids=[f"{f.__name__}{args}" for f, args, _ in PAIR_MEMBER_MESSAGES])
+def test_bad_pair_members_keep_their_messages(function, args, message):
+    with pytest.raises(ValueError) as caught:
+        function(*args)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cut_columns_are_the_single_qubit_cut(k):
     # amplitude i is i, so each column lists the indices it reads
@@ -690,9 +711,9 @@ def test_lemma_scan_crosscheck_every_point(monkeypatch):
     for target, params in enumerate(grid):
         seen = 0
 
-        def shifted(a, b, c):
+        def shifted(a, b, c, d):
             nonlocal seen
-            spectra = real(a, b, c)
+            spectra = real(a, b, c, d)
             if seen <= target < seen + a.size:
                 spectra[target - seen, target % 3] += 1e-9
             seen += a.size
@@ -781,8 +802,8 @@ def test_scan_takes_one_entropy_a_point_from_the_minimal_cut(monkeypatch, step):
     # the scan's entropy_bits input, chunk by chunk, against all three cut entropies
     chunks, inputs = [], []
 
-    def recording_spectra(a, b, c):
-        chunks.append(wclass_cut_spectra(a, b, c))
+    def recording_spectra(a, b, c, d):
+        chunks.append(wclass_cut_spectra(a, b, c, d))
         return chunks[-1]
 
     def recording_entropy(probabilities):
@@ -797,6 +818,26 @@ def test_scan_takes_one_entropy_a_point_from_the_minimal_cut(monkeypatch, step):
         assert pair.shape == (len(spectra), 2)
         assert np.array_equal(pair, _own_pair_of_smallest_lambda_minus(spectra))
         assert np.array_equal(entropy_bits(pair), entropy_bits(spectra).min(axis=1))
+
+
+def test_each_scan_chunk_derives_d_once(monkeypatch):
+    # the closed form, the cross-check and the exclusion ball all read one d array a chunk
+    received = []
+    for name in ("wclass_cut_spectra", "_crosscheck_spectra", "_distance_from_w_point"):
+        seen = []
+        received.append(seen)
+
+        def recording(a, b, c, d, *rest, _real=getattr(w_audit, name), _seen=seen):
+            _seen.append(d)
+            return _real(a, b, c, d, *rest)
+
+        monkeypatch.setattr(w_audit, name, recording)
+    lemma_scan(0.01, 0.05)
+    closed_form, crosscheck, ball = received
+    ball = ball[1:]  # check_scan_inputs measures the grid's four corners first
+    chunks = -(-math.comb(100, 3) // w_audit._SCAN_CHUNK)
+    assert len(closed_form) == len(crosscheck) == len(ball) == chunks
+    assert all(x is y is z for x, y, z in zip(closed_form, crosscheck, ball))
 
 
 @st.composite
@@ -825,7 +866,7 @@ def test_smallest_lambda_minus_has_the_minimum_cut_entropy_at_grid_points(points
     # grid, cuts a few ulp apart can round their entropies the other way (65 of
     # 10^6 random points with c one ulp above b), so the points are grid points.
     a, b, c = (np.array(values) for values in zip(*points))
-    spectra = wclass_cut_spectra(a, b, c)
+    spectra = wclass_cut_spectra(a, b, c, np.maximum(0.0, 1.0 - (a + b + c)))
     pair = _own_pair_of_smallest_lambda_minus(spectra)
     assert np.array_equal(entropy_bits(pair), entropy_bits(spectra).min(axis=1))
 
@@ -837,8 +878,8 @@ def test_scan_range_checks_the_cuts_whose_entropy_it_skips(monkeypatch, side, va
     real = w_audit.wclass_cut_spectra
     hits = []
 
-    def corrupt(a, b, c):
-        spectra = real(a, b, c)
+    def corrupt(a, b, c, d):
+        spectra = real(a, b, c, d)
         low = spectra[:, :, 0]
         hit = np.flatnonzero(low.max(axis=1) > low.min(axis=1))
         spectra[hit, np.argmax(low[hit], axis=1), side] = value
@@ -920,8 +961,8 @@ def test_lemma_scan_catches_a_contraction_over_the_wrong_qubit(monkeypatch):
 def test_lemma_scan_catches_a_nan_closed_form(monkeypatch):
     real = w_audit.wclass_cut_spectra
 
-    def nan_at_first_point(a, b, c):
-        spectra = real(a, b, c)
+    def nan_at_first_point(a, b, c, d):
+        spectra = real(a, b, c, d)
         spectra[0, 1, 0] = np.nan
         return spectra
 

@@ -45,7 +45,7 @@ def wclass_points(draw) -> WClassParams:
 @example(WClassParams(0.09917256846852116, 0.09304985035209008, 0.13837755183145925))
 @example(WClassParams(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))  # all three cuts tie
 def test_the_one_point_form_matches_the_array_form(params):
-    arrays = wclass_cut_spectra(*(np.array([x]) for x in (params.a, params.b, params.c)))[0]
+    arrays = wclass_cut_spectra(*(np.array([getattr(params, x)]) for x in "abcd"))[0]
     assert wclass_spectra(params) == tuple(tuple(float(x) for x in cut) for cut in arrays)
     entropies = entropy_bits(arrays)
     cut_index, entropy = wclass_min_cut_entropy(params)
