@@ -38,11 +38,11 @@ scan violations): the document prints and its notes go to stderr.
 run_command alone maps notes and exceptions to exit codes. Reports go to
 stdout or --out.
 
-Each handler imports the analysis modules (ghz_cloning, w_audit, measures,
-wclass) it runs when it runs, so a fresh process answering one query pays to
-import only those. At import cli loads only exact and report, so the ghz
-commands and w blank-check (wclass alone) run without numpy; the other w
-handlers and measure load it.
+Each handler imports the analysis modules (ghz_cloning, w_taxonomy, w_audit,
+measures, wclass) it runs when it runs, so a fresh process answering one query
+pays to import only those. At import cli loads only exact and report, so the
+ghz commands, w classify (w_taxonomy alone) and w blank-check (wclass alone)
+run without numpy; w audit, w lemma, report and measure load it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .report import (
 )
 
 if TYPE_CHECKING:
-    from .w_audit import PairClassification
+    from .w_taxonomy import PairClassification
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -174,7 +174,7 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> Sequence[str]:
 
 def _pair_classifications(args: argparse.Namespace) -> Sequence[PairClassification]:
     """The pair --pair names, or all 28 pairs: the items of w classify and w audit."""
-    from .w_audit import all_pair_classifications, classify_pair
+    from .w_taxonomy import all_pair_classifications, classify_pair
 
     if args.pair is not None:  # an empty --pair is an error, not all pairs
         return (classify_pair(*_parse_pair(args.pair)),)

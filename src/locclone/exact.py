@@ -1,8 +1,9 @@
-"""The exact core on plain ints: errors, index checks, cuts, gates, cut columns, GHZ labels.
+"""The exact core on plain ints: errors, index checks, cuts, gates, GHZ labels, basis signs.
 
-It imports no numpy, so the GHZ half (ghz_cloning) and the command-line boundary
-(cli, report) run without it. Every gate the GHZ half emits is monomial, and GATES
-defines each by its name alone as (bit flip f, quarter turns t): |b> -> i^(t*b) |b xor f>.
+It imports no numpy, so the GHZ half (ghz_cloning), the W pair taxonomy (w_taxonomy)
+and the command-line boundary (cli, report) run without it. Every gate the GHZ half
+emits is monomial, and GATES defines each by its name alone as (bit flip f, quarter
+turns t): |b> -> i^(t*b) |b xor f>.
 """
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ _CUT_COLUMNS = {
 
 def cut_columns(signs: Sequence[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Columns |0> and |1> of the 4x2 cut matrix of 8 amplitudes at qubit k (1..3): the
-    Bell-triple witness (ghz_cloning) and the W-pair taxonomy (w_audit) both read them."""
+    Bell-triple witness (ghz_cloning) and the W-pair taxonomy (w_taxonomy) both read them."""
     zero, one = _CUT_COLUMNS[k]
     return zero(signs), one(signs)
 
@@ -136,6 +137,33 @@ def ghz_signs(label: GhzLabel) -> tuple[int, ...]:
     signs[(label.i << 1) | label.j] = 1
     signs[4 | ((1 - label.i) << 1) | (1 - label.j)] = 1 - 2 * label.p
     return tuple(signs)
+
+
+# Basis kets per W state, as (bitstring, sign); every amplitude is sign/sqrt(3).
+_W_TERMS: dict[int, tuple[tuple[str, int], ...]] = {
+    1: (("001", 1), ("100", 1), ("111", 1)),
+    2: (("011", 1), ("101", 1), ("110", 1)),
+    3: (("001", 1), ("100", -1), ("010", 1)),
+    4: (("011", 1), ("101", -1), ("000", 1)),
+    5: (("001", 1), ("010", -1), ("111", -1)),
+    6: (("011", 1), ("000", -1), ("110", -1)),
+    7: (("100", 1), ("111", -1), ("010", 1)),
+    8: (("101", 1), ("110", -1), ("000", 1)),
+}
+
+# sqrt(3) * the amplitudes of each W state, built once from its kets
+_W_SIGNS = {
+    n: tuple(sum(sign for bits, sign in terms if int(bits, 2) == i) for i in range(8))
+    for n, terms in _W_TERMS.items()
+}
+
+
+def w_signs(n: int) -> tuple[int, ...]:
+    """Integer amplitudes of W basis state n times sqrt(3), as plain ints: three entries of +/-1."""
+    n = integer_index(n, "W basis index")
+    if n not in _W_SIGNS:
+        raise ValueError(f"W basis index must be 1..8, got {n!r}")
+    return _W_SIGNS[n]
 
 
 def parse_ghz_label(text: str) -> GhzLabel:

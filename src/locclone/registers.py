@@ -8,9 +8,9 @@ Conventions used throughout the package:
   first, as the more significant half of the joint index.
 * Bipartitions name the B side; qubit indices are 0-based here (user-facing
   labels are 1-based and translated at the CLI boundary).
-* The numpy-free names (VerificationError, integer_index, Bipartition, the gate
-  records and the 3-qubit cut_columns) live in exact, which the GHZ half runs on
-  alone; this module holds what needs numpy, for the W audit's spectra, measure and the benchmark.
+* The numpy-free names (VerificationError, integer_index, Bipartition, gate records, the
+  3-qubit cut_columns, basis signs) live in exact, which the GHZ half and the W taxonomy run
+  on alone; this module holds what needs numpy: the W audit's spectra, measure, the benchmark.
 """
 from __future__ import annotations
 

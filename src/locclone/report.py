@@ -31,7 +31,7 @@ OUTPUT_FORMATS = ("table", "json", "csv")
 
 # Closed-form (N_in, N_out) per pair family, from the integer spectra of
 # 6 rho_pair^T_B and 18 rho_out^T_B. Each W-basis blank gives the input factor
-# 1 + 2 sqrt(2)/3: every W-basis state splits 2/3, 1/3 at every cut (w_audit._cut_gram).
+# 1 + 2 sqrt(2)/3: every W-basis state splits 2/3, 1/3 at every cut (w_taxonomy._cut_gram).
 # w audit and the full report flag any record further than MATCH_TOL from its
 # family's value; eigensolver error is near 64 eps ||Y|| ~ 1e-13.
 REFERENCE_NEGATIVITIES: dict[str, tuple[float, float]] = {
@@ -128,7 +128,8 @@ def build_report(step: float, exclusion_radius: float) -> dict:
     verdict unlike the paper's (taxonomy split, audit drift, scan) becomes a note,
     and an audit that fails under a split unlike the paper's names the split."""
     from .ghz_cloning import all_pairs, all_triples, synthesize_cloner, triple_clonability
-    from .w_audit import all_pair_classifications, audit_classified, lemma_scan
+    from .w_audit import audit_classified, lemma_scan
+    from .w_taxonomy import all_pair_classifications
 
     scan = lemma_scan(step, exclusion_radius)  # first, as it checks the knobs
     notes: list[str] = []

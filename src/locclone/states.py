@@ -11,9 +11,9 @@ Three families:
 Qubits are numbered 1..3 in user-facing labels and 0..2 internally. The
 basis states also come as tuples of 8 plain ints (ghz_signs = sqrt(2) * ghz,
 w_signs = sqrt(3) * w_basis) for the checks that decide exact claims; ghz and
-w_basis wrap them in numpy. The GHZ labels, their signs and the label parsers
-are exact's, on plain ints. The W-class parameters (WClassParams) and their
-parser are wclass's, on plain floats; w_class builds the state from them.
+w_basis wrap them in numpy. The GHZ labels, both bases' signs and the label
+parsers are exact's, on plain ints. The W-class parameters (WClassParams) and
+their parser are wclass's, on plain floats; w_class builds the state from them.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-# the GHZ labels live in exact and the W-class parameters in wclass, for the numpy-free
-# queries; states names them with the bases
-from .exact import GHZ_LABELS, GhzLabel, ghz_signs, integer_index, parse_ghz_label, parse_w_index
+# the GHZ labels and both bases' signs live in exact and the W-class parameters in wclass,
+# for the numpy-free queries; states names them with the bases
+from .exact import GHZ_LABELS, GhzLabel, ghz_signs, parse_ghz_label, parse_w_index, w_signs
 from .registers import StateVector
 from .wclass import WClassParams, parse_wclass_params
 
@@ -34,34 +34,6 @@ SQRT_THIRD = 1.0 / math.sqrt(3.0)  # a W-basis amplitude's magnitude; w_audit re
 def ghz(label: GhzLabel) -> StateVector:
     """GHZ basis state (|0 i j> + (-1)^p |1 i~ j~>)/sqrt(2)."""
     return StateVector(3, (np.array(ghz_signs(label)) * _SQRT_HALF).astype(complex))
-
-
-# Basis kets per W state, as (bitstring, sign); every amplitude is sign/sqrt(3).
-_W_TERMS: dict[int, tuple[tuple[str, int], ...]] = {
-    1: (("001", 1), ("100", 1), ("111", 1)),
-    2: (("011", 1), ("101", 1), ("110", 1)),
-    3: (("001", 1), ("100", -1), ("010", 1)),
-    4: (("011", 1), ("101", -1), ("000", 1)),
-    5: (("001", 1), ("010", -1), ("111", -1)),
-    6: (("011", 1), ("000", -1), ("110", -1)),
-    7: (("100", 1), ("111", -1), ("010", 1)),
-    8: (("101", 1), ("110", -1), ("000", 1)),
-}
-
-
-# sqrt(3) * the amplitudes of each W state, built once from its kets
-_W_SIGNS = {
-    n: tuple(sum(sign for bits, sign in terms if int(bits, 2) == i) for i in range(8))
-    for n, terms in _W_TERMS.items()
-}
-
-
-def w_signs(n: int) -> tuple[int, ...]:
-    """Integer amplitudes of W basis state n times sqrt(3), as plain ints: three entries of +/-1."""
-    n = integer_index(n, "W basis index")
-    if n not in _W_SIGNS:
-        raise ValueError(f"W basis index must be 1..8, got {n!r}")
-    return _W_SIGNS[n]
 
 
 def w_basis(n: int) -> StateVector:

@@ -30,14 +30,8 @@ from locclone.report import (
     emit_report,
 )
 from locclone.states import GHZ_LABELS, WClassParams, ghz, w_basis, w_class
-from locclone.w_audit import (
-    all_pair_classifications,
-    audit_classified,
-    btype_form,
-    classify_pair,
-    lemma_scan,
-    negativity_audit,
-)
+from locclone.w_audit import audit_classified, lemma_scan, negativity_audit
+from locclone.w_taxonomy import all_pair_classifications, btype_form, classify_pair
 
 from references import make_pure
 

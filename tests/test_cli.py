@@ -17,7 +17,8 @@ from locclone import cli, ghz_cloning, registers, report, w_audit
 from locclone.cli import run_command
 from locclone.registers import VerificationError
 from locclone.report import build_report
-from locclone.w_audit import all_pair_classifications, audit_classified
+from locclone.w_audit import audit_classified
+from locclone.w_taxonomy import all_pair_classifications
 
 
 def run(capsys, *argv):
@@ -740,6 +741,10 @@ def test_import_locclone_loads_no_submodule():
     assert _cold_modules("import locclone") == set()
 
 
+def test_the_w_taxonomy_loads_no_numpy():
+    assert _cold_modules("import locclone.w_taxonomy") == {"locclone.w_taxonomy", "locclone.exact"}
+
+
 ABSENT_FROM_GHZ = {"locclone.w_audit", "locclone.measures", "numpy"}
 
 
@@ -755,13 +760,18 @@ ABSENT_FROM_GHZ = {"locclone.w_audit", "locclone.measures", "numpy"}
           "numpy", "locclone.ghz_cloning"}),
         (["ghz", "triples", "--states", "0,0,0", "0,1,1", "1,0,1"], {"locclone.ghz_cloning"},
          ABSENT_FROM_GHZ),
+        # the pair taxonomy runs on plain ints
+        (["w", "classify", "--pair", "1,6"], {"locclone.w_taxonomy"},
+         {"locclone.w_audit", "locclone.measures", "locclone.states", "locclone.registers",
+          "numpy", "locclone.ghz_cloning"}),
     ],
 )
 def test_a_cold_command_imports_only_the_analyses_it_runs(tmp_path, argv, loaded, absent):
     """Each fresh process pays to import what it loads, so a query loads only its analysis.
 
-    The GHZ commands run on plain ints and w blank-check on plain floats, so they
-    load no numpy; w audit must load it, which keeps the numpy check able to fail.
+    The GHZ commands and w classify run on plain ints and w blank-check on plain
+    floats, so they load no numpy; w audit must load it, which keeps the numpy check
+    able to fail.
     """
     script = "import sys\nfrom locclone.cli import run_command\nassert run_command(sys.argv[1:]) == 0"
     modules = _cold_modules(script, *argv, "--out", str(tmp_path / "out"))

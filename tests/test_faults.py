@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from locclone import cli, ghz_cloning, report, w_audit, wclass
+from locclone import cli, ghz_cloning, report, w_audit, w_taxonomy, wclass
 from locclone.exact import TransversalCnot
 
 
@@ -42,36 +42,36 @@ def audit_drift(patch):
 
 
 def c_pairs_classified_as_b(patch):
-    classify = w_audit.classify_pair
+    classify = w_taxonomy.classify_pair
 
     def as_b(m, n):
         cls = classify(m, n)
-        if cls.category != w_audit.CATEGORY_C:
+        if cls.category != w_taxonomy.CATEGORY_C:
             return cls
-        return cls._replace(category=w_audit.CATEGORY_B, witness_k=1, span_dim=3)
+        return cls._replace(category=w_taxonomy.CATEGORY_B, witness_k=1, span_dim=3)
 
-    patch.setattr(w_audit, "classify_pair", as_b)
+    patch.setattr(w_taxonomy, "classify_pair", as_b)
 
 
 def swapped_schur_weights(patch):
     # D_m's diagonal holds 1s and 2s, so passing 2 / D_m swaps the weights 2 / D_m[i, i];
     # the split becomes 0 A / 24 B / 4 C, and the A pair (1,2) fails its B structure check
-    span = w_audit._span
+    span = w_taxonomy._span
     patch.setattr(
-        w_audit, "_span", lambda d_m, d_n, gram: span(tuple(2 // d for d in d_m), d_n, gram)
+        w_taxonomy, "_span", lambda d_m, d_n, gram: span(tuple(2 // d for d in d_m), d_n, gram)
     )
 
 
 def commuting_span_4_reductions(patch):
     # G = 0 wherever the span is 4, so every cut of a C pair spans 4 with commuting
     # reductions, which the taxonomy must refuse rather than leave uncategorised
-    cut_gram = w_audit._cut_gram
+    cut_gram = w_taxonomy._cut_gram
 
     def zeroed(m, n, k):
         h_m, h_n, gram, span = cut_gram(m, n, k)
         return h_m, h_n, ((0, 0), (0, 0)) if span == 4 else gram, span
 
-    patch.setattr(w_audit, "_cut_gram", zeroed)
+    patch.setattr(w_taxonomy, "_cut_gram", zeroed)
 
 
 def non_hermitian_output_transpose(patch):

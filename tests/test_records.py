@@ -16,17 +16,15 @@ from locclone.ghz_cloning import synthesize_cloner, triple_clonability
 from locclone.measures import cut_entropy
 from locclone.registers import Bipartition, DensityMatrix, SingleQubitGate, StateVector
 from locclone.states import GHZ_LABELS, ghz
-from locclone.w_audit import (
+from locclone.w_audit import audit_classified, lemma_scan, negativity_audit
+from locclone.w_taxonomy import (
     CATEGORY_A,
     CATEGORY_C,
     all_pair_classifications,
     atype_structure,
-    audit_classified,
     btype_form,
     classify_pair,
     ctype_structure,
-    lemma_scan,
-    negativity_audit,
 )
 
 

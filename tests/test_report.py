@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from locclone import __version__, cli, ghz_cloning, report, w_audit
+from locclone import __version__, cli, ghz_cloning, report, w_taxonomy
 from locclone.ghz_cloning import synthesize_cloner
 from locclone.registers import Bipartition, SingleQubitGate, TransversalCnot
 from locclone.report import (
@@ -162,13 +162,13 @@ def test_build_report_sections():
 
 def test_build_report_classifies_each_pair_once(monkeypatch):
     calls = []
-    real = w_audit.classify_pair
+    real = w_taxonomy.classify_pair
 
     def counting(m, n):
         calls.append((m, n))
         return real(m, n)
 
-    monkeypatch.setattr(w_audit, "classify_pair", counting)
+    monkeypatch.setattr(w_taxonomy, "classify_pair", counting)
     document = build_report(0.1, 0.05)
     assert len(calls) == len(set(calls)) == 28
     keys = ("m", "n", "category", "witness_k")

@@ -76,14 +76,14 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
 
 def test_the_census_sees_calls_across_modules_and_from_bench():
     used, defined = referenced_names(), definitions()
-    assert {"cut_columns", "_cut_gram", "partial_trace"} <= used  # exact, w_audit, bench
-    assert {("exact", "cut_columns"), ("w_audit", "_cut_gram"),
+    assert {"cut_columns", "_cut_gram", "partial_trace"} <= used  # exact, w_taxonomy, bench
+    assert {("exact", "cut_columns"), ("w_taxonomy", "_cut_gram"),
             ("registers", "partial_trace")} <= set(defined)
     # tables and constants too: states.SQRT_THIRD is read in w_audit, _W_TERMS only by the
     # table built from it, and _PARITY by the table and by a function
     assert {"SQRT_THIRD", "_W_TERMS", "_PARITY"} <= used
-    assert {("states", "SQRT_THIRD"), ("states", "_W_TERMS"), ("w_audit", "_PARITY"),
-            ("states", "_W_SIGNS")} <= set(defined)
+    assert {("states", "SQRT_THIRD"), ("exact", "_W_TERMS"), ("w_audit", "_PARITY"),
+            ("exact", "_W_SIGNS")} <= set(defined)
 
 
 def test_a_table_read_only_by_its_own_assignment_is_unused():

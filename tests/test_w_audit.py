@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from locclone import ghz_cloning, w_audit
-from locclone.exact import VerificationError, cut_columns, ghz_signs
+from locclone import ghz_cloning, w_audit, w_taxonomy
+from locclone.exact import VerificationError, cut_columns, ghz_signs, w_signs
 from locclone.measures import (
     W_CUT_ENTROPY_BITS,
     entropy_bits,
@@ -33,19 +33,21 @@ from locclone.registers import (
     trace_norm,
 )
 from locclone.report import REFERENCE_NEGATIVITIES, json_text, reference_mismatches, scan_document
-from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class, w_signs
+from locclone.states import GhzLabel, WClassParams, ghz, w_basis, w_class
 from locclone.w_audit import (
-    PairClassification,
     StructureMismatchError,
-    all_pair_classifications,
-    atype_structure,
     audit_classified,
     blank_insufficiency,
+    lemma_scan,
+    negativity_audit,
+)
+from locclone.w_taxonomy import (
+    PairClassification,
+    all_pair_classifications,
+    atype_structure,
     btype_form,
     classify_pair,
     ctype_structure,
-    lemma_scan,
-    negativity_audit,
 )
 
 import references
@@ -90,6 +92,24 @@ def test_category_counts():
     assert counts == {"A": 6, "B": 10, "C": 12}
 
 
+# what w_audit imports from w_taxonomy: its own calls, and the two checks the benchmark
+# calls by their w_audit names
+W_AUDIT_TAXONOMY_NAMES = ["CATEGORY_B", "PairClassification", "btype_form", "classify_pair",
+                          "atype_structure", "ctype_structure"]
+
+
+@pytest.mark.parametrize("name", W_AUDIT_TAXONOMY_NAMES)
+def test_w_audit_reads_the_one_taxonomy(name):
+    assert getattr(w_audit, name) is getattr(w_taxonomy, name)
+
+
+def test_w_audit_holds_no_other_taxonomy_name():
+    taxonomy = {name for name, value in vars(w_taxonomy).items()
+                if getattr(value, "__module__", None) == w_taxonomy.__name__
+                or name.startswith(("CATEGORY_", "FORM_"))}
+    assert taxonomy & set(vars(w_audit)) == set(W_AUDIT_TAXONOMY_NAMES)
+
+
 def test_classify_rejects_bad_indices():
     with pytest.raises(ValueError):
         classify_pair(0, 3)
@@ -119,8 +139,8 @@ def test_btype_form_rejects_wrong_span():
 
 
 def _fake_w_signs(monkeypatch, fakes):
-    """Serve w_audit integer amplitudes from fakes where given, the real ones elsewhere."""
-    monkeypatch.setattr(w_audit, "w_signs", lambda x: tuple(fakes[x]) if x in fakes else w_signs(x))
+    """Serve w_taxonomy integer amplitudes from fakes where given, the real ones elsewhere."""
+    monkeypatch.setattr(w_taxonomy, "w_signs", lambda x: tuple(fakes[x]) if x in fakes else w_signs(x))
 
 
 def _mutate_cut_matrix(monkeypatch, state, mutate):
@@ -129,20 +149,20 @@ def _mutate_cut_matrix(monkeypatch, state, mutate):
     Neither changes a column space or which Gram matrices vanish, so classify_pair
     must not change.
     """
-    real, target = w_audit.cut_columns, w_signs(state)
+    real, target = w_taxonomy.cut_columns, w_signs(state)
 
     def patched(signs, k):
         columns = real(signs, k)
         return mutate(columns) if signs == target else columns
 
-    monkeypatch.setattr(w_audit, "cut_columns", patched)
+    monkeypatch.setattr(w_taxonomy, "cut_columns", patched)
 
 
 def test_btype_form_rejects_a_shared_direction_that_is_no_eigenvector(monkeypatch):
     # at k=3 the cut matrix rows are amplitude pairs: M_m has columns (1,1,0,0), (0,0,1,0)
     # and M_n (0,1,1,0), (1,0,0,0); they span 3 and meet in (1,1,1,0), a column of neither
     _fake_w_signs(monkeypatch, {1: [1, 0, 1, 0, 0, 1, 0, 0], 2: [0, 1, 1, 0, 1, 0, 0, 0]})
-    assert w_audit._cut_gram(1, 2, 3)[2] == ((1, 1), (1, 0))
+    assert w_taxonomy._cut_gram(1, 2, 3)[2] == ((1, 1), (1, 0))
     with pytest.raises(StructureMismatchError, match="no common marginal eigenvector"):
         btype_form(1, 2, 3)
 
@@ -170,7 +190,7 @@ def test_every_structure_check_refuses_a_pair_of_one_state():
     # the input error classify_pair raises, so the command exits 2 and not 1
     for check in (lambda: classify_pair(1, 1), lambda: btype_form(1, 1, 3),
                   lambda: atype_structure(2, 2, 2), lambda: ctype_structure(3, 3),
-                  lambda: w_audit._cut_gram(4, 4, 1)):
+                  lambda: w_taxonomy._cut_gram(4, 4, 1)):
         with pytest.raises(ValueError, match="pair members must differ"):
             check()
 
@@ -205,13 +225,13 @@ def test_cut_columns_are_the_single_qubit_cut(k):
 
 def test_classify_pair_reads_each_cut_once(monkeypatch):
     calls = []
-    real = w_audit._cut_gram
+    real = w_taxonomy._cut_gram
 
     def counting(m, n, k):
         calls.append((m, n, k))
         return real(m, n, k)
 
-    monkeypatch.setattr(w_audit, "_cut_gram", counting)
+    monkeypatch.setattr(w_taxonomy, "_cut_gram", counting)
     assert classify_pair(1, 3).category == "C"
     assert calls == [(1, 3, 1), (1, 3, 2), (1, 3, 3)]
 
@@ -235,7 +255,7 @@ def test_the_one_two_cut_matrices_are_all_there():
 def test_schur_span_is_the_rank_of_both_cut_matrices(m_mat, n_mat):
     gram = tuple(map(tuple, (m_mat.T @ n_mat).tolist()))
     diagonals = (tuple(np.diag(m_mat.T @ m_mat).tolist()), tuple(np.diag(n_mat.T @ n_mat).tolist()))
-    assert w_audit._span(*diagonals, gram) == integer_rank(np.hstack([m_mat, n_mat]))
+    assert w_taxonomy._span(*diagonals, gram) == integer_rank(np.hstack([m_mat, n_mat]))
 
 
 def _small_integer_cut_matrices():
@@ -273,7 +293,7 @@ def test_taxonomy_matches_a_float_partial_trace_reference():
     for m, n in itertools.combinations(range(1, 9), 2):
         spans, commuting, expected = _float_taxonomy(m, n)
         for k in (1, 2, 3):
-            _, _, g, span = w_audit._cut_gram(m, n, k)
+            _, _, g, span = w_taxonomy._cut_gram(m, n, k)
             assert span == spans[k], (m, n, k)
             if span == 4:
                 assert (g == ((0, 0), (0, 0))) == commuting[k], (m, n, k)
@@ -290,7 +310,7 @@ def test_atype_structure_rejects_heavy_columns_on_one_partner(monkeypatch):
 
 def test_atype_structure_rejects_a_pair_sharing_one_direction(monkeypatch):
     # span 2 alone forces both column pairs parallel, so pass a B pair off as A
-    monkeypatch.setattr(w_audit, "classify_pair", lambda m, n: PairClassification(m, n, "A", 3, 2))
+    monkeypatch.setattr(w_taxonomy, "classify_pair", lambda m, n: PairClassification(m, n, "A", 3, 2))
     with pytest.raises(StructureMismatchError, match="A-side directions differ"):
         atype_structure(1, 6, 3)
 
