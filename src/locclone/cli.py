@@ -30,13 +30,14 @@ B-side qubit indices, e.g. "3" or "1,2".
 
 Exit status: 0 on success and for --help. 2 on invalid input (ValueError,
 OSError), usage errors such as an unknown flag or a missing subcommand
-included: one "error:" line and no document. 1 when a check on a computed
-value fails (VerificationError), as for the real GHZ no-go ghz clone
---states 0,0,0 0,0,1 1,0,0: one "error:" line and no document. 1 also when
-the run computes a verdict unlike the paper's (audit drift, taxonomy split,
-scan violations): the document prints and its notes go to stderr.
-run_command alone maps notes and exceptions to exit codes. Reports go to
-stdout or --out.
+included, and a repeated GHZ label, which ghz_cloning refuses: one "error:"
+line and no document. 1 when a check on a computed value fails
+(VerificationError), as for the real GHZ no-go ghz clone --states 0,0,0
+0,0,1 1,0,0: one "error:" line and no document. 1 also when the run computes
+a verdict unlike the paper's (audit drift, scan violations, a taxonomy split,
+which w classify --all and report both note through report.taxonomy_notes):
+the document prints and its notes go to stderr. run_command alone maps notes
+and exceptions to exit codes. Reports go to stdout or --out.
 
 Each handler imports the analysis modules (ghz_cloning, w_taxonomy, w_audit,
 measures, wclass) it runs when it runs, so a fresh process answering one query
@@ -52,7 +53,7 @@ import functools
 import sys
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .exact import Bipartition, GhzLabel, VerificationError
+from .exact import Bipartition, VerificationError
 from .exact import parse_decimal, parse_ghz_label, parse_w_index
 from .report import (
     OUTPUT_FORMATS,
@@ -64,6 +65,7 @@ from .report import (
     render,
     scan_document,
     scan_sections,
+    taxonomy_notes,
     triple_row,
 )
 
@@ -128,18 +130,10 @@ def _parse_cut(text: str, n_qubits: int) -> Bipartition:
     return Bipartition(n_qubits, frozenset(qubit - 1 for qubit in qubits))
 
 
-def _distinct_ghz_labels(texts: Sequence[str], role: str, advice: str) -> list[GhzLabel]:
-    labels = [parse_ghz_label(text) for text in texts]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ValueError(f"{role} member {label} is repeated; give {advice}")
-    return labels
-
-
 def _cmd_ghz_clone(args: argparse.Namespace) -> Sequence[str]:
     from .ghz_cloning import synthesize_cloner
 
-    members = sorted(_distinct_ghz_labels(args.states, "clone", "distinct states"))
+    members = [parse_ghz_label(text) for text in args.states]
     blank = parse_ghz_label(args.blank)
     circuit = synthesize_cloner(members, blank)
     lines = circuit_lines(circuit)
@@ -165,8 +159,7 @@ def _cmd_ghz_triples(args: argparse.Namespace) -> Sequence[str]:
     if args.all:
         triples = all_triples()
     else:
-        labels = _distinct_ghz_labels(args.states, "triple", "three distinct states")
-        triples = (tuple(sorted(labels)),)
+        triples = (tuple(sorted(parse_ghz_label(text) for text in args.states)),)
     rows = [triple_row(triple, triple_clonability(triple)) for triple in triples]
     _emit(args, rows, [("ghz_triples", rows)])
     return ()
@@ -182,9 +175,10 @@ def _pair_classifications(args: argparse.Namespace) -> Sequence[PairClassificati
 
 
 def _cmd_w_classify(args: argparse.Namespace) -> Sequence[str]:
-    rows = [item._asdict() for item in _pair_classifications(args)]
+    items = _pair_classifications(args)
+    rows = [item._asdict() for item in items]
     _emit(args, rows, [("w_classifications", rows)])
-    return ()
+    return () if args.pair is not None else taxonomy_notes(items)  # one pair has no split
 
 
 def _cmd_w_audit(args: argparse.Namespace) -> Sequence[str]:

@@ -64,10 +64,14 @@ class TripleVerdict:
 
 
 def _normalize_members(states: Iterable[GhzLabel]) -> tuple[GhzLabel, ...]:
-    members = sorted(set(states))
+    """The labels sorted, refused if one is repeated or there are not 2 or 3 of them."""
+    members = tuple(sorted(states))
+    for first, second in zip(members, members[1:]):
+        if first == second:
+            raise ValueError(f"GHZ label {first} is repeated; give distinct labels")
     if not 2 <= len(members) <= 3:
         raise ValueError(f"need 2 or 3 distinct GHZ labels, got {len(members)}")
-    return tuple(members)
+    return members
 
 
 def _format_members(members: Sequence[GhzLabel]) -> str:
@@ -184,12 +188,13 @@ def _cloning_layers(members: Sequence[GhzLabel]) -> tuple[LocalGate, ...] | None
 def synthesize_cloner(
     states: Iterable[GhzLabel], blank: GhzLabel = BLANK_DEFAULT
 ) -> CloningCircuit:
-    """Verified local cloning circuit for 2 or 3 GHZ basis states.
+    """Verified local cloning circuit for 2 or 3 distinct GHZ basis states.
 
-    Raises NoCircuitFound without simulating anything when neither route of
-    the closed form applies, which is the expected outcome exactly for the
-    no-go triples, and also when the closed-form circuit fails verification.
-    The returned circuit carries the member fidelities of that verification.
+    A repeated label or a set of another size raises ValueError. Raises
+    NoCircuitFound without simulating anything when neither route of the
+    closed form applies, which is the expected outcome exactly for the no-go
+    triples, and also when the closed-form circuit fails verification. The
+    returned circuit carries the member fidelities of that verification.
     """
     members = _normalize_members(states)
     layers = _cloning_layers(members)

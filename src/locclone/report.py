@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     from .exact import GhzLabel
     from .ghz_cloning import CloningCircuit, TripleVerdict
     from .w_audit import AuditRecord, ScanReport
+    from .w_taxonomy import PairClassification
 
 OUTPUT_FORMATS = ("table", "json", "csv")
 
@@ -118,8 +119,14 @@ def reference_mismatches(records: Sequence[AuditRecord]) -> list[str]:
     return notes
 
 
-def _split_text(split: Mapping[str, int]) -> str:
-    return " / ".join(f"{count} {category}" for category, count in split.items())
+def taxonomy_notes(classifications: Sequence[PairClassification]) -> list[str]:
+    """A note naming the W pair split if it is not the paper's REFERENCE_TAXONOMY, else none."""
+    split = {key: sum(c.category == key for c in classifications) for key in REFERENCE_TAXONOMY}
+    if split == REFERENCE_TAXONOMY:
+        return []
+    ours, paper = (" / ".join(f"{n} {key}" for key, n in counts.items())
+                   for counts in (split, REFERENCE_TAXONOMY))
+    return [f"w pair taxonomy {ours} differs from the paper's {paper}"]
 
 
 def build_report(step: float, exclusion_radius: float) -> dict:
@@ -132,23 +139,17 @@ def build_report(step: float, exclusion_radius: float) -> dict:
     from .w_taxonomy import all_pair_classifications
 
     scan = lemma_scan(step, exclusion_radius)  # first, as it checks the knobs
-    notes: list[str] = []
     ghz_pairs = []
     for a, b in all_pairs():  # each row carries the pair's worse clone fidelity
         fidelity = float(min(f for _, f in synthesize_cloner((a, b)).fidelities))
         ghz_pairs.append({"member_1": str(a), "member_2": str(b), "fidelity": fidelity})
     triples = [triple_row(triple, triple_clonability(triple)) for triple in all_triples()]
     classifications = all_pair_classifications()
-    split = {key: sum(c.category == key for c in classifications) for key in REFERENCE_TAXONOMY}
-    if split != REFERENCE_TAXONOMY:
-        notes.append(
-            f"w pair taxonomy {_split_text(split)} differs from the paper's "
-            f"{_split_text(REFERENCE_TAXONOMY)}"
-        )
+    notes = taxonomy_notes(classifications)
     try:
         records = audit_classified(classifications)
     except VerificationError as exc:
-        if split != REFERENCE_TAXONOMY:  # a mis-sorted pair failed its audit: name the split
+        if notes:  # a mis-sorted pair failed its audit: name the split
             raise type(exc)(f"{notes[-1]}; {exc}") from None
         raise
     notes.extend(reference_mismatches(records))

@@ -54,10 +54,10 @@ from .wclass import W_CUT_ENTROPY_BITS, ZERO_CLAMP, WClassParams, blank_insuffic
 
 SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
-# Grid points per scan step. Each numpy pass has a fixed cost, so larger
-# chunks run faster and hold more memory: lemma_scan(0.01, 0.05) on a 2-core
-# Xeon, pinned to one core, takes 34, 22 and 20.5 ms at 1 << 10, 1 << 12 and
-# 1 << 13 (best of 4 processes x 10 scans), with 29.3, 30.8 and 32.4 MB max RSS.
+# Grid points per scan step. Each numpy pass has a fixed cost, so larger chunks run faster and
+# hold more memory: lemma_scan(0.01, 0.05) on a 2-core Xeon, pinned to one core, takes 34, 22 and
+# 20.5 ms at 1 << 10, 1 << 12 and 1 << 13 (best of 4 processes x 10 scans), 29.3, 30.8 and 32.4 MB
+# max RSS, timed with glibc heap trimming active, so they include faults on chunk temporaries.
 _SCAN_CHUNK = 1 << 12
 
 # The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks

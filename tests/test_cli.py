@@ -399,7 +399,7 @@ _FAILURES = [
     (["ghz", "clone", "--states", "0,0,0", "0,1,1", "--blank", "2,0,0"], 2,
      "GHZ label must be three bits 'p,i,j', got '2,0,0'"),
     (["ghz", "triples", "--states", "0,0,0", "0,0,0", "0,1,1"], 2,
-     "triple member 0,0,0 is repeated"),
+     "GHZ label 0,0,0 is repeated"),
     (["w", "classify", "--pair", "1,2,3"], 2, "pair must be 'm,n', got '1,2,3'"),
     (["w", "audit", "--pair", "a,b"], 2, "pair members must be integers 1..8, got 'a,b'"),
     (["w", "audit", "--blank", "W9"], 2, "W basis label must be W1..W8, got 'W9'"),
@@ -421,7 +421,7 @@ _FAILURES = [
     (["ghz", "clone", "--states", "0,0,0", "0,0,1", "1,0,0"], 1,
      "no local circuit clones {(0,0,0), (0,0,1), (1,0,0)}"),  # a real no-go
     (["ghz", "clone", "--states", "0,0,0", "0,0,0", "0,1,1"], 2,
-     "clone member 0,0,0 is repeated; give distinct states"),
+     "GHZ label 0,0,0 is repeated; give distinct labels"),
     ([*_STATE_ARGV, _state_file(b"[" * 100_000 + b"]" * 100_000, "deep.json")], 2,
      lambda tmp: f"unrecognized state label '@{tmp}/deep.json'"),
     ([*_STATE_ARGV, _state_file(b'{"a":1}', "obj.json")], 2,
@@ -567,7 +567,7 @@ def test_every_src_exception_is_a_verification_error():
 def test_triples_name_a_repeated_member(capsys, states):
     code, out, err = run(capsys, "ghz", "triples", "--states", *states)
     assert (code, out) == (2, "")
-    assert err == "error: triple member 0,0,0 is repeated; give three distinct states\n"
+    assert err == "error: GHZ label 0,0,0 is repeated; give distinct labels\n"
 
 
 @pytest.mark.parametrize("states", [
@@ -578,7 +578,7 @@ def test_triples_name_a_repeated_member(capsys, states):
 def test_clone_names_a_repeated_member(capsys, states):
     code, out, err = run(capsys, "ghz", "clone", "--states", *states)
     assert (code, out) == (2, "")
-    assert err == "error: clone member 0,0,0 is repeated; give distinct states\n"
+    assert err == "error: GHZ label 0,0,0 is repeated; give distinct labels\n"
 
 
 @pytest.mark.parametrize("cut", ["1,1", "2,1,2", "1,2,3,3"])

@@ -125,6 +125,7 @@ def lowered_certificate_threshold(patch):
 REPORT = ["report", "--step", "0.1"]
 REPORT_HEAD = "tool version 0.1.0"
 W_AUDIT_HEAD = "m  n  category  witness_k  form  negativity_in  negativity_out  blank"
+W_CLASSIFY_HEAD = "m  n  category  witness_k  span_dim"
 
 # (fault, argv, first stdout line or "" for an abort, text of one stderr line)
 CASES = [
@@ -150,6 +151,11 @@ CASES = [
     (c_pairs_classified_as_b, REPORT, "",
      "error: w pair taxonomy 6 A / 22 B / 0 C differs from the paper's 6 A / 10 B / 12 C; "
      "pair (1,3) spans 4 at k=1, not 3"),
+    # w classify over all pairs checks the split as the report does, and runs no audit
+    (c_pairs_classified_as_b, ["w", "classify", "--all"], W_CLASSIFY_HEAD,
+     "w pair taxonomy 6 A / 22 B / 0 C differs from the paper's 6 A / 10 B / 12 C"),
+    (swapped_schur_weights, ["w", "classify", "--all"], W_CLASSIFY_HEAD,
+     "w pair taxonomy 0 A / 24 B / 4 C differs from the paper's 6 A / 10 B / 12 C"),
     (swapped_schur_weights, ["w", "audit", "--pair", "1,2"], "",
      "error: pair (1,2) at k=3: the shared direction is no common marginal eigenvector"),
     (swapped_schur_weights, REPORT, "",

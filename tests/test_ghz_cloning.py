@@ -118,6 +118,18 @@ def test_synthesize_rejects_wrong_set_sizes():
         synthesize_cloner([L(0, 0, 0), L(0, 0, 1), L(0, 1, 0), L(0, 1, 1)])
 
 
+@pytest.mark.parametrize("check", [synthesize_cloner, triple_clonability, bell_triple_cut])
+@pytest.mark.parametrize("members", [
+    (L(0, 1, 1), L(0, 1, 1), L(0, 0, 0)),
+    (L(0, 1, 1), L(0, 0, 0), L(0, 1, 1)),
+    (L(0, 0, 0), L(0, 1, 1), L(0, 1, 1)),
+])
+def test_a_repeated_label_is_refused_not_dropped(check, members):
+    # a set rule of the library: dropping the repeat would verify a pair in place of a triple
+    with pytest.raises(ValueError, match=r"^GHZ label 0,1,1 is repeated; give distinct labels$"):
+        check(members)
+
+
 def test_no_go_triple_raises_with_members_named():
     with pytest.raises(NoCircuitFound) as excinfo:
         synthesize_cloner([L(0, 0, 0), L(0, 0, 1), L(1, 0, 0)])
