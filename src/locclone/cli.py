@@ -206,10 +206,7 @@ def _cmd_w_blank_check(args: argparse.Namespace) -> Sequence[str]:
     params = parse_wclass_params(args.params)
     cut_index, entropy = blank_insufficiency(params)
     row = {
-        "a": float(params.a),
-        "b": float(params.b),
-        "c": float(params.c),
-        "d": float(params.d),
+        **{key: float(getattr(params, key)) for key in "abcd"},
         "cut_index": cut_index,
         "blank_entropy_bits": entropy,
         "required_bits": W_CUT_ENTROPY_BITS,

@@ -4,13 +4,15 @@ It imports no numpy, so the GHZ half (ghz_cloning), the W pair taxonomy (w_taxon
 and the command-line boundary (cli, report) run without it. Every gate the GHZ half
 emits is monomial, and GATES defines each by its name alone as (bit flip f, quarter
 turns t): |b> -> i^(t*b) |b xor f>.
+
+Its records that check their fields, like wclass.WClassParams, are NamedTuples that check
+in __new__, so making them at import costs little and loads no module beyond typing.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 GATES: dict[str, tuple[int, int]] = {"X": (1, 0), "Z": (0, 2), "S": (0, 1), "Sdg": (0, 3)}
 
@@ -35,20 +37,30 @@ def integer_index(value: object, what: str) -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Validated:
+    """Ahead of a NamedTuple base, so _make and _replace, like the constructor, run __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> Validated:
+        return cls(*iterable)
+
+
+class Bipartition(
+    Validated, NamedTuple("Bipartition", [("n_qubits", int), ("side_b", frozenset[int])])
+):
     """Cut of an n-qubit register; side_b lists the qubits on the B side (0-based)."""
 
-    n_qubits: int
-    side_b: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        side_b = frozenset(integer_index(q, "qubit index") for q in self.side_b)
-        object.__setattr__(self, "side_b", side_b)
-        if any(q < 0 or q >= self.n_qubits for q in side_b):
-            raise ValueError(f"side_b {sorted(side_b)} out of range for {self.n_qubits} qubits")
-        if not side_b or len(side_b) == self.n_qubits:
+    def __new__(cls, n_qubits: int, side_b: Iterable[int]) -> Bipartition:
+        side_b = frozenset(integer_index(q, "qubit index") for q in side_b)
+        if any(q < 0 or q >= n_qubits for q in side_b):
+            raise ValueError(f"side_b {sorted(side_b)} out of range for {n_qubits} qubits")
+        if not side_b or len(side_b) == n_qubits:
             raise ValueError("side_b must be a nonempty proper subset of the register")
+        return super().__new__(cls, n_qubits, side_b)
 
     @property
     def side_a(self) -> tuple[int, ...]:
@@ -62,19 +74,19 @@ class SingleQubitGate(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class TransversalCnot:
+class TransversalCnot(Validated, NamedTuple("TransversalCnot", [("direction", str)])):
     """Qubit-wise CNOT between the two equal halves of a joint register.
 
     direction "forward" controls on the first (original) half and targets the
     second (clone) half; "reverse" swaps the roles.
     """
 
-    direction: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("forward", "reverse"):
-            raise ValueError(f"unknown transversal direction {self.direction!r}")
+    def __new__(cls, direction: str) -> TransversalCnot:
+        if direction not in ("forward", "reverse"):
+            raise ValueError(f"unknown transversal direction {direction!r}")
+        return super().__new__(cls, direction)
 
 
 LocalGate = SingleQubitGate | TransversalCnot
@@ -109,20 +121,17 @@ def column_dot(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
-@dataclass(frozen=True, order=True)
-class GhzLabel:
+class GhzLabel(Validated, NamedTuple("GhzLabel", [("p", int), ("i", int), ("j", int)])):
     """Label (p, i, j) of a GHZ basis state; each component is the int 0 or 1."""
 
-    p: int
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("p", "i", "j"):
-            bit = getattr(self, name)
+    def __new__(cls, p: int, i: int, j: int) -> GhzLabel:
+        for name, bit in (("p", p), ("i", i), ("j", j)):
             # 1.0 and True equal a bit, yet print as "1.0" and "True"
             if type(bit) is not int or bit not in (0, 1):
                 raise ValueError(f"label component {name}={bit!r} is not a bit")
+        return super().__new__(cls, p, i, j)
 
     def __str__(self) -> str:
         return f"{self.p},{self.i},{self.j}"

@@ -20,8 +20,7 @@ fidelity is exactly 1.0 and no numpy loads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .exact import GHZ_LABELS, Bipartition, GhzLabel, LocalGate, SingleQubitGate, TransversalCnot
 from .exact import VerificationError, column_dot, cut_columns, gate_action, ghz_signs
@@ -49,18 +48,37 @@ class CloningCircuit(NamedTuple):
     fidelities: tuple[tuple[GhzLabel, float], ...] = ()
 
 
-@dataclass(frozen=True)
 class TripleVerdict:
     """A GHZ triple's Bell-triple witness cut if refused, else its verified circuit.
 
-    A dataclass, not a NamedTuple like the other plain records: bench/workloads.py
-    tells a verdict from a clone result, a (circuit, fidelities) tuple, by
-    isinstance(output, tuple).
-    """
+    Immutable and equal by value, but no tuple: bench/workloads.py tells a verdict from
+    a clone result, a (circuit, fidelities) tuple, by isinstance(output, tuple)."""
 
-    clonable: bool
-    witness_cut: Bipartition | None
-    circuit: CloningCircuit | None
+    __slots__ = ("clonable", "witness_cut", "circuit")
+
+    def __init__(self, clonable: bool, witness_cut: Bipartition | None,
+                 circuit: CloningCircuit | None) -> None:
+        for name, value in zip(self.__slots__, (clonable, witness_cut, circuit)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild from it; == and hash read it
+        return TripleVerdict, (self.clonable, self.witness_cut, self.circuit)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"TripleVerdict({fields})"
 
 
 def _normalize_members(states: Iterable[GhzLabel]) -> tuple[GhzLabel, ...]:

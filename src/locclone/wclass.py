@@ -7,40 +7,39 @@ lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd)) / 2, with x the parameter opposite
 the cut (x = c, b, a for cuts 1, 2, 3).
 
 This module imports no numpy, so w blank-check runs without it. It is the
-one-point form, for a caller holding one WClassParams. The scan holds arrays
-and works out each chunk's d once; it runs measures.wclass_cut_spectra on them
-and measures.entropy_bits. Both forms square as y * y and add a cut's two
-entropy terms in the same order, so their spectra agree bit for bit; the
-entropies differ by a few ulp only where math.log2 and np.log2 round differently.
+one-point form, for a caller holding one WClassParams, a NamedTuple that checks
+its fields in __new__. The scan holds arrays and works out each chunk's d once;
+it runs measures.wclass_cut_spectra on them and measures.entropy_bits. Both
+forms square as y * y and add a cut's two entropy terms in the same order, so
+their spectra agree bit for bit; the entropies differ by a few ulp only where
+math.log2 and np.log2 round differently.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .exact import StructureMismatchError, VerificationError, parse_decimal
+from .exact import StructureMismatchError, Validated, VerificationError, parse_decimal
 
 # Entropies and negativities closer to 0 than this are rounding noise and read
 # as exactly 0, so a product state measures 0 across every cut.
 ZERO_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class WClassParams:
+class WClassParams(
+    Validated, NamedTuple("WClassParams", [("a", float), ("b", float), ("c", float)])
+):
     """Parameters (a, b, c) of a W-class state; d is derived."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            val = getattr(self, name)
+    def __new__(cls, a: float, b: float, c: float) -> WClassParams:
+        for name, val in (("a", a), ("b", b), ("c", c)):
             if not val > 0.0:
                 raise ValueError(f"parameter {name}={val!r} must be positive")
-        if self.a + self.b + self.c > 1.0 + 1e-12:
+        if a + b + c > 1.0 + 1e-12:
             raise ValueError("parameters must satisfy a+b+c <= 1")
+        return super().__new__(cls, a, b, c)
 
     @property
     def d(self) -> float:
@@ -103,12 +102,7 @@ def wclass_min_cut_entropy(params: WClassParams) -> tuple[int, float]:
 
 def blank_insufficiency(params: WClassParams) -> tuple[int, float]:
     """A cut whose entropy falls short of W_CUT_ENTROPY_BITS, and that entropy in bits."""
-    deviation = max(
-        abs(params.a - 1.0 / 3.0),
-        abs(params.b - 1.0 / 3.0),
-        abs(params.c - 1.0 / 3.0),
-        params.d,
-    )
+    deviation = max(*(abs(x - 1.0 / 3.0) for x in params), params.d)  # params is (a, b, c)
     if deviation < 1e-9:
         raise ValueError("the equal-weight three-term point needs the full threshold")
     cut_index, entropy = wclass_min_cut_entropy(params)

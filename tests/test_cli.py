@@ -729,9 +729,10 @@ def test_python_dash_m_runs_the_cli(capsys):
 
 
 def _cold_modules(script: str, *argv: str) -> set[str]:
-    """The locclone submodules, and numpy, that a new interpreter holds after running script."""
-    listing = ("\nimport sys\n"
-               "print(*(m for m in sys.modules if m.startswith('locclone.') or m == 'numpy'))")
+    """The locclone submodules, numpy and dataclasses that a new interpreter holds after
+    running script."""
+    listing = ("\nimport sys\nprint(*(m for m in sys.modules"
+               " if m.startswith('locclone.') or m in ('numpy', 'dataclasses')))")
     done = _fresh_python("-c", script + listing, *argv)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
@@ -743,6 +744,12 @@ def test_import_locclone_loads_no_submodule():
 
 def test_the_w_taxonomy_loads_no_numpy():
     assert _cold_modules("import locclone.w_taxonomy") == {"locclone.w_taxonomy", "locclone.exact"}
+
+
+@pytest.mark.parametrize("module", ["exact", "wclass", "ghz_cloning"])
+def test_the_record_modules_load_no_dataclasses(module):
+    """dataclasses loads inspect, which a cold query would pay for; the records are NamedTuples."""
+    assert "dataclasses" not in _cold_modules(f"import locclone.{module}")
 
 
 ABSENT_FROM_GHZ = {"locclone.w_audit", "locclone.measures", "numpy"}
@@ -771,9 +778,10 @@ def test_a_cold_command_imports_only_the_analyses_it_runs(tmp_path, argv, loaded
 
     The GHZ commands and w classify run on plain ints and w blank-check on plain
     floats, so they load no numpy; w audit must load it, which keeps the numpy check
-    able to fail.
+    able to fail. No command loads dataclasses, which brings inspect; numpy does not
+    load it either, so w audit checks that too.
     """
     script = "import sys\nfrom locclone.cli import run_command\nassert run_command(sys.argv[1:]) == 0"
     modules = _cold_modules(script, *argv, "--out", str(tmp_path / "out"))
     assert loaded <= modules
-    assert not modules & absent
+    assert not modules & (absent | {"dataclasses"})
