@@ -2,7 +2,8 @@
 
 entropy_bits is the Shannon-entropy formula over numpy arrays, for one state's
 Schmidt spectrum or a scan chunk, and wclass_cut_spectra is the W-class closed
-form over parameter arrays, d included: the scan works out each chunk's d once.
+form over parameter arrays, d included, into a buffer the caller passes: the
+scan works out each chunk's d once and holds the buffer for the whole scan.
 ZERO_CLAMP, W_CUT_ENTROPY_BITS and wclass_min_cut_entropy are wclass's: the
 one-point forms on plain floats, for a caller holding one WClassParams.
 """
@@ -56,15 +57,23 @@ def negativity(dm: DensityMatrix, cut: Bipartition) -> float:
     return 0.0 if abs(value) < ZERO_CLAMP else value
 
 
-def wclass_cut_spectra(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+def wclass_cut_spectra(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Closed-form one-qubit marginal spectra of W-class states at all three cuts.
 
     a, b, c, d are equal-length arrays; the caller works out d = max(0, 1 - (a+b+c)) once.
     Cut k separates qubit k and depends on the parameter x opposite it (x = c,
     b, a for cuts 1, 2, 3): lambda(+/-) = (1 +/- sqrt((1-2x)^2 + 4xd)) / 2.
-    Row [i, k - 1] is (lambda-, lambda+) of state i at cut k, a view of cut-major rows.
+    The caller's (2, 3, points) buffer out receives the cut-major rows
+    [lambda-/+, cut, point], which also serve as the scratch; the result is the view
+    of out whose row [i, k - 1] is (lambda-, lambda+) of state i at cut k.
     """
-    x = np.stack([c, b, a])  # the parameter opposite cuts 1, 2, 3, one row each
-    root = np.sqrt((1.0 - 2.0 * x) ** 2 + 4.0 * x * d)
-    return np.stack([(1.0 - root) / 2.0, (1.0 + root) / 2.0]).transpose(2, 1, 0)
-
+    low, high = out
+    x = np.stack([c, b, a], out=high)  # the parameter opposite cuts 1, 2, 3, one row each
+    np.multiply(np.multiply(4.0, x, out=low), d, out=low)
+    np.square(np.subtract(1.0, np.multiply(2.0, x, out=x), out=x), out=x)
+    root = np.sqrt(np.add(x, low, out=x), out=x)
+    np.divide(np.subtract(1.0, root, out=low), 2.0, out=low)
+    np.divide(np.add(1.0, root, out=high), 2.0, out=high)
+    return out.transpose(2, 1, 0)

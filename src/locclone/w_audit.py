@@ -20,8 +20,11 @@ product blank plus LOCC cannot reach it. measures.wclass_cut_spectra, the
 array form of that closed form, runs cut-major over the parameter grid in
 chunks of a fixed number of points that span grid rows, on the chunk's one d,
 which its amplitudes and exclusion ball share; the scan checks it at every
-point against the three one-qubit marginals. A scan's one amplitude buffer
-holds psi[q1, q2, q3] as a row over a chunk's states; each chunk fills its
+point against the three one-qubit marginals. A scan allocates its chunk
+working set once, _SCAN_CHUNK columns wide, and a chunk writes only the leading
+columns, through out= and in-place ufuncs that keep the plain expressions' float
+operations and their order, so each value is theirs bit for bit. The amplitude
+buffer holds psi[q1, q2, q3] as a row over a chunk's states; each chunk fills its
 four W-class rows, the other four staying zero. Qubit k's marginal contracts
 two views, its 0- and 1-slices, over all 8 amplitudes, so no row is copied or
 gathered. Being real symmetric 2x2, it has the exact eigenvalues
@@ -55,9 +58,9 @@ from .wclass import W_CUT_ENTROPY_BITS, ZERO_CLAMP, WClassParams, blank_insuffic
 SPECTRUM_TOL = 1e-10
 SCAN_MIN_STEP = 0.002  # C(500, 3) = 20,708,500 grid points
 # Grid points per scan step. Each numpy pass has a fixed cost, so larger chunks run faster and
-# hold more memory: lemma_scan(0.01, 0.05) on a 2-core Xeon, pinned to one core, takes 34, 22 and
-# 20.5 ms at 1 << 10, 1 << 12 and 1 << 13 (best of 4 processes x 10 scans), 29.3, 30.8 and 32.4 MB
-# max RSS, timed with glibc heap trimming active, so they include faults on chunk temporaries.
+# hold more memory: lemma_scan(0.01, 0.05) on a 2-core Xeon, pinned to one core, takes 30.0, 17.7
+# and 16.0 ms best (31.3, 18.3 and 16.7 median) at 1 << 10, 1 << 12 and 1 << 13, 4 processes x 10
+# scans, with 29.5, 30.6 and 32.1 MB max RSS and 75, 361 and 745 minor faults a scan (median).
 _SCAN_CHUNK = 1 << 12
 
 # The 8 indices of one register by Z(x)Z(x)Z parity, even then odd: two 4x4 blocks
@@ -199,10 +202,17 @@ def _grid_chunks(step: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _distance_from_w_point(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
+    """L1 distance of each point from the equal-weight point, in out[0] if given: a
+    (2, points) buffer whose second row is the summands' scratch."""
+    total, term = np.empty((2,) + np.shape(a)) if out is None else out
     third = 1.0 / 3.0
-    return np.abs(a - third) + np.abs(b - third) + np.abs(c - third) + d
+    np.abs(np.subtract(a, third, out=total), out=total)
+    for x in (b, c):
+        total += np.abs(np.subtract(x, third, out=term), out=term)
+    total += d
+    return total
 
 
 def check_scan_inputs(step: float, exclusion_radius: float) -> None:
@@ -248,19 +258,27 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     violations: list[tuple[WClassParams, float]] = []
     tested = 0
     best_entropy, best_point = -np.inf, None
-    psi = np.zeros((2, 2, 2, _SCAN_CHUNK))  # each chunk's amplitudes, in its first columns
+    # the chunk working set, held once a scan: a chunk of n points writes its first n columns
+    psi = np.zeros((2, 2, 2, _SCAN_CHUNK))  # amplitudes; four of the eight rows stay zero
+    closed = np.empty((2, 3, _SCAN_CHUNK))  # the closed form's [lambda-/+, cut, point] rows
+    marginal = np.empty((5, 3, _SCAN_CHUNK))  # p, q, r, then both eigenvalues: [row, cut, point]
+    per_point = np.empty((5, _SCAN_CHUNK))  # d, the ball distance and its scratch, the pair
     for a, b, c in _grid_chunks(step):
-        d = np.maximum(0.0, 1.0 - (a + b + c))  # one d a chunk: closed form, cross-check, ball
-        spectra = wclass_cut_spectra(a, b, c, d)
-        rows = spectra.transpose(2, 1, 0)  # [lambda-/+, cut, point]: the closed form's own stack
-        _crosscheck_spectra(a, b, c, d, rows, psi[..., :a.size])
+        n = a.size
+        d = per_point[0, :n]  # one d a chunk: closed form, cross-check, ball
+        np.add(np.add(a, b, out=d), c, out=d)
+        np.maximum(0.0, np.subtract(1.0, d, out=d), out=d)  # max(0, 1 - (a + b + c))
+        spectra = wclass_cut_spectra(a, b, c, d, closed[..., :n])
+        rows = spectra.transpose(2, 1, 0)  # [lambda-/+, cut, point]: the closed form's own rows
+        _crosscheck_spectra(a, b, c, d, rows, psi[..., :n], marginal[..., :n])
         if not (rows.min() >= -ZERO_CLAMP and rows.max() <= 1.0 + ZERO_CLAMP):  # or NaN
             entropy_bits(spectra)  # raises, naming the first value outside [0, 1]
         # one cut holds both, the most unequal, whose entropy is the minimum
-        pair = np.stack([rows[0].min(axis=0), rows[1].max(axis=0)]).T
-        entropy = np.where(
-            _distance_from_w_point(a, b, c, d) > exclusion_radius, entropy_bits(pair), -np.inf
-        )
+        pair = per_point[3:, :n]
+        np.min(rows[0], axis=0, out=pair[0])
+        np.max(rows[1], axis=0, out=pair[1])
+        distance = _distance_from_w_point(a, b, c, d, per_point[1:3, :n])
+        entropy = np.where(distance > exclusion_radius, entropy_bits(pair.T), -np.inf)
         for i in np.flatnonzero(entropy >= W_CUT_ENTROPY_BITS - 1e-12):
             params = WClassParams(float(a[i]), float(b[i]), float(c[i]))
             violations.append((params, float(entropy[i])))
@@ -268,7 +286,7 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
         if entropy[top] > best_entropy:
             best_entropy = float(entropy[top])
             best_point = WClassParams(float(a[top]), float(b[top]), float(c[top]))
-        tested += a.size
+        tested += n
     assert best_point is not None  # check_scan_inputs leaves a point outside the ball
     return ScanReport(
         step, exclusion_radius, tested,
@@ -278,53 +296,63 @@ def lemma_scan(step: float, exclusion_radius: float) -> ScanReport:
     )
 
 
-def _marginal_entries(
-    psi: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """<0|rho|0>, <1|rho|1> and <0|rho|1> of qubit k's marginal for each real state.
+def _marginal_entries(psi: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """<0|rho|0>, <1|rho|1> and <0|rho|1> of qubit k's marginal for each real state, as the
+    three rows of out, which is returned.
 
     psi holds real amplitudes with shape (2, 2, 2, states), axis k - 1 for
     qubit k; its 0- and 1-slices there are views, contracted over the rest.
     """
     zero, one = (psi[(slice(None),) * (k - 1) + (bit,)] for bit in (0, 1))
-    pairs = ((zero, zero), (one, one), (zero, one))
-    return tuple(np.einsum("ijn,ijn->n", u, v) for u, v in pairs)
+    for row, (u, v) in zip(out, ((zero, zero), (one, one), (zero, one))):
+        np.einsum("ijn,ijn->n", u, v, out=row)
+    return out
 
 
 def _symmetric_2x2_eigenvalues(
-    p: np.ndarray, q: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ascending eigenvalues of real symmetric [[p, r], [r, q]]; p + q is formed once."""
-    trace, root = p + q, np.sqrt((p - q) ** 2 + 4.0 * r * r)
-    return (trace - root) / 2.0, (trace + root) / 2.0
+    p: np.ndarray, q: np.ndarray, r: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Exact ascending eigenvalues of real symmetric [[p, r], [r, q]], as out's two rows.
+
+    p + q is formed once, over p, which is therefore overwritten.
+    """
+    low, high = out
+    np.square(np.subtract(p, q, out=low), out=low)
+    np.multiply(np.multiply(4.0, r, out=high), r, out=high)
+    root = np.sqrt(np.add(low, high, out=low), out=low)
+    trace = np.add(p, q, out=p)
+    np.divide(np.add(trace, root, out=high), 2.0, out=high)
+    np.divide(np.subtract(trace, root, out=low), 2.0, out=low)
+    return out
 
 
 def _crosscheck_spectra(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, rows: np.ndarray,
-    psi: np.ndarray,
+    psi: np.ndarray, work: np.ndarray,
 ) -> None:
     """Compare the closed-form spectra rows [lambda-/+, cut, point] with every marginal's.
 
     psi is the (2, 2, 2, points) amplitude buffer, zero but for the four W-class
     rows, which this fills. The three one-qubit marginals come from it by
-    contraction, their eigenvalues from the exact 2x2 formula, over all cuts at
-    once. A gap above SPECTRUM_TOL, or a NaN on either side, fails the first such
-    point and cut in grid order.
+    contraction into work's first three rows, [p/q/r, cut, point], and their
+    eigenvalues from the exact 2x2 formula, over all cuts at once, into its last
+    two, which then hold the gaps to the closed form. One maximum tests them all;
+    only when it exceeds SPECTRUM_TOL, or is NaN, is the first failing point and
+    cut in grid order looked up and named.
     """
     np.sqrt(d, out=psi[0, 0, 0])
     np.sqrt(a, out=psi[0, 0, 1])
     np.sqrt(b, out=psi[0, 1, 0])
     np.sqrt(c, out=psi[1, 0, 0])
-    entries = np.empty((3, 3, a.size))  # [p/q/r, cut, point]
+    entries, gaps = work[:3], work[3:]
     for k in (1, 2, 3):
-        for row, value in zip(entries[:, k - 1], _marginal_entries(psi, k)):
-            row[...] = value
-    low, high = _symmetric_2x2_eigenvalues(*entries)
-    bad = ~((np.abs(low - rows[0]) <= SPECTRUM_TOL) & (np.abs(high - rows[1]) <= SPECTRUM_TOL))
-    if bad.any():
+        _marginal_entries(psi, k, entries[:, k - 1])
+    _symmetric_2x2_eigenvalues(*entries, gaps)
+    np.abs(np.subtract(gaps, rows, out=gaps), out=gaps)
+    if not gaps.max() <= SPECTRUM_TOL:  # NaN fails too
+        bad = ~(gaps <= SPECTRUM_TOL).all(axis=0)  # [cut, point]
         i, cut = np.argwhere(bad.T)[0]
         raise StructureMismatchError(
             f"closed-form spectrum disagrees with partial trace at "
             f"{float(a[i])!r},{float(b[i])!r},{float(c[i])!r}, cut {cut + 1}"
         )
-

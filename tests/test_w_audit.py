@@ -731,9 +731,9 @@ def test_lemma_scan_crosscheck_every_point(monkeypatch):
     for target, params in enumerate(grid):
         seen = 0
 
-        def shifted(a, b, c, d):
+        def shifted(a, b, c, d, out):
             nonlocal seen
-            spectra = real(a, b, c, d)
+            spectra = real(a, b, c, d, out)
             if seen <= target < seen + a.size:
                 spectra[target - seen, target % 3] += 1e-9
             seen += a.size
@@ -822,8 +822,8 @@ def test_scan_takes_one_entropy_a_point_from_the_minimal_cut(monkeypatch, step):
     # the scan's entropy_bits input, chunk by chunk, against all three cut entropies
     chunks, inputs = [], []
 
-    def recording_spectra(a, b, c, d):
-        chunks.append(wclass_cut_spectra(a, b, c, d))
+    def recording_spectra(a, b, c, d, out):
+        chunks.append(wclass_cut_spectra(a, b, c, d, np.empty_like(out)))
         return chunks[-1]
 
     def recording_entropy(probabilities):
@@ -838,6 +838,26 @@ def test_scan_takes_one_entropy_a_point_from_the_minimal_cut(monkeypatch, step):
         assert pair.shape == (len(spectra), 2)
         assert np.array_equal(pair, _own_pair_of_smallest_lambda_minus(spectra))
         assert np.array_equal(entropy_bits(pair), entropy_bits(spectra).min(axis=1))
+
+
+def test_every_scan_chunk_writes_one_closed_form_buffer(monkeypatch):
+    # 1,140 points in chunks of 300: three full chunks and a short one of 240
+    real = w_audit.wclass_cut_spectra
+    returned = []
+
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(w_audit, "_SCAN_CHUNK", 300)
+    monkeypatch.setattr(w_audit, "wclass_cut_spectra", recording)
+    lemma_scan(0.05, 0.05)
+    first, last = returned[0], returned[-1]
+    assert [len(spectra) for spectra in returned] == [300, 300, 300, 240]
+    assert all(np.shares_memory(spectra, first) for spectra in returned)
+    # the short chunk is a leading slice: the same start and strides over fewer points
+    data = [spectra.__array_interface__["data"][0] for spectra in (first, last)]
+    assert data[0] == data[1] and last.strides == first.strides
 
 
 def test_each_scan_chunk_derives_d_once(monkeypatch):
@@ -886,7 +906,9 @@ def test_smallest_lambda_minus_has_the_minimum_cut_entropy_at_grid_points(points
     # grid, cuts a few ulp apart can round their entropies the other way (65 of
     # 10^6 random points with c one ulp above b), so the points are grid points.
     a, b, c = (np.array(values) for values in zip(*points))
-    spectra = wclass_cut_spectra(a, b, c, np.maximum(0.0, 1.0 - (a + b + c)))
+    spectra = wclass_cut_spectra(
+        a, b, c, np.maximum(0.0, 1.0 - (a + b + c)), np.empty((2, 3, len(points)))
+    )
     pair = _own_pair_of_smallest_lambda_minus(spectra)
     assert np.array_equal(entropy_bits(pair), entropy_bits(spectra).min(axis=1))
 
@@ -898,8 +920,8 @@ def test_scan_range_checks_the_cuts_whose_entropy_it_skips(monkeypatch, side, va
     real = w_audit.wclass_cut_spectra
     hits = []
 
-    def corrupt(a, b, c, d):
-        spectra = real(a, b, c, d)
+    def corrupt(a, b, c, d, out):
+        spectra = real(a, b, c, d, out)
         low = spectra[:, :, 0]
         hit = np.flatnonzero(low.max(axis=1) > low.min(axis=1))
         spectra[hit, np.argmax(low[hit], axis=1), side] = value
@@ -961,19 +983,23 @@ def test_closed_form_2x2_eigenvalues_match_lapack(points):
     # amplitude-major, as the scan holds it: psi[q1, q2, q3] is a row over the states
     psi = np.stack([w_class(p).amplitudes.real.reshape(2, 2, 2) for p in points], axis=-1)
     for k in (1, 2, 3):
-        p, q, r = w_audit._marginal_entries(psi, k)
+        p, q, r = w_audit._marginal_entries(psi, k, np.empty((3, len(points))))
         marginals = np.moveaxis(np.array([[p, r], [r, q]]), -1, 0)
         for params, marginal in zip(points, marginals):
             traced = {0, 1, 2} - {k - 1}
             direct = partial_trace(density(w_class(params)), traced).entries
             assert np.abs(marginal - direct).max() <= 1e-15
-        closed = np.stack(w_audit._symmetric_2x2_eigenvalues(p, q, r), axis=-1)
+        closed = np.stack(
+            w_audit._symmetric_2x2_eigenvalues(p, q, r, np.empty((2, len(points)))), axis=-1
+        )
         assert np.abs(closed - np.linalg.eigvalsh(marginals)).max() <= 1e-12
 
 
 def test_lemma_scan_catches_a_contraction_over_the_wrong_qubit(monkeypatch):
     real = w_audit._marginal_entries
-    monkeypatch.setattr(w_audit, "_marginal_entries", lambda psi, k: real(psi, k % 3 + 1))
+    monkeypatch.setattr(
+        w_audit, "_marginal_entries", lambda psi, k, out: real(psi, k % 3 + 1, out)
+    )
     with pytest.raises(StructureMismatchError):
         lemma_scan(0.2, 0.05)
 
@@ -981,14 +1007,30 @@ def test_lemma_scan_catches_a_contraction_over_the_wrong_qubit(monkeypatch):
 def test_lemma_scan_catches_a_nan_closed_form(monkeypatch):
     real = w_audit.wclass_cut_spectra
 
-    def nan_at_first_point(a, b, c, d):
-        spectra = real(a, b, c, d)
+    def nan_at_first_point(a, b, c, d, out):
+        spectra = real(a, b, c, d, out)
         spectra[0, 1, 0] = np.nan
         return spectra
 
     monkeypatch.setattr(w_audit, "wclass_cut_spectra", nan_at_first_point)
     with pytest.raises(StructureMismatchError, match="cut 2"):
         lemma_scan(0.2, 0.05)
+    # a NaN and a 1e-9 shift at two points of the one chunk, each first in turn: the
+    # error names the earlier point in grid order and its cut, whichever cut is lower
+    grid = _scalar_grid(0.2)
+    for nan_at, shift_at in [((3, 2), (7, 0)), ((7, 0), (3, 2)), ((2, 0), (2, 1))]:
+
+        def nan_and_shift(a, b, c, d, out, nan_at=nan_at, shift_at=shift_at):
+            spectra = real(a, b, c, d, out)
+            spectra[nan_at + (1,)] = np.nan
+            spectra[shift_at + (0,)] += 1e-9
+            return spectra
+
+        monkeypatch.setattr(w_audit, "wclass_cut_spectra", nan_and_shift)
+        point, cut = min(nan_at, shift_at)
+        with pytest.raises(StructureMismatchError) as caught:
+            lemma_scan(0.2, 0.05)
+        assert str(caught.value).endswith(f"at {grid[point]}, cut {cut + 1}")
 
 
 def test_lemma_scan_runs_no_eigensolver(monkeypatch):
