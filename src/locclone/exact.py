@@ -28,6 +28,8 @@ class StructureMismatchError(VerificationError):
 def integer_index(value: object, what: str) -> int:
     """An index as a plain int: numpy ints pass, while a bool, 1.0 or "1" raises
     ValueError naming what. Qubit, W basis and cut indices all go through it."""
+    if type(value) is int:  # the common case; bool's type is bool, so it goes on below
+        return value
     # bool is an int; numpy's bool (type bool_ before numpy 2) is no int, yet an index before 2
     if type(value).__name__ not in ("bool", "bool_"):
         try:

@@ -6,7 +6,7 @@ but some with 3, category C span 4 for every k plus a k where the reductions
 do not commute. These decisions and the A, B and C structures are exact and
 run on plain ints: sqrt(3) * W_m has entries 0 and +/-1 (exact.w_signs), so
 its 4x2 cut matrix M at qubit k (exact.cut_columns) is integer, and Tr_k =
-M M^T / 3 has the column space of M. Each D = M^T M is checked to be diagonal with
+M M^T / 3 has the column space of M. _one_two_split checks each D = M^T M diagonal with
 entries {1, 2}: M's columns are then the A-side Schmidt directions, paired with
 |0> and |1> on qubit k, and D_m is invertible. So the span at k, the rank of
 [M_m | M_n], is 2 plus the rank of the integer 2x2 Schur complement
@@ -79,46 +79,49 @@ def classify_pair(m: int, n: int) -> PairClassification:
     exact.integer_index, _cut_gram checks that they differ and w_signs their range.
     """
     m, n = integer_index(m, "W basis index"), integer_index(n, "W basis index")
-    cuts = {k: _cut_gram(m, n, k) for k in (1, 2, 3)}
-    span = min(dim for *_, dim in cuts.values())
+    cuts = (_cut_gram(m, n, 1), _cut_gram(m, n, 2), _cut_gram(m, n, 3))
+    spans = (cuts[0][3], cuts[1][3], cuts[2][3])
+    span = min(spans)
     if span <= 3:
         category = CATEGORY_A if span == 2 else CATEGORY_B
-        witness = max(k for k, (*_, dim) in cuts.items() if dim == span)
+        witness = 3 if spans[2] == span else 2 if spans[1] == span else 1
         return PairClassification(m, n, category, witness, span)
-    noncommuting = [k for k, (_, _, g, _) in cuts.items() if any(map(any, g))]
-    if not noncommuting:
-        raise StructureMismatchError(
-            f"pair ({m},{n}) spans 4 at every cut but all reductions commute"
-        )
-    return PairClassification(m, n, CATEGORY_C, min(noncommuting), 4)
+    for k, (_, _, ((g00, g01), (g10, g11)), _) in zip((1, 2, 3), cuts):
+        if g00 or g01 or g10 or g11:
+            return PairClassification(m, n, CATEGORY_C, k, 4)
+    raise StructureMismatchError(f"pair ({m},{n}) spans 4 at every cut but all reductions commute")
 
 
 def _cut_gram(m: int, n: int, k: int) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
     """Heavy columns h_m, h_n at cut k, the Gram matrix G = M_m^T M_n and the span.
 
-    M is the integer 4x2 cut matrix of sqrt(3) * W at qubit k. Each state must
-    have M^T M diagonal with entries {1, 2}: then column b is the A-side Schmidt
-    direction paired with |b> on qubit k, of marginal weight M^T M[b, b] / 3,
-    so column h (weight 2/3) is heavy and 1 - h (weight 1/3) light, and G[i, j]
-    is the overlap of column i of M_m with column j of M_n. The span of the two
-    reductions' supports is the rank of [M_m | M_n], from _span.
+    M is the integer 4x2 cut matrix of sqrt(3) * W at qubit k, read once per state.
+    _one_two_split checks that each M^T M is diagonal with entries {1, 2}: then column b
+    is the A-side Schmidt direction paired with |b> on qubit k, of marginal weight
+    M^T M[b, b] / 3, so column h = M^T M[1, 1] - 1 (weight 2/3) is heavy and 1 - h
+    (weight 1/3) light, and G[i, j] is the overlap of column i of M_m with column j of
+    M_n. The span of the two reductions' supports is the rank of [M_m | M_n], from _span.
     """
     if integer_index(k, "cut index k") not in (1, 2, 3):
         raise ValueError(f"cut index k={k!r} must be 1..3")
     if m == n:  # the callers' plain ints, compared before w_signs range-checks either
         raise ValueError("pair members must differ")
-    (m0, m1), (n0, n1) = (cut_columns(w_signs(x), k) for x in (m, n))
-    heavy, diagonals = [], []
-    for x, (c0, c1) in ((m, (m0, m1)), (n, (n0, n1))):
-        d0, off, d1 = column_dot(c0, c0), column_dot(c0, c1), column_dot(c1, c1)
-        if off or {d0, d1} != {1, 2}:
-            raise StructureMismatchError(
-                f"W{x} at k={k}: M^T M = {[[d0, off], [off, d1]]} is not diagonal with entries 1, 2"
-            )
-        heavy.append(0 if d0 == 2 else 1)
-        diagonals.append((d0, d1))
-    gram = tuple((column_dot(c, n0), column_dot(c, n1)) for c in (m0, m1))
-    return heavy[0], heavy[1], gram, _span(diagonals[0], diagonals[1], gram)
+    m0, m1 = cut_columns(w_signs(m), k)
+    n0, n1 = cut_columns(w_signs(n), k)
+    d_m, d_n = _one_two_split(m, k, m0, m1), _one_two_split(n, k, n0, n1)
+    gram = ((column_dot(m0, n0), column_dot(m0, n1)), (column_dot(m1, n0), column_dot(m1, n1)))
+    return d_m[1] - 1, d_n[1] - 1, gram, _span(d_m, d_n, gram)
+
+
+def _one_two_split(x: int, k: int, c0: tuple[int, ...], c1: tuple[int, ...]) -> tuple[int, int]:
+    """Diagonal of D = M^T M for W_x's cut columns c0, c1 at k, once D is checked diagonal with
+    entries 1, 2: squared norms are integers >= 0, so their product is 2 just then."""
+    d0, off, d1 = column_dot(c0, c0), column_dot(c0, c1), column_dot(c1, c1)
+    if off or d0 * d1 != 2:
+        raise StructureMismatchError(
+            f"W{x} at k={k}: M^T M = {[[d0, off], [off, d1]]} is not diagonal with entries 1, 2"
+        )
+    return d0, d1
 
 
 def _span(d_m: tuple[int, int], d_n: tuple[int, int], gram: tuple[tuple[int, int], ...]) -> int:

@@ -2,15 +2,16 @@
 and the reference exact rank."""
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, from_dtype, integer_dtypes, unsigned_integer_dtypes
 
-from locclone.exact import GATES
+from locclone.exact import GATES, integer_index
 from locclone.ghz_cloning import CloningCircuit, apply_monomial, verify_cloner
 from locclone.registers import (
     Bipartition,
@@ -332,11 +333,23 @@ def test_bipartition_validation():
 @pytest.mark.parametrize("qubit", [1.5, 1.0, True, np.True_, "1"], ids=repr)
 def test_qubit_indices_refuse_non_integers(qubit):
     """int() would read each of these as qubit 1; numpy ints still pass."""
+    with pytest.raises(ValueError) as caught:
+        integer_index(qubit, "qubit index")
+    assert str(caught.value) == f"qubit index {qubit!r} is not an integer"
     with pytest.raises(ValueError, match="is not an integer"):
         Bipartition(3, {qubit})
     with pytest.raises(ValueError, match="is not an integer"):
         partial_trace(density(ghz(GhzLabel(0, 0, 0))), [qubit])
     assert Bipartition(3, {np.int64(1)}).side_b == frozenset({1})
+
+
+_numpy_integers = st.one_of(integer_dtypes(), unsigned_integer_dtypes()).flatmap(from_dtype)
+
+
+@given(st.one_of(st.integers(), _numpy_integers))
+def test_integer_index_is_the_plain_int_operator_index_gives(value):
+    index = integer_index(value, "index")
+    assert type(index) is int and index == operator.index(value)
 
 
 _entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)

@@ -250,6 +250,29 @@ def test_the_one_two_cut_matrices_are_all_there():
     assert len(_ONE_TWO_CUT_MATRICES) == 4 * 3 * 8 * 2
 
 
+def test_the_split_check_over_every_sign_matrix(monkeypatch):
+    # each 4x2 matrix of entries -1, 0 and 1 as W1's cut matrix, at k = 1, 2, 3 in turn:
+    # _cut_gram refuses exactly those off the {1, 2} split, naming their M^T M, and
+    # takes the column of norm^2 2 as heavy in the others
+    one_two = {tuple(mat.ravel().tolist()) for mat in _ONE_TWO_CUT_MATRICES}
+    current = []
+    _mutate_cut_matrix(monkeypatch, 1, lambda columns: current[0])
+    refused = 0
+    for index, entries in enumerate(itertools.product((-1, 0, 1), repeat=8)):
+        mat, k = np.array(entries).reshape(4, 2), 1 + index % 3
+        current[:] = [tuple(map(tuple, mat.T.tolist()))]
+        d = (mat.T @ mat).tolist()
+        if entries in one_two:
+            h_m = w_taxonomy._cut_gram(1, 2, k)[0]
+            assert d[h_m][h_m] == 2, entries
+            continue
+        with pytest.raises(StructureMismatchError) as caught:
+            w_taxonomy._cut_gram(1, 2, k)
+        assert str(caught.value) == f"W1 at k={k}: M^T M = {d} is not diagonal with entries 1, 2"
+        refused += 1
+    assert refused == 3 ** 8 - len(one_two)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(_ONE_TWO_CUT_MATRICES), st.sampled_from(_ONE_TWO_CUT_MATRICES))
 def test_schur_span_is_the_rank_of_both_cut_matrices(m_mat, n_mat):
